@@ -40,8 +40,8 @@ from .channel import (
 )
 from .mub import DEFAULT_TOL, build_weyl_mubs, verify_unbiased
 from .rationals import decimal_str, parse_rational, rational_str
+from .regions import CLASS_TAGS
 from .volume import (
-    CLASS_TAGS,
     RATIO_NAMES,
     check_conjectures,
     class_volume,
@@ -390,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--lambdas",
         required=True,
         help='eigenvalues as "1/2,0,-1/4,0" or a JSON array of strings/ints; '
-        "the trailing zero is optional when every basis is in use",
+        "the trailing zero is optional when every basis is in use; "
+        "--lambdas=VALUE works too",
     )
     sp.set_defaults(func=_cmd_classify)
 
@@ -417,10 +418,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bind_lambdas(argv: list[str]) -> list[str]:
+    """Join "--lambdas VALUE" into "--lambdas=VALUE": argparse would read a
+    value that starts with a minus sign, like "-1/2,1/4,0", as a flag."""
+    for i, tok in enumerate(argv[:-1]):
+        if tok == "--lambdas":
+            return argv[:i] + [f"--lambdas={argv[i + 1]}"] + argv[i + 2 :]
+    return argv
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_bind_lambdas(argv))
     except SystemExit as exc:
         # argparse handles --help (0) and usage errors (2) itself
         return int(exc.code or 0)

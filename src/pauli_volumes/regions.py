@@ -10,25 +10,31 @@ flavors:
 
 * the necessary-positivity box, a single chain of constant bounds; and
 * chamber decompositions of the ordered-eigenvalue wedge
-  lambda_(1) <= ... <= lambda_(n). Sorting splits eigenvalue space into
-  congruent copies of the wedge, so the raw chain volumes are multiplied by
-  a symmetry factor (n! when all coordinates are exchangeable, 3! for N = 3
-  channels where lambda_4 is distinguished and its placement among the
-  sorted values is enumerated instead).
+  lambda_(1) <= ... <= lambda_(n), built by :func:`chambers`. Sorting
+  splits eigenvalue space into congruent copies of the wedge, so the raw
+  chain volumes are multiplied by a symmetry factor.
 
-The complete-positivity chambers realize the two-sided constraint
+The chambers work with weighted coordinates. A channel using N bases has
+n = N+1 eigenvalue coordinates (n = d+1 when N = d+1, where the left-out
+eigenvalue is pinned to zero). Each has weight 1, except the left-out
+eigenvalue lambda_{N+1}, whose weight is its multiplicity d+1-N; the
+weights total d+1. Complete positivity is the two-sided constraint
 
-    -1/(d-1) <= S <= 1 + d * lambda_(1),
-    S = sum of eigenvalues weighted by multiplicity,
+    -1/(d-1) <= S <= 1 + d * lambda_(1),    S = sum_j w_j lambda_j.
 
-on the ordered wedge. Each chamber is indexed by the level M at which the
-nested upper bounds switch from the "negative branch" (room below the lower
-S constraint) to the "positive branch" (room below the upper S constraint);
-the generator-reachable and entanglement-breaking regions need only the
-positive branch. For N = 3 the left-out eigenvalue lambda_4 carries weight
-d - 2 in S, so every bound picks up a correction of weight d - 3 on the
-sorted slot lambda_4 occupies; the four placements are enumerated
-explicitly with the Kronecker deltas resolved at construction time.
+On the ordered wedge it becomes nested upper bounds, level by level, each
+divided by the weight not yet integrated. A cp chamber is indexed by the
+level M at which these bounds switch from the "negative branch" (room below
+the lower S constraint) to the "positive branch" (room below the upper S
+constraint). The generator-reachable region g needs only the positive
+branch on non-negative coordinates, and the entanglement-breaking region eb
+only the budget S <= 1.
+
+When the left-out weight is 1 (N in {d, d+1}) all n coordinates are
+exchangeable, and the symmetry factor is n!. Otherwise the left-out
+eigenvalue is distinguished: its sorted slot is enumerated, one chain set
+per slot, and only the N used-basis coordinates are exchangeable, so the
+factor is N!.
 
 Construction is pure and everything here is immutable. Membership helpers
 are provided for Monte Carlo cross-checks; they never feed the exact
@@ -46,8 +52,6 @@ from typing import Sequence
 import numpy as np
 
 CLASS_TAGS = ("p", "cp", "g", "eb")
-
-_SLOT_NAMES = ("min", "mid1", "mid2", "max")
 
 
 @dataclass(frozen=True)
@@ -194,7 +198,7 @@ class ChamberSet:
 
 
 # --------------------------------------------------------------------------
-# bound builders
+# region builders
 # --------------------------------------------------------------------------
 
 
@@ -207,31 +211,6 @@ def _prev_var(i: int) -> AffineExpr:
     return AffineExpr(Fraction(0), (Fraction(0),) * (i - 1) + (Fraction(1),))
 
 
-def _neg_upper(d: int, i: int) -> AffineExpr:
-    """Negative-branch upper bound at level i (0-based), full-N case:
-    -(1/(d+1-i)) * (1/(d-1) + sum_{j<i} x_j)."""
-    den = d + 1 - i
-    return AffineExpr(
-        Fraction(-1, (d - 1) * den), (Fraction(-1, den),) * i
-    )
-
-
-def _pos_upper(d: int, i: int) -> AffineExpr:
-    """Positive-branch upper bound at level i, full-N case:
-    (1/(d+1-i)) * (1 + d*x_0 - sum_{j<i} x_j)."""
-    den = d + 1 - i
-    return AffineExpr(
-        Fraction(1, den),
-        (Fraction(d - 1, den),) + (Fraction(-1, den),) * (i - 1),
-    )
-
-
-def _eb_upper(d: int, i: int) -> AffineExpr:
-    """Budget bound at level i, full-N case: (1/(d+1-i)) * (1 - sum_{j<i} x_j)."""
-    den = d + 1 - i
-    return AffineExpr(Fraction(1, den), (Fraction(-1, den),) * i)
-
-
 def p_box(d: int, N: int) -> ChamberSet:
     """The necessary-positivity box: every coordinate in [-1/(d-1), 1]."""
     n = d + 1 if N == d + 1 else N + 1
@@ -240,145 +219,63 @@ def p_box(d: int, N: int) -> ChamberSet:
     return ChamberSet((chain,), 1, "p", d, N, ordered=False)
 
 
-def cp_chambers_max_n(d: int) -> ChamberSet:
-    """Chambers of the complete-positivity region on the ordered wedge,
-    all d+1 bases in use. One chain per branch-switch level M, emitted as
-    sys1 (M = d+1), sys2 with M = 2..d, sys3 (M = 1)."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2 (got {d})")
-    n = d + 1
+def chambers(d: int, N: int, class_tag: str) -> ChamberSet:
+    """Chambers of the cp, g or eb region on the ordered wedge, 3 <= N <= d+1.
 
-    def chain_for(m_level: int, label: str) -> BoundChain:
-        if m_level == 1:
-            outer = (_const(Fraction(-1, d * d - 1)), _const(1))
-        else:
-            outer = (_const(Fraction(-1, d - 1)), _const(Fraction(-1, d * d - 1)))
-        bounds = [outer]
-        for i in range(1, n):
-            k = i + 1  # 1-based level
-            if k < m_level:
-                bounds.append((_prev_var(i), _neg_upper(d, i)))
-            elif k == m_level:
-                bounds.append((_neg_upper(d, i), _pos_upper(d, i)))
-            else:
-                bounds.append((_prev_var(i), _pos_upper(d, i)))
-        return BoundChain(n, tuple(bounds), label=label)
+    Sorted coordinate j carries weight w_j: 1, or d+1-N on the slot of the
+    left-out eigenvalue; the weights total d+1. Level i divides by the weight
+    that remains, den_i = sum_{j>=i} w_j, in the three upper bounds
 
-    chains = [chain_for(n, "cp:sys1")]
-    chains.extend(chain_for(m, f"cp:sys2:M={m}") for m in range(2, d + 1))
-    chains.append(chain_for(1, "cp:sys3"))
-    return ChamberSet(tuple(chains), factorial(n), "cp", d, d + 1)
+        negative branch  -(1/(d-1) + sum_{j<i} w_j x_j) / den_i,
+        positive branch  (1 + (d-w_0) x_0 - sum_{1<=j<i} w_j x_j) / den_i,
+        eb budget        (1 - sum_{j<i} w_j x_j) / den_i.
 
-
-def g_chambers_max_n(d: int) -> ChamberSet:
-    """Non-negative eigenvalues intersected with complete positivity,
-    all d+1 bases in use: a single chain on the ordered wedge."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2 (got {d})")
-    n = d + 1
-    bounds = [(_const(0), _const(1))]
-    bounds.extend((_prev_var(i), _pos_upper(d, i)) for i in range(1, n))
-    chain = BoundChain(n, tuple(bounds), label="g")
-    return ChamberSet((chain,), factorial(n), "g", d, d + 1)
-
-
-def eb_chambers_max_n(d: int) -> ChamberSet:
-    """Non-negative eigenvalues with eigenvalue sum at most one (the
-    entanglement-breaking region within the reachable set), all d+1 bases."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2 (got {d})")
-    n = d + 1
-    bounds = [(_const(0), _const(Fraction(1, d + 1)))]
-    bounds.extend((_prev_var(i), _eb_upper(d, i)) for i in range(1, n))
-    chain = BoundChain(n, tuple(bounds), label="eb")
-    return ChamberSet((chain,), factorial(n), "eb", d, d + 1)
-
-
-# --- N = 3 chambers: lambda_4 carries weight d-2, placement enumerated ----
-
-
-def _n3_den(d: int, i: int, slot: int) -> int:
-    return (d + 1 - i) - (d - 3) * (1 if slot < i else 0)
-
-
-def _n3_extra(d: int, j: int, slot: int) -> int:
-    """Weight multiplier of sorted coordinate j: 1, or d-2 on lambda_4's slot."""
-    return 1 + (d - 3) * (1 if slot == j else 0)
-
-
-def _n3_pos_upper(d: int, i: int, slot: int) -> AffineExpr:
-    den = _n3_den(d, i, slot)
-    coeffs = [Fraction((d - 1) - (d - 3) * (1 if slot == 0 else 0), den)]
-    coeffs.extend(Fraction(-_n3_extra(d, j, slot), den) for j in range(1, i))
-    return AffineExpr(Fraction(1, den), tuple(coeffs))
-
-
-def _n3_neg_upper(d: int, i: int, slot: int) -> AffineExpr:
-    den = _n3_den(d, i, slot)
-    coeffs = tuple(Fraction(-_n3_extra(d, j, slot), den) for j in range(i))
-    return AffineExpr(Fraction(-1, (d - 1) * den), coeffs)
-
-
-def _n3_eb_upper(d: int, i: int, slot: int) -> AffineExpr:
-    den = _n3_den(d, i, slot)
-    coeffs = tuple(Fraction(-_n3_extra(d, j, slot), den) for j in range(i))
-    return AffineExpr(Fraction(1, den), coeffs)
-
-
-def chambers_n3(d: int, class_tag: str) -> ChamberSet:
-    """Chambers for three-basis channels (N = 3) in dimension d >= 3.
-
-    Sorted coordinates are (lambda_min, lambda_mid1, lambda_mid2, lambda_max);
-    each chain fixes which sorted slot the left-out eigenvalue lambda_4
-    occupies. The symmetry factor is 3! because only lambda_1..lambda_3 are
-    exchangeable.
+    When the left-out weight is 1 (N in {d, d+1}) the coordinates are
+    exchangeable: no slot is enumerated and the symmetry factor is n!.
+    Otherwise every chain is repeated for each slot, slot-major, and the
+    factor is N!.
     """
-    if d < 3:
-        raise ValueError(f"N=3 chambers need d >= 3 (got {d})")
     if class_tag not in ("cp", "g", "eb"):
-        raise ValueError(f"no N=3 chambers for class {class_tag!r}")
+        raise ValueError(f"no chambers for class {class_tag!r}")
+    if d < 2 or not 3 <= N <= d + 1:
+        raise ValueError(f"chambers need d >= 2 and 3 <= N <= d+1 (got d={d}, N={N})")
+    n, w_out = (d + 1, 1) if N == d + 1 else (N + 1, d + 1 - N)
+    # (branch-switch level M, label) per cp chain, in output order
+    if w_out == 1:
+        slots: Sequence[int | None] = (None,)
+        cp_levels = [(n, "cp:sys1")]
+        cp_levels += [(m, f"cp:sys2:M={m}") for m in range(2, n)]
+        cp_levels.append((1, "cp:sys3"))
+        single_label = class_tag
+    else:
+        slots = range(n)
+        cp_levels = [(m, f"cp-n{N}:sys{k}") for k, m in enumerate((1, *range(n, 1, -1)), 1)]
+        single_label = f"{class_tag}-n{N}"
+    slot_names = ("min", *(f"mid{k}" for k in range(1, n - 1)), "max")
+    floor = _const(Fraction(-1, d - 1) if class_tag == "cp" else 0)
+    below = [floor] + [_prev_var(i) for i in range(1, n)]
     chains: list[BoundChain] = []
-
-    def cp_chain(m_level: int, sys_idx: int, slot: int) -> BoundChain:
-        if m_level == 1:
-            outer = (_const(Fraction(-1, d * d - 1)), _const(1))
-        else:
-            outer = (_const(Fraction(-1, d - 1)), _const(Fraction(-1, d * d - 1)))
-        bounds = [outer]
-        for i in range(1, 4):
-            k = i + 1
-            if k < m_level:
-                bounds.append((_prev_var(i), _n3_neg_upper(d, i, slot)))
-            elif k == m_level:
-                bounds.append((_n3_neg_upper(d, i, slot), _n3_pos_upper(d, i, slot)))
-            else:
-                bounds.append((_prev_var(i), _n3_pos_upper(d, i, slot)))
-        return BoundChain(
-            4,
-            tuple(bounds),
-            label=f"cp-n3:sys{sys_idx}:slot={_SLOT_NAMES[slot]}",
-            nplus1_slot=slot,
-        )
-
-    for slot in range(4):
+    for slot in slots:
+        w = [w_out if j == slot else 1 for j in range(n)]
+        neg, pos, eb = [], [], []
+        for i in range(n):
+            den = sum(w[i:])
+            tail = tuple(Fraction(-w[j], den) for j in range(i))
+            neg.append(AffineExpr(Fraction(-1, (d - 1) * den), tail))
+            eb.append(AffineExpr(Fraction(1, den), tail))
+            head = (Fraction(d - w[0], den),) + tail[1:]
+            pos.append(AffineExpr(Fraction(1, den), head) if i else _const(1))
+        at = "" if slot is None else f":slot={slot_names[slot]}"
         if class_tag == "cp":
-            for sys_idx, m_level in enumerate((1, 4, 3, 2), start=1):
-                chains.append(cp_chain(m_level, sys_idx, slot))
-        else:
-            if class_tag == "g":
-                outer = (_const(0), _const(1))
-                upper = _n3_pos_upper
-            else:
-                outer = (_const(0), _const(Fraction(1, d + 1)))
-                upper = _n3_eb_upper
-            bounds = [outer]
-            bounds.extend((_prev_var(i), upper(d, i, slot)) for i in range(1, 4))
-            chains.append(
-                BoundChain(
-                    4,
-                    tuple(bounds),
-                    label=f"{class_tag}-n3:slot={_SLOT_NAMES[slot]}",
-                    nplus1_slot=slot,
+            for m, label in cp_levels:
+                bounds = tuple(
+                    (below[i], neg[i]) if i + 1 < m
+                    else (neg[i], pos[i]) if i + 1 == m
+                    else (below[i], pos[i])
+                    for i in range(n)
                 )
-            )
-    return ChamberSet(tuple(chains), factorial(3), class_tag, d, 3)
+                chains.append(BoundChain(n, bounds, label + at, slot))
+        else:
+            upper = pos if class_tag == "g" else eb
+            chains.append(BoundChain(n, tuple(zip(below, upper)), single_label + at, slot))
+    return ChamberSet(tuple(chains), factorial(n if w_out == 1 else N), class_tag, d, N)

@@ -17,7 +17,7 @@ not the chamber decompositions.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, sqrt
@@ -25,19 +25,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .geometry import SurdValue, volume_prefactor
-from .regions import (
-    AffineExpr,
-    BoundChain,
-    ChamberSet,
-    chambers_n3,
-    cp_chambers_max_n,
-    eb_chambers_max_n,
-    g_chambers_max_n,
-    p_box,
-)
-
-CLASS_TAGS = ("p", "cp", "g", "eb")
+from .geometry import SurdValue, volume_prefactor, vp_volume
+from .regions import CLASS_TAGS, AffineExpr, BoundChain, ChamberSet, chambers, p_box
 
 _MC_BLOCK = 1 << 16
 _MC_MIN_SAMPLES = 10_000
@@ -46,7 +35,11 @@ _MC_MIN_SAMPLES = 10_000
 def _d_cap() -> int:
     """Largest dimension the exact engine will attempt; chamber counts and
     polynomial sizes grow quickly past this. Override with PV_MAX_D."""
-    return int(os.environ.get("PV_MAX_D", "8"))
+    raw = os.environ.get("PV_MAX_D", "8")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"PV_MAX_D must be an integer (got {raw!r})") from None
 
 
 class ChamberInconsistency(Exception):
@@ -248,16 +241,7 @@ def _validate_combo(d: int, N: int, class_tag: str) -> None:
 def region_for(d: int, N: int, class_tag: str) -> ChamberSet:
     """The chamber decomposition backing class_volume(d, N, class_tag)."""
     _validate_combo(d, N, class_tag)
-    if class_tag == "p":
-        return p_box(d, N)
-    if N == 3 and d > 3:
-        return chambers_n3(d, class_tag)
-    # N = d+1, and N = d which shares the same eigenvalue-space region:
-    # the left-out coordinate enters the eigenvalue sum with weight one,
-    # exactly like a used basis, so only the metric prefactor differs.
-    builder = {"cp": cp_chambers_max_n, "g": g_chambers_max_n, "eb": eb_chambers_max_n}
-    chambers = builder[class_tag](d)
-    return replace(chambers, N=N) if N != d + 1 else chambers
+    return p_box(d, N) if class_tag == "p" else chambers(d, N, class_tag)
 
 
 def _sufficiency(d: int, N: int, class_tag: str) -> str:
@@ -384,40 +368,27 @@ _CONFIRMED_FULL_D = frozenset({2, 3, 4, 5})
 def closed_form_ratios(d: int, N: int) -> dict[str, SurdValue]:
     """Conjectured closed forms for the nested-class ratios.
 
-    For N = d+1 and N = d:
-        cp/p = d / (d+1)!,
-        g/cp = (d^2-1)/d^2 * ((d-1)/d)^d,
+    Eigenvalue space has n coordinates (N+1, or d+1 when N = d+1), each of
+    weight 1 except the left-out one of weight d+1-N; W is the product of
+    the weights. Then
+
+        cp/p = d / (n! W),
+        g/cp = (d+1) (d-1)^n / d^(n+1),
         eb/g = 1/(d+1).
-    For N = 3 (d > 3 makes these distinct from the above):
-        cp/p = d / (24 (d-2)),
-        g/cp = (d^2-1)(d-1)^3 / d^5,
-        eb/g = 1/(d+1),
-    and the box volume itself is sqrt(d-2)/(d-1)^2.
+
+    For N in {d, d+1} this reads cp/p = d/(d+1)! and
+    g/cp = (d^2-1)/d^2 * ((d-1)/d)^d; for N = 3 it reads
+    cp/p = d/(24(d-2)) and g/cp = (d^2-1)(d-1)^3/d^5. n and W are worked out
+    here from (d, N), apart from the chamber code, so the comparison stays
+    a genuine check.
     """
-    if N == 3 and d > 3:
-        forms = {
-            "cp/p": Fraction(d, 24 * (d - 2)),
-            "g/cp": Fraction((d * d - 1) * (d - 1) ** 3, d**5),
-            "eb/g": Fraction(1, d + 1),
-        }
-    else:
-        forms = {
-            "cp/p": Fraction(d, factorial(d + 1)),
-            "g/cp": Fraction((d * d - 1) * (d - 1) ** d, d ** (d + 2)),
-            "eb/g": Fraction(1, d + 1),
-        }
+    n, W = (d + 1, 1) if N == d + 1 else (N + 1, d + 1 - N)
+    forms = {
+        "cp/p": Fraction(d, factorial(n) * W),
+        "g/cp": Fraction((d + 1) * (d - 1) ** n, d ** (n + 1)),
+        "eb/g": Fraction(1, d + 1),
+    }
     return {k: SurdValue.from_rational(v) for k, v in forms.items()}
-
-
-def p_closed_form(d: int) -> SurdValue:
-    """Closed form sqrt(d-2)/(d-1)^2 for the three-basis box volume, d >= 3.
-
-    Stated directly rather than through the volume engine so comparing the
-    two is a genuine consistency check.
-    """
-    if d < 3:
-        raise ValueError(f"the three-basis closed form needs d >= 3 (got {d})")
-    return SurdValue(Fraction(1, (d - 1) ** 2), d - 2)
 
 
 def check_conjectures(d_values: Iterable[int], n_mode: str = "max") -> ConjectureReport:
@@ -425,7 +396,9 @@ def check_conjectures(d_values: Iterable[int], n_mode: str = "max") -> Conjectur
 
     ``n_mode`` selects the basis count per dimension: "max" uses N = d+1,
     "d" uses N = d, "3" uses N = 3. Entries computed at dimensions beyond
-    the independently confirmed range are flagged extrapolated.
+    the independently confirmed range are flagged extrapolated. With N = 3
+    the box volume is checked too, against its closed form
+    sqrt(d-2)/(d-1)^2 from :func:`..geometry.vp_volume`.
     """
     if n_mode not in ("max", "d", "3"):
         raise ValueError(f"n_mode must be 'max', 'd' or '3' (got {n_mode!r})")
@@ -447,7 +420,7 @@ def check_conjectures(d_values: Iterable[int], n_mode: str = "max") -> Conjectur
                     N,
                     "p",
                     class_volume(d, N, "p").hs_volume,
-                    p_closed_form(d),
+                    vp_volume(d, N),
                     extrapolated,
                 )
             )
@@ -511,6 +484,8 @@ def mc_volume(
     _validate_combo(d, N, class_tag)
     if samples < _MC_MIN_SAMPLES:
         raise ValueError(f"need at least {_MC_MIN_SAMPLES} samples (got {samples})")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64) (got {seed})")
     n_coords = d + 1 if N == d + 1 else N + 1
     lo = -1.0 / (d - 1)
     span = 1.0 - lo
@@ -524,8 +499,10 @@ def mc_volume(
         rng = np.random.Generator(
             np.random.Philox(key=np.array([seed, block], dtype=np.uint64))
         )
-        pts = lo + span * rng.random((_MC_BLOCK, n_coords))
-        hits += int(np.count_nonzero(_class_mask(pts[:take], d, N, class_tag)))
+        # Philox output is prefix-stable: a partial block draws only the rows
+        # it uses and still gets the samples a full block would start with
+        pts = lo + span * rng.random((take, n_coords))
+        hits += int(np.count_nonzero(_class_mask(pts, d, N, class_tag)))
         produced += take
         block += 1
     p_hat = hits / samples

@@ -28,7 +28,6 @@ from pauli_volumes.volume import (
     check_conjectures,
     class_volume,
     mc_volume,
-    p_closed_form,
     ratio_table,
     supported_n_values,
     volume_ratio,
@@ -85,7 +84,7 @@ def test_criterion_2_qubit_chambers():
 def test_criterion_3_three_basis_closed_forms():
     start = time.perf_counter()
     for d in (3, 4, 5, 6):
-        assert class_volume(d, 3, "p").hs_volume == p_closed_form(d)
+        assert class_volume(d, 3, "p").hs_volume == vp_volume(d, 3)
         assert volume_ratio(d, 3, "cp", "p") == Fraction(d, 24 * (d - 2))
         assert volume_ratio(d, 3, "g", "cp") == Fraction(
             (d * d - 1) * (d - 1) ** 3, d**5

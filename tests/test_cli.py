@@ -94,6 +94,19 @@ def test_classify_comma_and_json_inputs(capsys):
     assert doc["eb_known_sufficient"] is False
 
 
+def test_classify_takes_a_leading_negative_value_in_either_form(capsys):
+    lambdas = "-1/12,1/12,1/24,-1/4,1/24"
+    outs = []
+    for argv in (["--lambdas", lambdas], [f"--lambdas={lambdas}"]):
+        code, out, _ = run_cli(capsys, "classify", "--d", "4", *argv)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    doc = json.loads(outs[0])
+    assert doc["lambdas"] == lambdas.split(",") + ["0/1"]
+    assert doc["cp"] is True
+
+
 def test_classify_rejects_json_floats(capsys):
     code, _, err = run_cli(
         capsys, "classify", "--d", "2", "--lambdas", "[0.5, 0, 0]"
@@ -143,6 +156,26 @@ def test_mc_json_fields_and_exit(capsys):
     assert doc["within_3_sigma"] is True
     assert doc["exact"] == {"coeff": "1/3", "radicand": 1}
     assert doc["sigma"] <= 3.0
+
+
+def test_mc_seed_must_fit_the_64_bit_key(capsys):
+    base = ["mc", "--d", "2", "--class", "cp", "--samples", "10000"]
+    for seed in (-1, 1 << 64):
+        code, out, err = run_cli(capsys, *base, "--seed", str(seed))
+        assert code == 2
+        assert out == ""
+        assert "seed" in err and "Traceback" not in err
+    code, out, _ = run_cli(capsys, *base, "--seed", str((1 << 64) - 1))
+    assert code == 0
+    assert json.loads(out)["seed"] == (1 << 64) - 1
+
+
+def test_bad_dimension_cap_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("PV_MAX_D", "abc")
+    code, out, err = run_cli(capsys, "volume", "--d", "3", "--class", "cp")
+    assert code == 2
+    assert out == ""
+    assert "PV_MAX_D" in err
 
 
 def test_mc_output_bytes_are_reproducible(tmp_path, capsys):

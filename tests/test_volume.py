@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pauli_volumes.geometry import SurdValue, vp_volume
-from pauli_volumes.regions import AffineExpr, BoundChain, chambers_n3, p_box
+from pauli_volumes.regions import AffineExpr, BoundChain, chambers
 from pauli_volumes.volume import (
     ChamberInconsistency,
     McEstimate,
@@ -17,7 +17,6 @@ from pauli_volumes.volume import (
     closed_form_ratios,
     integrate_chain,
     mc_volume,
-    p_closed_form,
     ratio_table,
     region_for,
     supported_n_values,
@@ -117,9 +116,7 @@ def test_integrator_against_midpoint_riemann_sum():
 
 
 def test_scaling_law():
-    from pauli_volumes.regions import g_chambers_max_n
-
-    ch = g_chambers_max_n(2).chains[0]
+    ch = chambers(2, 3, "g").chains[0]
     base = integrate_chain(ch)
     assert integrate_chain(ch.scaled(Fraction(3, 2))) == base * Fraction(3, 2) ** 3
 
@@ -179,15 +176,6 @@ def test_all_bases_and_all_but_one_have_equal_volumes():
     assert region_for(4, 4, "cp").N == 4
 
 
-def test_three_basis_chambers_reduce_to_full_family_at_d3():
-    """At d = 3 the left-out eigenvalue has weight one, so the slot-resolved
-    chambers must reproduce the plain ordered-wedge volumes."""
-    for tag in ("cp", "g", "eb"):
-        n3 = chambers_n3(3, tag)
-        total_n3 = sum(integrate_chain(ch) for ch in n3.chains) * n3.symmetry_factor
-        assert total_n3 == class_volume(3, 4, tag).lambda_volume
-
-
 def test_sufficiency_flags():
     assert class_volume(3, 4, "p").sufficiency == "upper-bound"
     assert class_volume(3, 4, "cp").sufficiency == "known-exact"
@@ -212,6 +200,9 @@ def test_supported_combinations_and_validation():
 def test_dimension_cap_env(monkeypatch):
     monkeypatch.setenv("PV_MAX_D", "3")
     with pytest.raises(ValueError, match="PV_MAX_D"):
+        class_volume(4, 5, "cp")
+    monkeypatch.setenv("PV_MAX_D", "abc")
+    with pytest.raises(ValueError, match="PV_MAX_D must be an integer"):
         class_volume(4, 5, "cp")
     monkeypatch.setenv("PV_MAX_D", "4")
     assert class_volume(4, 5, "cp").lambda_volume > 0
@@ -265,9 +256,8 @@ def test_conjectures_bad_mode():
 
 def test_p_closed_form_matches_engine():
     for d in (3, 4, 5, 6):
-        assert p_closed_form(d) == class_volume(d, 3, "p").hs_volume
-    with pytest.raises(ValueError):
-        p_closed_form(2)
+        closed_form = SurdValue(Fraction(1, (d - 1) ** 2), d - 2)  # sqrt(d-2)/(d-1)^2
+        assert vp_volume(d, 3) == closed_form == class_volume(d, 3, "p").hs_volume
 
 
 # --------------------------------------------------------------------------
@@ -285,6 +275,9 @@ def test_mc_is_deterministic_and_blockwise_stable():
     extended = mc_volume(3, 4, "cp", 150_000, seed=7)
     assert extended.samples == 150_000
     assert extended.hits >= a.hits
+    # a partial last block draws only the rows it uses; the hits are those
+    # of the full-block draw it replaced
+    assert mc_volume(4, 5, "cp", 100_000, seed=3).hits == 3362
 
 
 def test_mc_p_class_reproduces_exact_volume_bitwise():
@@ -306,6 +299,9 @@ def test_mc_input_validation():
         mc_volume(2, 3, "cp", 100)
     with pytest.raises(ValueError, match="class tag"):
         mc_volume(2, 3, "q", 10_000)
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="seed"):
+            mc_volume(2, 3, "cp", 10_000, seed=seed)
 
 
 def test_mc_estimate_type():
