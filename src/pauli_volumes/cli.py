@@ -42,22 +42,18 @@ from .mub import DEFAULT_TOL, build_weyl_mubs, verify_unbiased
 from .rationals import decimal_str, parse_rational, rational_str
 from .regions import CLASS_TAGS
 from .volume import (
+    N_MODES,
     RATIO_NAMES,
+    _validate_combo,
     check_conjectures,
     class_volume,
     mc_volume,
+    n_for_mode,
     ratio_table,
     region_for,
 )
 
-_N_MODES = ("max", "d", "3")
-
-
-def _n_for_mode(d: int, n_mode: str) -> int:
-    return {"max": d + 1, "d": d, "3": 3}[n_mode]
-
-
-def _parse_d_range(text: str) -> list[int]:
+def _parse_d_range(text: str) -> range:
     """A single dimension "4" or an inclusive range "2..5"."""
     try:
         if ".." in text:
@@ -65,13 +61,21 @@ def _parse_d_range(text: str) -> list[int]:
             lo, hi = int(lo_s), int(hi_s)
             if lo > hi:
                 raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(text)]
+            return range(lo, hi + 1)
+        return range(int(text), int(text) + 1)
     except ValueError:
         raise ValueError(f"--d expects an integer or a range like 2..5 (got {text!r})")
 
 
-def _single_d(values: list[int], flag_context: str) -> int:
+def _validated_range(text: str, n_mode: str) -> range:
+    """The --d range, each dimension checked before any volume is computed."""
+    ds = _parse_d_range(text)
+    for d in ds:
+        _validate_combo(d, n_for_mode(d, n_mode), "p")
+    return ds
+
+
+def _single_d(values: range, flag_context: str) -> int:
     if len(values) != 1:
         raise ValueError(f"{flag_context} needs a single dimension, not a range")
     return values[0]
@@ -107,10 +111,10 @@ _RATIO_CSV_HEADER = ["d", "N", "class", "num", "den", "decimal"]
 
 
 def _cmd_ratios(args) -> int:
-    ds = _parse_d_range(args.d)
+    ds = _validated_range(args.d, args.n_mode)
     rows = []
     for d in ds:
-        N = _n_for_mode(d, args.n_mode)
+        N = n_for_mode(d, args.n_mode)
         table = ratio_table(d, N)
         for name in RATIO_NAMES:
             rows.append((d, N, name, table[name]))
@@ -145,7 +149,7 @@ def _cmd_ratios(args) -> int:
 
 def _cmd_volume(args) -> int:
     d = _single_d(_parse_d_range(args.d), "volume")
-    N = _n_for_mode(d, args.n_mode)
+    N = n_for_mode(d, args.n_mode)
     result = class_volume(d, N, args.class_tag)
     if args.format == "csv":
         lam = result.lambda_volume
@@ -197,7 +201,7 @@ def _parse_lambdas(text: str) -> list[Fraction]:
 
 def _cmd_classify(args) -> int:
     d = _single_d(_parse_d_range(args.d), "classify")
-    N = _n_for_mode(d, args.n_mode)
+    N = n_for_mode(d, args.n_mode)
     values = _parse_lambdas(args.lambdas)
     spec = ChannelSpec.make(d, N, values)
     eb = is_eb_necessary(spec)
@@ -221,7 +225,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_mc(args) -> int:
     d = _single_d(_parse_d_range(args.d), "mc")
-    N = _n_for_mode(d, args.n_mode)
+    N = n_for_mode(d, args.n_mode)
     est = mc_volume(d, N, args.class_tag, args.samples, args.seed)
     exact = class_volume(d, N, args.class_tag)
     exact_float = float(exact.hs_volume)
@@ -268,7 +272,7 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_check_conjectures(args) -> int:
-    ds = _parse_d_range(args.d)
+    ds = _validated_range(args.d, args.n_mode)
     report = check_conjectures(ds, args.n_mode)
     if args.format == "csv":
         rows = []
@@ -294,7 +298,7 @@ def _affine_json(expr) -> dict:
 
 def _cmd_dump_regions(args) -> int:
     d = _single_d(_parse_d_range(args.d), "dump-regions")
-    N = _n_for_mode(d, args.n_mode)
+    N = n_for_mode(d, args.n_mode)
     chambers = region_for(d, N, args.class_tag)
     _emit_json(
         {
@@ -352,7 +356,7 @@ def _add_common(sub, *, fmt: bool, n_mode: bool = True, class_flag: bool = False
     if n_mode:
         sub.add_argument(
             "--n-mode",
-            choices=_N_MODES,
+            choices=N_MODES,
             default="max",
             help="basis count: max=d+1, d, or 3 (default max)",
         )

@@ -7,18 +7,31 @@ and never feed back into any computation.
 
 from __future__ import annotations
 
+import re
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 DECIMAL_DIGITS = 20
 
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\Z", re.IGNORECASE)
+
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"`` (or a bare integer literal) into an exact Fraction."""
+    """Parse ``"p/q"`` (or a bare integer literal) into an exact Fraction.
+
+    An exponent may not exceed the integer-string digit limit (4300 by
+    default) in magnitude: "1e1000000000" would build a billion-digit integer.
+    """
     if isinstance(text, float):
         raise TypeError("floating-point input rejected; pass an exact 'p/q' string")
+    literal = str(text).strip()
+    exp = _EXPONENT.search(literal)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    if exp and (len(exp[1]) > limit or abs(int(exp[1])) > limit):
+        raise ValueError(f"exponent of {text!r} exceeds {limit} in magnitude")
     try:
-        return Fraction(str(text).strip())
+        return Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational 'p/q' value: {text!r}") from exc
 

@@ -1,11 +1,15 @@
 """Exact and Monte Carlo volumes of the channel classes.
 
-The exact route integrates each bound chain symbolically: polynomials over
-the rationals, innermost variable first, so every chain volume is a
-Fraction with no rounding anywhere. The measure is Lebesgue in eigenvalue
-coordinates times the constant metric prefactor from
-:func:`..geometry.volume_prefactor`, which turns eigenvalue-space volumes
-into channel-manifold volumes.
+The exact route integrates each bound chain symbolically with Fraction
+coefficients, innermost variable first. Each bound on x_k is affine in x0,
+x_{k-1} and one running sum S_k = sum_{1<=j<=k-2} u_j x_j, with u fixed for
+the chain, so the integrand is a polynomial in three variables throughout.
+Every chamber qualifies: its bounds are constants, the ordering bound
+x_{k-1}, or level bounds whose x_1..x_{k-2} coefficients are the chain's
+weights -w_j over the level's denominator. Any other chain raises
+ValueError. The measure is Lebesgue in eigenvalue coordinates times the
+constant metric prefactor from :func:`..geometry.volume_prefactor`, which
+turns eigenvalue-space volumes into channel-manifold volumes.
 
 The Monte Carlo route samples the necessary-positivity box uniformly and
 counts membership with float predicates. It exists to cross-check the
@@ -26,7 +30,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .geometry import SurdValue, volume_prefactor, vp_volume
-from .regions import CLASS_TAGS, AffineExpr, BoundChain, ChamberSet, chambers, p_box
+from .regions import CLASS_TAGS, BoundChain, ChamberSet, chambers, p_box
 
 _MC_BLOCK = 1 << 16
 _MC_MIN_SAMPLES = 10_000
@@ -52,121 +56,76 @@ class ChamberInconsistency(Exception):
 
 
 # --------------------------------------------------------------------------
-# exact polynomial integration
+# exact chain integration
 # --------------------------------------------------------------------------
 
+# {(a, b, c): coefficient} is the polynomial sum of coefficient * x0^a y^b s^c
+_Poly = dict[tuple[int, int, int], Fraction]
 
-class MultiPoly:
-    """Multivariate polynomial with Fraction coefficients.
 
-    Terms map exponent tuples (length n_vars) to coefficients; zero
-    coefficients are dropped eagerly so the term dict doubles as a
-    normal form.
-    """
+def _acc(out: _Poly, p: _Poly, q: _Poly) -> _Poly:
+    """Add the product p*q into out, and return out."""
+    for (a1, b1, c1), v1 in p.items():
+        for (a2, b2, c2), v2 in q.items():
+            key = (a1 + a2, b1 + b2, c1 + c2)
+            out[key] = out.get(key, 0) + v1 * v2
+    return out
 
-    __slots__ = ("n_vars", "terms")
 
-    def __init__(self, n_vars: int, terms: dict[tuple[int, ...], Fraction] | None = None):
-        self.n_vars = n_vars
-        self.terms: dict[tuple[int, ...], Fraction] = {}
-        if terms:
-            for exps, c in terms.items():
-                if c:
-                    self.terms[exps] = c
+def _affine(const, x0, y, s) -> _Poly:
+    terms = {(0, 0, 0): const, (1, 0, 0): x0, (0, 1, 0): y, (0, 0, 1): s}
+    return {e: Fraction(v) for e, v in terms.items() if v}
 
-    @classmethod
-    def constant(cls, n_vars: int, value: Fraction | int) -> "MultiPoly":
-        return cls(n_vars, {(0,) * n_vars: Fraction(value)})
 
-    @classmethod
-    def from_affine(cls, n_vars: int, expr: AffineExpr) -> "MultiPoly":
-        terms = {(0,) * n_vars: expr.const}
-        for j, c in enumerate(expr.coeffs):
-            exps = tuple(1 if k == j else 0 for k in range(n_vars))
-            terms[exps] = terms.get(exps, Fraction(0)) + c
-        return cls(n_vars, terms)
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + c
-        return MultiPoly(self.n_vars, out)
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) - c
-        return MultiPoly(self.n_vars, out)
-
-    def __mul__(self, other: "MultiPoly | Fraction | int") -> "MultiPoly":
-        if isinstance(other, (Fraction, int)):
-            return MultiPoly(
-                self.n_vars, {e: c * other for e, c in self.terms.items()}
-            )
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly(self.n_vars, out)
-
-    __rmul__ = __mul__
-
-    def antiderivative(self, i: int) -> "MultiPoly":
-        out = {}
-        for exps, c in self.terms.items():
-            k = exps[i]
-            lifted = exps[:i] + (k + 1,) + exps[i + 1 :]
-            out[lifted] = c / (k + 1)
-        return MultiPoly(self.n_vars, out)
-
-    def substitute(self, i: int, expr: AffineExpr) -> "MultiPoly":
-        """Replace variable i by an affine expression in earlier variables."""
-        if len(expr.coeffs) > i:
-            raise ValueError("substitution must not reference variable i or later")
-        expr_poly = MultiPoly.from_affine(self.n_vars, expr)
-        powers = [MultiPoly.constant(self.n_vars, 1)]
-        by_degree: dict[int, MultiPoly] = {}
-        for exps, c in self.terms.items():
-            k = exps[i]
-            base = exps[:i] + (0,) + exps[i + 1 :]
-            bucket = by_degree.setdefault(k, MultiPoly(self.n_vars))
-            bucket.terms[base] = bucket.terms.get(base, Fraction(0)) + c
-        result = MultiPoly(self.n_vars)
-        for k in sorted(by_degree):
-            while len(powers) <= k:
-                powers.append(powers[-1] * expr_poly)
-            result = result + by_degree[k] * powers[k]
-        return result
-
-    def evaluate(self, values: Iterable[Fraction]) -> Fraction:
-        vals = tuple(Fraction(v) for v in values)
-        total = Fraction(0)
-        for exps, c in self.terms.items():
-            term = c
-            for v, e in zip(vals, exps):
-                if e:
-                    term *= v**e
-            total += term
-        return total
-
-    def constant_value(self) -> Fraction:
-        """The value of a fully integrated (variable-free) polynomial."""
-        for exps, c in self.terms.items():
-            if any(exps):
-                raise ValueError("polynomial still depends on variables")
-            return c
-        return Fraction(0)
+def _powers(p: _Poly, top: int) -> list[_Poly]:
+    out = [{(0, 0, 0): Fraction(1)}]
+    for _ in range(top):
+        out.append(_acc({}, out[-1], p))
+    return out
 
 
 def integrate_chain(chain: BoundChain) -> Fraction:
-    """Exact volume of one bound chain, innermost variable first."""
-    poly = MultiPoly.constant(chain.n_vars, 1)
-    for i in reversed(range(chain.n_vars)):
-        anti = poly.antiderivative(i)
-        lo, hi = chain.bounds[i]
-        poly = anti.substitute(i, hi) - anti.substitute(i, lo)
-    value = poly.constant_value()
+    """Exact volume of one bound chain, innermost variable first.
+
+    u is read once from the chain's longest non-zero middle coefficients
+    (those of x_1..x_{k-2} at level k); a bound whose middle coefficients
+    are not a multiple of u raises ValueError. Integrating x_k turns a
+    polynomial in (x0, x_k, S_{k+1}) into one in (x0, x_{k-1}, S_k), by
+    substituting the bounds and S_{k+1} = S_k + u_{k-1} x_{k-1}.
+    """
+    full = [
+        [e.coeffs + (Fraction(0),) * (k - len(e.coeffs)) for e in pair]
+        for k, pair in enumerate(chain.bounds)
+    ]
+    u = max((c[1:-1] for pair in full for c in pair if any(c[1:-1])), key=len, default=())
+    poly: _Poly = {(0, 0, 0): Fraction(1)}
+    for k in range(chain.n_vars - 1, 0, -1):
+        ends = []
+        for expr, c in zip(chain.bounds[k], full[k]):
+            t = next((m / w for m, w in zip(c[1:-1], u) if w), 0)
+            if any(m != t * w for m, w in zip(c[1:-1], u)):
+                msg = f"the x_{k} bound is not affine in x0, x_{k - 1} and one running sum"
+                raise ValueError(f"chain {chain.label!r}: {msg}")
+            # at k = 1, x_{k-1} is x0 itself
+            ends.append(_affine(expr.const, c[0], c[-1] if k > 1 else 0, t))
+        # S_{k+1} in terms of x_{k-1} and S_k; S_1 = S_2 = 0
+        carry = _affine(0, 0, u[k - 2] if 2 <= k <= len(u) + 1 else 0, int(k >= 3))
+        anti = {(a, b + 1, c): v / (b + 1) for (a, b, c), v in poly.items()}
+        top_b, top_c = (max((e[i] for e in anti), default=0) for i in (1, 2))
+        lo_pw, hi_pw = (_powers(end, top_b) for end in ends)
+        carry_pw = _powers(carry, top_c)
+        spans: dict[tuple[int, int], _Poly] = {}
+        poly = {}
+        for (a, b, c), v in anti.items():
+            if (b, c) not in spans:  # (hi^b - lo^b) * S_{k+1}^c
+                neg_lo = {e: -w for e, w in lo_pw[b].items()}
+                spans[b, c] = _acc(_acc({}, hi_pw[b], carry_pw[c]), neg_lo, carry_pw[c])
+            _acc(poly, {(a, 0, 0): v}, spans[b, c])
+        poly = {e: v for e, v in poly.items() if v}
+    lo, hi = (e.const for e in chain.bounds[0])
+    value = Fraction(0)
+    for (a, _, _), v in poly.items():
+        value += v * (hi ** (a + 1) - lo ** (a + 1)) / (a + 1)
     if value < 0:
         raise ChamberInconsistency(chain.label, value)
     return value
@@ -209,6 +168,14 @@ class VolumeResult:
             "hs_volume_decimal": self.hs_volume.decimal(),
             "sufficiency": self.sufficiency,
         }
+
+
+N_MODES = ("max", "d", "3")
+
+
+def n_for_mode(d: int, n_mode: str) -> int:
+    """The basis count each n-mode picks at dimension d: d+1, d or 3."""
+    return {"max": d + 1, "d": d, "3": 3}[n_mode]
 
 
 def supported_n_values(d: int) -> tuple[int, ...]:
@@ -400,41 +367,20 @@ def check_conjectures(d_values: Iterable[int], n_mode: str = "max") -> Conjectur
     the box volume is checked too, against its closed form
     sqrt(d-2)/(d-1)^2 from :func:`..geometry.vp_volume`.
     """
-    if n_mode not in ("max", "d", "3"):
+    if n_mode not in N_MODES:
         raise ValueError(f"n_mode must be 'max', 'd' or '3' (got {n_mode!r})")
     entries: list[ConjectureEntry] = []
     for d in d_values:
-        if n_mode == "max":
-            N = d + 1
-        elif n_mode == "d":
-            N = d
-        else:
-            N = 3
+        N = n_for_mode(d, n_mode)
+        computed = ratio_table(d, N)  # validates (d, N) before the closed forms divide by d
         forms = closed_form_ratios(d, N)
-        computed = ratio_table(d, N)
         extrapolated = n_mode in ("max", "d") and d not in _CONFIRMED_FULL_D
         if n_mode == "3" and d >= 3:
-            entries.append(
-                ConjectureEntry(
-                    d,
-                    N,
-                    "p",
-                    class_volume(d, N, "p").hs_volume,
-                    vp_volume(d, N),
-                    extrapolated,
-                )
-            )
+            box = class_volume(d, N, "p").hs_volume
+            entries.append(ConjectureEntry(d, N, "p", box, vp_volume(d, N), extrapolated))
         for name in RATIO_NAMES:
-            entries.append(
-                ConjectureEntry(
-                    d,
-                    N,
-                    name,
-                    SurdValue.from_rational(computed[name]),
-                    forms[name],
-                    extrapolated,
-                )
-            )
+            exact = SurdValue.from_rational(computed[name])
+            entries.append(ConjectureEntry(d, N, name, exact, forms[name], extrapolated))
     return ConjectureReport(tuple(entries))
 
 

@@ -131,6 +131,37 @@ def test_unsupported_dimension_is_usage_error(capsys):
     assert code == 2
 
 
+def test_dimension_range_is_checked_before_any_work(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("computed before the range was checked")
+
+    monkeypatch.setattr("pauli_volumes.cli.ratio_table", no_work)
+    monkeypatch.setattr("pauli_volumes.cli.check_conjectures", no_work)
+    for argv in (
+        ("ratios", "--d", "2..9"),
+        ("ratios", "--d", "9..2000000"),
+        ("check-conjectures", "--d", "2..9"),
+        ("check-conjectures", "--d", "2..4", "--n-mode", "d"),
+        ("check-conjectures", "--d", "0"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_classify_rejects_a_huge_exponent(capsys):
+    code, out, err = run_cli(
+        capsys, "classify", "--d", "3", "--lambdas", "1e1000000000,0,0,0"
+    )
+    assert code == 2
+    assert out == ""
+    assert "exponent" in err and "Traceback" not in err
+    code, out, _ = run_cli(capsys, "classify", "--d", "3", "--lambdas", "1e-3,0.25,1/3,0")
+    assert code == 0
+    assert json.loads(out)["lambdas"] == ["1/1000", "1/4", "1/3", "0/1", "0/1"]
+
+
 def test_unknown_flag_and_missing_subcommand(capsys):
     assert run_cli(capsys, "ratios", "--d", "2", "--bogus")[0] == 2
     assert run_cli(capsys)[0] == 2

@@ -3,7 +3,6 @@
 from fractions import Fraction
 from math import factorial
 
-import numpy as np
 import pytest
 
 from pauli_volumes.geometry import SurdValue, vp_volume
@@ -11,7 +10,6 @@ from pauli_volumes.regions import AffineExpr, BoundChain, chambers
 from pauli_volumes.volume import (
     ChamberInconsistency,
     McEstimate,
-    MultiPoly,
     check_conjectures,
     class_volume,
     closed_form_ratios,
@@ -33,49 +31,8 @@ def _chain(bounds, label="t"):
 
 
 # --------------------------------------------------------------------------
-# polynomial engine
+# chain integration
 # --------------------------------------------------------------------------
-
-
-def test_multipoly_arithmetic_agrees_with_evaluation():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        n = int(rng.integers(1, 4))
-
-        def rand_poly():
-            p = MultiPoly(n)
-            for _ in range(int(rng.integers(1, 5))):
-                exps = tuple(int(e) for e in rng.integers(0, 3, size=n))
-                p = p + MultiPoly(n, {exps: Fraction(int(rng.integers(-5, 6)))})
-            return p
-
-        a, b, c = rand_poly(), rand_poly(), rand_poly()
-        point = [Fraction(int(x), 7) for x in rng.integers(-10, 11, size=n)]
-        lhs = ((a + b) * c).evaluate(point)
-        rhs = (a * c).evaluate(point) + (b * c).evaluate(point)
-        assert lhs == rhs
-        assert (a * 3).evaluate(point) == 3 * a.evaluate(point)
-        assert (a - a).evaluate(point) == 0
-
-
-def test_substitute_is_evaluation_composition():
-    rng = np.random.default_rng(1)
-    n = 3
-    p = MultiPoly(n, {(2, 1, 0): Fraction(3), (0, 0, 2): Fraction(-1, 2), (1, 0, 1): Fraction(5)})
-    expr = AffineExpr(Fraction(1, 3), (Fraction(2), Fraction(-1)))  # affine in x0, x1
-    q = p.substitute(2, expr)
-    for _ in range(20):
-        x0, x1 = (Fraction(int(v), 9) for v in rng.integers(-8, 9, size=2))
-        x2 = expr.evaluate((x0, x1))
-        assert q.evaluate((x0, x1, Fraction(0))) == p.evaluate((x0, x1, x2))
-    with pytest.raises(ValueError, match="later"):
-        p.substitute(0, AffineExpr(Fraction(0), (Fraction(1),)))
-
-
-def test_antiderivative_on_monomial():
-    p = MultiPoly(2, {(2, 3): Fraction(12)})
-    q = p.antiderivative(1)
-    assert q.terms == {(2, 4): Fraction(3)}
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -97,6 +54,20 @@ def test_triangle_and_simplex_volumes():
         ]
     )
     assert integrate_chain(simplex) == Fraction(1, 6)
+    # the 4-simplex: the level-3 bound reaches x1 through the running sum
+    simplex4 = _chain(
+        [
+            (_const(0), _const(1)),
+            (_const(0), AffineExpr(Fraction(1), (Fraction(-1),))),
+            (_const(0), AffineExpr(Fraction(1), (Fraction(-1), Fraction(-1)))),
+            (_const(0), AffineExpr(Fraction(1), (Fraction(-1),) * 3)),
+        ]
+    )
+    assert integrate_chain(simplex4) == Fraction(1, 24)
+    # a zero-width innermost level leaves nothing to integrate further out
+    x1 = AffineExpr(Fraction(0), (Fraction(0), Fraction(1)))
+    flat = _chain([(_const(0), _const(1)), (_const(0), _const(1)), (x1, x1)])
+    assert integrate_chain(flat) == 0
 
 
 def test_integrator_against_midpoint_riemann_sum():
@@ -119,6 +90,18 @@ def test_scaling_law():
     ch = chambers(2, 3, "g").chains[0]
     base = integrate_chain(ch)
     assert integrate_chain(ch.scaled(Fraction(3, 2))) == base * Fraction(3, 2) ** 3
+
+
+def test_non_proportional_running_sum_raises():
+    """Level-4 bounds whose x1, x2 coefficients are not one multiple of u:
+    no three-variable form exists, so no number may come back."""
+    box = (_const(0), _const(1))
+    upper3 = AffineExpr(Fraction(1), (Fraction(0), Fraction(1), Fraction(0)))
+    lower4 = AffineExpr(Fraction(0), (Fraction(0), Fraction(1), Fraction(1), Fraction(0)))
+    upper4 = AffineExpr(Fraction(2), (Fraction(0), Fraction(1), Fraction(2), Fraction(0)))
+    bad = _chain([box, box, box, (_const(0), upper3), (lower4, upper4)], label="skew")
+    with pytest.raises(ValueError, match="skew"):
+        integrate_chain(bad)
 
 
 def test_inconsistent_chain_raises_with_label():
@@ -152,6 +135,36 @@ def test_qutrit_class_volume_goldens():
     assert class_volume(3, 4, "cp").hs_volume == SurdValue(Fraction(1, 32), 1)
     assert class_volume(3, 4, "g").hs_volume == SurdValue(Fraction(2, 243), 1)
     assert class_volume(3, 4, "eb").hs_volume == SurdValue(Fraction(1, 486), 1)
+
+
+def test_slot_weighted_chain_volumes():
+    """Chains whose bounds carry the left-out weight in the running sum."""
+    cp = class_volume(4, 3, "cp")
+    per_slot = {
+        "min": ("4096/455625", "64/18225", "256/91125", "1024/455625"),
+        "mid1": ("1024/151875", "16/6075", "64/30375", "256/151875"),
+        "mid2": ("2048/455625", "32/18225", "128/91125", "512/455625"),
+        "max": ("1024/455625", "16/18225", "64/91125", "256/455625"),
+    }
+    assert dict(zip(cp.chain_labels, cp.chain_volumes)) == {
+        f"cp-n3:sys{k}:slot={slot}": Fraction(v)
+        for slot, vols in per_slot.items()
+        for k, v in enumerate(vols, 1)
+    }
+    assert (cp.symmetry_factor, cp.lambda_volume) == (6, Fraction(64, 243))
+
+
+def test_six_variable_chain_volumes():
+    cp = class_volume(5, 6, "cp")
+    assert dict(zip(cp.chain_labels, cp.chain_volumes)) == {
+        "cp:sys1": Fraction(3125, 509607936),
+        "cp:sys2:M=2": Fraction(1953125, 660451885056),
+        "cp:sys2:M=3": Fraction(390625, 110075314176),
+        "cp:sys2:M=4": Fraction(78125, 18345885696),
+        "cp:sys2:M=5": Fraction(15625, 3057647616),
+        "cp:sys3": Fraction(9765625, 660451885056),
+    }
+    assert (cp.symmetry_factor, cp.lambda_volume) == (720, Fraction(15625, 589824))
 
 
 RATIO_GOLDENS = {
@@ -236,6 +249,13 @@ def test_conjectures_extrapolated_dimension():
     assert forms["cp/p"].as_fraction() == Fraction(1, 840)
 
 
+def test_conjectures_beyond_default_cap(monkeypatch):
+    monkeypatch.setenv("PV_MAX_D", "10")
+    report = check_conjectures([9, 10], "max")
+    assert report.all_match
+    assert len(report.entries) == 6
+
+
 def test_conjectures_three_basis_mode():
     report = check_conjectures([3, 4, 5, 6], "3")
     assert report.all_match
@@ -252,6 +272,8 @@ def test_conjectures_all_but_one_mode():
 def test_conjectures_bad_mode():
     with pytest.raises(ValueError, match="n_mode"):
         check_conjectures([2], "all")
+    with pytest.raises(ValueError, match="d must be"):
+        check_conjectures([0], "max")
 
 
 def test_p_closed_form_matches_engine():
