@@ -1,107 +1,34 @@
 """Exact and Monte Carlo Hilbert-Schmidt volumes of mixing channels built
 from mutually unbiased bases, together with the channel-class predicates
 (positivity, complete positivity, generator reachability, entanglement
-breaking) they measure."""
+breaking) they measure.
 
-from .channel import (
-    ChannelSpec,
-    EbCheck,
-    ProbabilityVector,
-    apply,
-    choi_basis,
-    choi_state,
-    eigenvalues_from_probabilities,
-    is_cp,
-    is_eb_necessary,
-    is_generator_achievable,
-    is_positive_necessary,
-    min_output_overlap,
-    probabilities_from_eigenvalues,
-)
-from .geometry import MetricData, SurdValue, metric, volume_prefactor, vp_volume
-from .mub import (
-    DEFAULT_TOL,
-    MubReport,
-    MubSet,
-    UnitaryFamily,
-    build_weyl_mubs,
-    unitaries_from_bases,
-    verify_unbiased,
-)
-from .rationals import decimal_str, parse_rational, rational_str
-from .regions import (
-    AffineExpr,
-    BoundChain,
-    ChamberSet,
-    chambers,
-    p_box,
-)
-from .volume import (
-    ChamberInconsistency,
-    ConjectureEntry,
-    ConjectureReport,
-    McEstimate,
-    VolumeResult,
-    check_conjectures,
-    class_volume,
-    closed_form_ratios,
-    integrate_chain,
-    mc_volume,
-    ratio_table,
-    region_for,
-    supported_n_values,
-    volume_ratio,
-)
+The package root exports what the README's library section uses; every
+other name is imported from its submodule."""
+
+from .channel import ChannelSpec, apply, choi_state, is_cp
+from .geometry import SurdValue
+from .mub import build_weyl_mubs, unitaries_from_bases
+from .regions import ChamberSet, chambers, p_box
+from .volume import check_conjectures, class_volume, mc_volume, region_for, supported_n_values
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineExpr",
-    "BoundChain",
-    "ChamberInconsistency",
     "ChamberSet",
     "ChannelSpec",
-    "ConjectureEntry",
-    "ConjectureReport",
-    "DEFAULT_TOL",
-    "EbCheck",
-    "McEstimate",
-    "MetricData",
-    "MubReport",
-    "MubSet",
-    "ProbabilityVector",
     "SurdValue",
-    "UnitaryFamily",
-    "VolumeResult",
     "apply",
     "build_weyl_mubs",
     "chambers",
     "check_conjectures",
-    "choi_basis",
     "choi_state",
     "class_volume",
-    "closed_form_ratios",
-    "decimal_str",
-    "eigenvalues_from_probabilities",
-    "integrate_chain",
     "is_cp",
-    "is_eb_necessary",
-    "is_generator_achievable",
-    "is_positive_necessary",
     "mc_volume",
-    "metric",
-    "min_output_overlap",
     "p_box",
-    "parse_rational",
-    "probabilities_from_eigenvalues",
-    "ratio_table",
-    "rational_str",
     "region_for",
     "supported_n_values",
     "unitaries_from_bases",
-    "verify_unbiased",
-    "volume_prefactor",
-    "volume_ratio",
-    "vp_volume",
     "__version__",
 ]

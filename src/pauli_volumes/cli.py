@@ -12,7 +12,9 @@ Subcommands:
 
 Exit codes: 0 on success, 1 when a verification fails (conjecture
 mismatch, Monte Carlo off by more than three standard errors, basis check
-failing its tolerance), 2 on bad usage or unsupported parameters.
+failing its tolerance), 2 on bad usage, unsupported parameters or an
+--out file that cannot be written. main is the one place that renders
+output, writes it and maps errors to exit codes.
 
 Output is JSON by default; ratios, volume, mc and check-conjectures also
 take --format csv with fixed headers. Rationals are printed as "p/q"
@@ -75,23 +77,12 @@ def _validated_range(text: str, n_mode: str) -> range:
     return ds
 
 
-def _single_d(values: range, flag_context: str) -> int:
-    if len(values) != 1:
-        raise ValueError(f"{flag_context} needs a single dimension, not a range")
-    return values[0]
-
-
-def _emit(text: str, out: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(obj, out: str | None) -> None:
-    _emit(json.dumps(obj, indent=2), out)
+def _one_dimension(args) -> tuple[int, int]:
+    """(d, N) for a subcommand that takes a single dimension."""
+    ds = _parse_d_range(args.d)
+    if len(ds) != 1:
+        raise ValueError(f"{args.command} needs a single dimension, not a range")
+    return ds[0], n_for_mode(ds[0], args.n_mode)
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -102,74 +93,52 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+_CsvTable = tuple[list[str], list[list]]  # (header, rows)
+# (exit code, JSON document, CSV table or None for a JSON-only subcommand)
+_Result = tuple[int, dict, _CsvTable | None]
+
 _RATIO_CSV_HEADER = ["d", "N", "class", "num", "den", "decimal"]
 
 
+def _ratio_csv(rows) -> _CsvTable:
+    """The d,N,class,num,den,decimal table of exact (d, N, name, ratio) rows."""
+    return _RATIO_CSV_HEADER, [
+        [d, N, name, q.numerator, q.denominator, decimal_str(q)] for d, N, name, q in rows
+    ]
+
+
 # --------------------------------------------------------------------------
-# subcommand implementations
+# subcommand implementations; main renders and writes what they return
 # --------------------------------------------------------------------------
 
 
-def _cmd_ratios(args) -> int:
-    ds = _validated_range(args.d, args.n_mode)
+def _cmd_ratios(args) -> _Result:
     rows = []
-    for d in ds:
+    for d in _validated_range(args.d, args.n_mode):
         N = n_for_mode(d, args.n_mode)
-        table = ratio_table(d, N)
-        for name in RATIO_NAMES:
-            rows.append((d, N, name, table[name]))
-    if args.format == "csv":
-        text = _csv_text(
-            _RATIO_CSV_HEADER,
-            [
-                [d, N, name, q.numerator, q.denominator, decimal_str(q)]
-                for d, N, name, q in rows
-            ],
-        )
-        _emit(text, args.out)
-    else:
-        _emit_json(
+        rows += [(d, N, name, q) for name, q in ratio_table(d, N).items()]
+    doc = {
+        "n_mode": args.n_mode,
+        "rows": [
             {
-                "n_mode": args.n_mode,
-                "rows": [
-                    {
-                        "d": d,
-                        "N": N,
-                        "ratio": name,
-                        "value": rational_str(q),
-                        "decimal": decimal_str(q),
-                    }
-                    for d, N, name, q in rows
-                ],
-            },
-            args.out,
-        )
-    return 0
+                "d": d,
+                "N": N,
+                "ratio": name,
+                "value": rational_str(q),
+                "decimal": decimal_str(q),
+            }
+            for d, N, name, q in rows
+        ],
+    }
+    return 0, doc, _ratio_csv(rows)
 
 
-def _cmd_volume(args) -> int:
-    d = _single_d(_parse_d_range(args.d), "volume")
-    N = n_for_mode(d, args.n_mode)
+def _cmd_volume(args) -> _Result:
+    d, N = _one_dimension(args)
     result = class_volume(d, N, args.class_tag)
-    if args.format == "csv":
-        lam = result.lambda_volume
-        text = _csv_text(
-            _RATIO_CSV_HEADER,
-            [
-                [
-                    d,
-                    N,
-                    args.class_tag,
-                    lam.numerator,
-                    lam.denominator,
-                    result.hs_volume.decimal(),
-                ]
-            ],
-        )
-        _emit(text, args.out)
-    else:
-        _emit_json(result.to_json_dict(), args.out)
-    return 0
+    lam = result.lambda_volume
+    row = [d, N, args.class_tag, lam.numerator, lam.denominator, result.hs_volume.decimal()]
+    return 0, result.to_json_dict(), (_RATIO_CSV_HEADER, [row])
 
 
 def _rational_from_json(value) -> Fraction:
@@ -199,94 +168,65 @@ def _parse_lambdas(text: str) -> list[Fraction]:
     return [parse_rational(tok) for tok in text.split(",")]
 
 
-def _cmd_classify(args) -> int:
-    d = _single_d(_parse_d_range(args.d), "classify")
-    N = n_for_mode(d, args.n_mode)
-    values = _parse_lambdas(args.lambdas)
-    spec = ChannelSpec.make(d, N, values)
+def _cmd_classify(args) -> _Result:
+    d, N = _one_dimension(args)
+    spec = ChannelSpec.make(d, N, _parse_lambdas(args.lambdas))
     eb = is_eb_necessary(spec)
-    _emit_json(
-        {
-            "d": d,
-            "N": N,
-            "lambdas": [rational_str(v) for v in spec.lambdas],
-            "positive_necessary": is_positive_necessary(spec),
-            "cp": is_cp(spec),
-            "generator_achievable": is_generator_achievable(spec),
-            "eb_necessary": eb.holds,
-            "eb_known_sufficient": eb.known_sufficient,
-            "min_output_overlap": rational_str(min_output_overlap(spec)),
-            "eigenvalue_sum": rational_str(spec.eigenvalue_sum()),
-        },
-        args.out,
-    )
-    return 0
+    doc = {
+        "d": d,
+        "N": N,
+        "lambdas": [rational_str(v) for v in spec.lambdas],
+        "positive_necessary": is_positive_necessary(spec),
+        "cp": is_cp(spec),
+        "generator_achievable": is_generator_achievable(spec),
+        "eb_necessary": eb.holds,
+        "eb_known_sufficient": eb.known_sufficient,
+        "min_output_overlap": rational_str(min_output_overlap(spec)),
+        "eigenvalue_sum": rational_str(spec.eigenvalue_sum()),
+    }
+    return 0, doc, None
 
 
-def _cmd_mc(args) -> int:
-    d = _single_d(_parse_d_range(args.d), "mc")
-    N = n_for_mode(d, args.n_mode)
+def _cmd_mc(args) -> _Result:
+    d, N = _one_dimension(args)
     est = mc_volume(d, N, args.class_tag, args.samples, args.seed)
-    exact = class_volume(d, N, args.class_tag)
-    exact_float = float(exact.hs_volume)
+    exact = class_volume(d, N, args.class_tag).hs_volume
+    exact_float, exact_decimal = float(exact), exact.decimal()
     if est.stderr > 0.0:
         sigma = abs(est.estimate - exact_float) / est.stderr
     else:
         sigma = 0.0 if est.estimate == exact_float else float("inf")
     ok = sigma <= 3.0
-    if args.format == "csv":
-        text = _csv_text(
-            ["d", "N", "class", "estimate", "stderr", "exact_decimal", "sigma"],
-            [
-                [
-                    d,
-                    N,
-                    args.class_tag,
-                    repr(est.estimate),
-                    repr(est.stderr),
-                    exact.hs_volume.decimal(),
-                    repr(sigma),
-                ]
-            ],
-        )
-        _emit(text, args.out)
-    else:
-        _emit_json(
-            {
-                "d": d,
-                "N": N,
-                "class": args.class_tag,
-                "samples": est.samples,
-                "seed": args.seed,
-                "hits": est.hits,
-                "estimate": est.estimate,
-                "stderr": est.stderr,
-                "exact": exact.hs_volume.to_json_dict(),
-                "exact_decimal": exact.hs_volume.decimal(),
-                "sigma": sigma,
-                "within_3_sigma": ok,
-            },
-            args.out,
-        )
-    return 0 if ok else 1
+    doc = {
+        "d": d,
+        "N": N,
+        "class": args.class_tag,
+        "samples": est.samples,
+        "seed": args.seed,
+        "hits": est.hits,
+        "estimate": est.estimate,
+        "stderr": est.stderr,
+        "exact": exact.to_json_dict(),
+        "exact_decimal": exact_decimal,
+        "sigma": sigma,
+        "within_3_sigma": ok,
+    }
+    header = ["d", "N", "class", "estimate", "stderr", "exact_decimal", "sigma"]
+    row = [
+        d, N, args.class_tag, repr(est.estimate), repr(est.stderr), exact_decimal, repr(sigma)
+    ]
+    return (0 if ok else 1), doc, (header, [row])
 
 
-def _cmd_check_conjectures(args) -> int:
-    ds = _validated_range(args.d, args.n_mode)
-    report = check_conjectures(ds, args.n_mode)
-    if args.format == "csv":
-        rows = []
-        for e in report.entries:
-            if e.name not in RATIO_NAMES:
-                continue  # the surd-valued box entry has no num/den columns
-            q = e.computed.as_fraction()
-            rows.append(
-                [e.d, e.N, e.name, q.numerator, q.denominator, decimal_str(q)]
-            )
-        _emit(_csv_text(_RATIO_CSV_HEADER, rows), args.out)
-    else:
-        _emit_json(report.to_json_dict(), args.out)
-    return 0 if report.all_match else 1
+def _cmd_check_conjectures(args) -> _Result:
+    report = check_conjectures(_validated_range(args.d, args.n_mode), args.n_mode)
+    # the surd-valued box entry has no num/den columns
+    rows = [
+        (e.d, e.N, e.name, e.computed.as_fraction())
+        for e in report.entries
+        if e.name in RATIO_NAMES
+    ]
+    return (0 if report.all_match else 1), report.to_json_dict(), _ratio_csv(rows)
 
 
 def _affine_json(expr) -> dict:
@@ -296,54 +236,52 @@ def _affine_json(expr) -> dict:
     }
 
 
-def _cmd_dump_regions(args) -> int:
-    d = _single_d(_parse_d_range(args.d), "dump-regions")
-    N = n_for_mode(d, args.n_mode)
-    chambers = region_for(d, N, args.class_tag)
-    _emit_json(
-        {
-            "class": chambers.class_tag,
-            "d": chambers.d,
-            "N": chambers.N,
-            "n_vars": chambers.n_vars,
-            "ordered": chambers.ordered,
-            "symmetry_factor": chambers.symmetry_factor,
-            "chains": [
-                {
-                    "label": ch.label,
-                    "nplus1_slot": ch.nplus1_slot,
-                    "bounds": [
-                        {"lower": _affine_json(lo), "upper": _affine_json(hi)}
-                        for lo, hi in ch.bounds
-                    ],
-                }
-                for ch in chambers.chains
-            ],
-        },
-        args.out,
-    )
-    return 0
+def _cmd_dump_regions(args) -> _Result:
+    chambers = region_for(*_one_dimension(args), args.class_tag)
+    doc = {
+        "class": chambers.class_tag,
+        "d": chambers.d,
+        "N": chambers.N,
+        "n_vars": chambers.n_vars,
+        "ordered": chambers.ordered,
+        "symmetry_factor": chambers.symmetry_factor,
+        "chains": [
+            {
+                "label": ch.label,
+                "nplus1_slot": ch.nplus1_slot,
+                "bounds": [
+                    {"lower": _affine_json(lo), "upper": _affine_json(hi)}
+                    for lo, hi in ch.bounds
+                ],
+            }
+            for ch in chambers.chains
+        ],
+    }
+    return 0, doc, None
 
 
-def _cmd_mub_verify(args) -> int:
-    d = _single_d(_parse_d_range(args.d), "mub-verify")
-    mubs = build_weyl_mubs(d)
-    report = verify_unbiased(mubs, tol=args.tol)
-    _emit_json(
-        {
-            "d": report.d,
-            "n_bases": report.n_bases,
-            "tol": report.tol,
-            "max_cross_deviation": report.max_cross_deviation,
-            "max_orthonormality_deviation": report.max_orthonormality_deviation,
-            "pair_deviations": {
-                f"{a},{b}": dev for (a, b), dev in sorted(report.pair_deviations.items())
-            },
-            "passed": report.passed,
+# the family alone holds (d+1) d^2 complex numbers: 17 MB at d = 101,
+# 16.5 GB at d = 1009
+_MUB_MAX_D = 101
+
+
+def _cmd_mub_verify(args) -> _Result:
+    d, _ = _one_dimension(args)
+    if d > _MUB_MAX_D:
+        raise ValueError(f"mub-verify supports d <= {_MUB_MAX_D} (got {d})")
+    report = verify_unbiased(build_weyl_mubs(d), tol=args.tol)
+    doc = {
+        "d": report.d,
+        "n_bases": report.n_bases,
+        "tol": report.tol,
+        "max_cross_deviation": report.max_cross_deviation,
+        "max_orthonormality_deviation": report.max_orthonormality_deviation,
+        "pair_deviations": {
+            f"{a},{b}": dev for (a, b), dev in sorted(report.pair_deviations.items())
         },
-        args.out,
-    )
-    return 0 if report.passed else 1
+        "passed": report.passed,
+    }
+    return (0 if report.passed else 1), doc, None
 
 
 # --------------------------------------------------------------------------
@@ -417,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", required=True, help="a prime dimension")
     sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
     sp.add_argument("--out", help="write output to this file instead of stdout")
-    sp.set_defaults(func=_cmd_mub_verify)
+    # the family has all d+1 bases, so _one_dimension reads N = d+1
+    sp.set_defaults(func=_cmd_mub_verify, n_mode="max")
 
     return parser
 
@@ -440,10 +379,20 @@ def main(argv=None) -> int:
         # argparse handles --help (0) and usage errors (2) itself
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except (ValueError, TypeError) as exc:
+        code, doc, table = args.func(args)
+        # the JSON-only subcommands return no table and have no --format
+        if table is not None and args.format == "csv":
+            text = _csv_text(*table)
+        else:
+            text = json.dumps(doc, indent=2) + "\n"
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text)
+    except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -142,30 +142,25 @@ class MetricData:
         return out
 
 
-def _check_dims(d: int, N: int) -> None:
-    if d < 2:
-        raise ValueError(f"d must be >= 2 (got {d})")
+def weights(d: int, N: int) -> tuple[int, ...]:
+    """Per-coordinate weights of eigenvalue space: 1 for each used-basis
+    eigenvalue and d+1-N for the left-out one, which is pinned to zero and
+    dropped when N = d+1. The weights total d+1."""
+    if not isinstance(d, int) or d < 2:
+        raise ValueError(f"d must be an integer >= 2 (got {d})")
     if not 3 <= N <= d + 1:
         raise ValueError(f"N must satisfy 3 <= N <= d+1 (got N={N}, d={d})")
+    return (1,) * (d + 1) if N == d + 1 else (1,) * N + (d + 1 - N,)
 
 
 def metric(d: int, N: int) -> MetricData:
-    """Induced metric diagonal: N entries (d-1)/d^2 plus, for N <= d, a final
-    entry scaled by the multiplicity d+1-N of the left-out directions."""
-    _check_dims(d, N)
-    unit = Fraction(d - 1, d * d)
-    if N == d + 1:
-        return MetricData(d, N, (unit,) * (d + 1))
-    return MetricData(d, N, (unit,) * N + (unit * (d + 1 - N),))
+    """Induced metric diagonal: (d-1)/d^2 times the coordinate weights."""
+    return MetricData(d, N, tuple(Fraction((d - 1) * w, d * d) for w in weights(d, N)))
 
 
 def volume_prefactor(d: int, N: int) -> SurdValue:
     """sqrt(det g): the constant converting lambda-volume to metric volume."""
-    _check_dims(d, N)
-    base = SurdValue.sqrt(Fraction(d - 1, d * d))
-    if N == d + 1:
-        return base ** (d + 1)
-    return SurdValue.sqrt(d + 1 - N) * base ** (N + 1)
+    return SurdValue.sqrt(metric(d, N).det())
 
 
 def vp_volume(d: int, N: int) -> SurdValue:
@@ -175,7 +170,7 @@ def vp_volume(d: int, N: int) -> SurdValue:
     N = d+1; both are the box side d/(d-1) per coordinate times the metric
     prefactor, reduced.
     """
-    _check_dims(d, N)
+    weights(d, N)  # validates (d, N); the closed form below does not use them
     if N == d + 1:
         return SurdValue.sqrt(Fraction(1, (d - 1) ** (d + 1)))
     return SurdValue.sqrt(Fraction(d + 1 - N, (d - 1) ** (N + 1)))

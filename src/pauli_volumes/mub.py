@@ -192,8 +192,11 @@ def verify_unbiased(m: MubSet, tol: float = DEFAULT_TOL) -> MubReport:
     Reports the largest deviation ``| |<psi|phi>|^2 - 1/d |`` over all
     cross-basis vector pairs, per pair of bases and overall, plus the worst
     within-basis orthonormality defect as context. ``passed`` reflects the
-    cross-basis deviation against ``tol``.
+    cross-basis deviation against ``tol``, which must be finite and > 0:
+    NaN would fail every family and infinity would pass any.
     """
+    if not 0 < tol < float("inf"):
+        raise ValueError(f"tol must be finite and > 0 (got {tol})")
     d = m.d
     target = 1.0 / d
     pair_deviations: dict[tuple[int, int], float] = {}

@@ -51,6 +51,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .geometry import weights
+
 CLASS_TAGS = ("p", "cp", "g", "eb")
 
 
@@ -213,7 +215,7 @@ def _prev_var(i: int) -> AffineExpr:
 
 def p_box(d: int, N: int) -> ChamberSet:
     """The necessary-positivity box: every coordinate in [-1/(d-1), 1]."""
-    n = d + 1 if N == d + 1 else N + 1
+    n = len(weights(d, N))
     lo, hi = _const(Fraction(-1, d - 1)), _const(1)
     chain = BoundChain(n, ((lo, hi),) * n, label="p-box")
     return ChamberSet((chain,), 1, "p", d, N, ordered=False)
@@ -237,9 +239,8 @@ def chambers(d: int, N: int, class_tag: str) -> ChamberSet:
     """
     if class_tag not in ("cp", "g", "eb"):
         raise ValueError(f"no chambers for class {class_tag!r}")
-    if d < 2 or not 3 <= N <= d + 1:
-        raise ValueError(f"chambers need d >= 2 and 3 <= N <= d+1 (got d={d}, N={N})")
-    n, w_out = (d + 1, 1) if N == d + 1 else (N + 1, d + 1 - N)
+    coord_weights = weights(d, N)
+    n, w_out = len(coord_weights), coord_weights[-1]
     # (branch-switch level M, label) per cp chain, in output order
     if w_out == 1:
         slots: Sequence[int | None] = (None,)

@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .geometry import SurdValue, volume_prefactor, vp_volume
+from .geometry import SurdValue, volume_prefactor, vp_volume, weights
 from .regions import CLASS_TAGS, BoundChain, ChamberSet, chambers, p_box
 
 _MC_BLOCK = 1 << 16
@@ -170,12 +170,13 @@ class VolumeResult:
         }
 
 
-N_MODES = ("max", "d", "3")
+_N_FOR_MODE = {"max": lambda d: d + 1, "d": lambda d: d, "3": lambda d: 3}
+N_MODES = tuple(_N_FOR_MODE)
 
 
 def n_for_mode(d: int, n_mode: str) -> int:
     """The basis count each n-mode picks at dimension d: d+1, d or 3."""
-    return {"max": d + 1, "d": d, "3": 3}[n_mode]
+    return _N_FOR_MODE[n_mode](d)
 
 
 def supported_n_values(d: int) -> tuple[int, ...]:
@@ -270,14 +271,13 @@ def volume_ratio(d: int, N: int, num_tag: str, den_tag: str) -> Fraction:
     return ratio
 
 
-RATIO_NAMES = ("cp/p", "g/cp", "eb/g")
-
 _RATIO_TAGS = {"cp/p": ("cp", "p"), "g/cp": ("g", "cp"), "eb/g": ("eb", "g")}
+RATIO_NAMES = tuple(_RATIO_TAGS)
 
 
 def ratio_table(d: int, N: int) -> dict[str, Fraction]:
     """The three nested-class ratios at one (d, N)."""
-    return {name: volume_ratio(d, N, *_RATIO_TAGS[name]) for name in RATIO_NAMES}
+    return {name: volume_ratio(d, N, *tags) for name, tags in _RATIO_TAGS.items()}
 
 
 # --------------------------------------------------------------------------
@@ -424,19 +424,18 @@ def mc_volume(
 
     Counter-based streams keyed on (seed, block index) make results
     reproducible and independent of how samples split into blocks. The
-    box measure is carried exactly and converted to float once, so the
-    "p" class reproduces the exact volume bit for bit.
+    box measure, :func:`..geometry.vp_volume`, is exact and converted to
+    float once, so the "p" class reproduces the exact volume bit for bit.
     """
     _validate_combo(d, N, class_tag)
     if samples < _MC_MIN_SAMPLES:
         raise ValueError(f"need at least {_MC_MIN_SAMPLES} samples (got {samples})")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64) (got {seed})")
-    n_coords = d + 1 if N == d + 1 else N + 1
+    n_coords = len(weights(d, N))
     lo = -1.0 / (d - 1)
     span = 1.0 - lo
-    box_hs = volume_prefactor(d, N) * (Fraction(d, d - 1) ** n_coords)
-    scale = float(box_hs)
+    scale = float(vp_volume(d, N))
     hits = 0
     produced = 0
     block = 0

@@ -1,12 +1,18 @@
 """Command line behavior: output formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pauli_volumes.cli import main
+from pauli_volumes.mub import build_weyl_mubs
 
 
 def run_cli(capsys, *argv):
@@ -233,6 +239,110 @@ def test_out_file_replaces_stdout(tmp_path, capsys):
     assert out == ""
     doc = json.loads(target.read_text())
     assert doc["rows"][0]["value"] == "1/3"
+
+
+def test_failed_out_write_is_usage_error(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run_cli(
+            capsys, "volume", "--d", "3", "--class", "cp", "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+_HUGE_PRIME = "1000000000000000000000000000057"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--d", _HUGE_PRIME),
+        ("--d", "103"),
+        ("--d", "5", "--tol", "nan"),
+        ("--d", "5", "--tol", "inf"),
+        ("--d", "5", "--tol", "-1"),
+        ("--d", "5", "--tol", "0"),
+    ],
+)
+def test_mub_verify_rejects_unbounded_input(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "mub-verify", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_mub_verify_accepts_the_largest_supported_dimension(capsys, monkeypatch):
+    built = []
+
+    def small_family(d):
+        built.append(d)
+        return build_weyl_mubs(3)
+
+    monkeypatch.setattr("pauli_volumes.cli.build_weyl_mubs", small_family)
+    assert run_cli(capsys, "mub-verify", "--d", "101")[0] == 0
+    assert run_cli(capsys, "mub-verify", "--d", "102")[0] == 2
+    assert built == [101]
+
+
+# (good values, bad values) for every flag; the --out values name a kind of path
+_VOCABULARY = {
+    "--d": (("2", "3", "5", "2..4", "3..5"),
+            ("5..2", "0", "-3", "x", "", "103", _HUGE_PRIME, "2..1000000000")),
+    "--n-mode": (("max", "d", "3"), ("4",)),
+    "--class": (("p", "cp", "g", "eb"), ("q",)),
+    "--samples": (("10000", "20000"), ("9999", "-1", "x")),
+    "--seed": (("0", "7"), ("-1", str(1 << 64), "x")),
+    "--tol": (("1e-10", "1e-300"), ("1e400", "nan", "inf", "-1", "0", "x")),
+    "--lambdas": (("1/2,1/2,0,1/4", '["1/10", 0, 0, 0]', "-1/12,1/12,1/24,-1/4,1/24"),
+                  ("1e1000000000,0,0,0", "[0.5, 0, 0]", "[true]", "[", "1,0", "")),
+    "--format": (("json", "csv"), ("xml",)),
+    "--out": (("file",), ("missing-dir", "dir")),
+}
+# each subcommand's own flags, and a bogus subcommand
+_FLAGS = {
+    "ratios": ("--d", "--n-mode", "--format", "--out"),
+    "volume": ("--d", "--n-mode", "--class", "--format", "--out"),
+    "classify": ("--d", "--n-mode", "--lambdas", "--out"),
+    "mc": ("--d", "--n-mode", "--class", "--samples", "--seed", "--format", "--out"),
+    "check-conjectures": ("--d", "--n-mode", "--format", "--out"),
+    "dump-regions": ("--d", "--n-mode", "--class", "--out"),
+    "mub-verify": ("--d", "--tol", "--out"),
+    "bogus": ("--d",),
+}
+_REQUIRED = ("--d", "--class", "--lambdas")  # the others are drawn in or left out
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_any_argv_gets_an_exit_code_and_no_traceback(data, tmp_path_factory):
+    root = tmp_path_factory.getbasetemp()
+    paths = {"file": root / "out.txt", "missing-dir": root / "missing" / "x", "dir": root}
+    command = data.draw(st.sampled_from(list(_FLAGS)))
+    flags = [f for f in _FLAGS[command] if f in _REQUIRED or data.draw(st.booleans())]
+    # at most one fault: a flag left out, or given a bad value, or a flag
+    # the subcommand lacks
+    fault = data.draw(st.sampled_from([None, *_VOCABULARY]))
+    if fault in flags and data.draw(st.booleans()):
+        flags.remove(fault)
+    elif fault and fault not in flags:
+        flags.append(fault)
+    argv = [command]
+    for flag in flags:
+        good, bad = _VOCABULARY[flag]
+        value = data.draw(st.sampled_from(bad if flag == fault else good))
+        argv += [flag, str(paths.get(value, value))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert command in ("mc", "check-conjectures", "mub-verify")
+    assert (code == 2) == bool(err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_check_conjectures_exits_zero_and_csv(capsys):

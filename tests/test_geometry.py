@@ -12,6 +12,7 @@ from pauli_volumes.geometry import (
     metric,
     volume_prefactor,
     vp_volume,
+    weights,
 )
 
 rationals = st.fractions(
@@ -77,6 +78,20 @@ def test_square_matches_rational_square(a):
     sq = a * a
     assert sq.is_rational
     assert sq.as_fraction() == a.coeff**2 * a.radicand
+
+
+def test_coordinate_weights():
+    assert weights(2, 3) == (1, 1, 1)
+    assert weights(4, 5) == (1,) * 5
+    assert weights(4, 4) == (1,) * 5
+    assert weights(5, 3) == (1, 1, 1, 3)
+    for d in range(2, 9):
+        for N in range(3, d + 2):
+            assert sum(weights(d, N)) == d + 1
+    with pytest.raises(ValueError, match="d must be an integer >= 2"):
+        weights(1, 3)
+    with pytest.raises(ValueError, match="3 <= N <= d[+]1"):
+        weights(4, 6)
 
 
 def test_metric_diagonals():

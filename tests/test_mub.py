@@ -56,6 +56,13 @@ def test_duplicate_basis_fails_verification():
     assert report.pair_deviations[(0, 1)] > 0.5
 
 
+@pytest.mark.parametrize("tol", (float("nan"), float("inf"), -1.0, 0.0))
+def test_tolerance_must_be_finite_and_positive(tol):
+    # nan would fail every family and inf would pass any
+    with pytest.raises(ValueError, match="tol"):
+        verify_unbiased(build_weyl_mubs(2), tol=tol)
+
+
 def test_first_nonzero_component_is_real_positive():
     for d in PRIMES:
         for basis in build_weyl_mubs(d).bases:
