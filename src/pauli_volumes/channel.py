@@ -23,7 +23,10 @@ Class membership, writing S = sum_{alpha<=N} lambda_alpha + (d+1-N) lambda_{N+1}
   the min over lambda_1..lambda_{N+1} for N <= d and over lambda_1..lambda_N
   when N = d+1 (where lambda_{N+1} is identically zero).
 * positivity necessary box (P): every lambda_alpha, alpha = 1..N, lies in
-  [-1/(d-1), 1]; equivalent to a non-negative worst output overlap.
+  [-1/(d-1), 1]; equivalent to a non-negative worst output overlap. This
+  is what :func:`is_positive_necessary` tests. The volume region ``p``
+  (:func:`..regions.p_box`) bounds every eigenvalue coordinate, so for
+  N <= d it bounds lambda_{N+1} too.
 * time-local generator reachable (G): every eigenvalue >= 0.
 * entanglement breaking, necessary condition (EB): S <= 1; known sufficient
   when N is d or d+1 and all eigenvalues are non-negative.

@@ -12,9 +12,9 @@ Subcommands:
 
 Exit codes: 0 on success, 1 when a verification fails (conjecture
 mismatch, Monte Carlo off by more than three standard errors, basis check
-failing its tolerance), 2 on bad usage, unsupported parameters or an
---out file that cannot be written. main is the one place that renders
-output, writes it and maps errors to exit codes.
+failing its tolerance, inconsistent chamber or ratio), 2 on bad usage,
+unsupported parameters or an --out file that cannot be written. main is
+the one place that renders output, writes it and maps errors to exit codes.
 
 Output is JSON by default; ratios, volume, mc and check-conjectures also
 take --format csv with fixed headers. Rationals are printed as "p/q"
@@ -46,6 +46,8 @@ from .regions import CLASS_TAGS
 from .volume import (
     N_MODES,
     RATIO_NAMES,
+    ChamberInconsistency,
+    RatioMismatch,
     _validate_combo,
     check_conjectures,
     class_volume,
@@ -208,7 +210,8 @@ def _cmd_mc(args) -> _Result:
         "stderr": est.stderr,
         "exact": exact.to_json_dict(),
         "exact_decimal": exact_decimal,
-        "sigma": sigma,
+        # no hits: stderr is 0 and sigma infinite, which JSON cannot encode
+        "sigma": None if sigma == float("inf") else sigma,
         "within_3_sigma": ok,
     }
     header = ["d", "N", "class", "estimate", "stderr", "exact_decimal", "sigma"]
@@ -392,6 +395,9 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ChamberInconsistency, RatioMismatch) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return code
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .rationals import rational_str, surd_decimal_str
 
@@ -109,9 +109,6 @@ class SurdValue:
             out = out * self
         return out
 
-    def __neg__(self) -> "SurdValue":
-        return SurdValue(-self.coeff, self.radicand)
-
     def __float__(self) -> float:
         return float(self.coeff) * float(self.radicand) ** 0.5
 
@@ -127,21 +124,6 @@ class SurdValue:
         return {"coeff": rational_str(self.coeff), "radicand": self.radicand}
 
 
-@dataclass(frozen=True)
-class MetricData:
-    """Diagonal of the induced metric in eigenvalue coordinates."""
-
-    d: int
-    N: int
-    diag: tuple[Fraction, ...]
-
-    def det(self) -> Fraction:
-        out = Fraction(1)
-        for entry in self.diag:
-            out *= entry
-        return out
-
-
 def weights(d: int, N: int) -> tuple[int, ...]:
     """Per-coordinate weights of eigenvalue space: 1 for each used-basis
     eigenvalue and d+1-N for the left-out one, which is pinned to zero and
@@ -153,14 +135,14 @@ def weights(d: int, N: int) -> tuple[int, ...]:
     return (1,) * (d + 1) if N == d + 1 else (1,) * N + (d + 1 - N,)
 
 
-def metric(d: int, N: int) -> MetricData:
+def metric(d: int, N: int) -> tuple[Fraction, ...]:
     """Induced metric diagonal: (d-1)/d^2 times the coordinate weights."""
-    return MetricData(d, N, tuple(Fraction((d - 1) * w, d * d) for w in weights(d, N)))
+    return tuple(Fraction((d - 1) * w, d * d) for w in weights(d, N))
 
 
 def volume_prefactor(d: int, N: int) -> SurdValue:
     """sqrt(det g): the constant converting lambda-volume to metric volume."""
-    return SurdValue.sqrt(metric(d, N).det())
+    return SurdValue.sqrt(prod(metric(d, N)))
 
 
 def vp_volume(d: int, N: int) -> SurdValue:

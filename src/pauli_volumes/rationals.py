@@ -20,8 +20,10 @@ _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\Z", re.IGNORECASE)
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"`` (or a bare integer literal) into an exact Fraction.
 
-    An exponent may not exceed the integer-string digit limit (4300 by
-    default) in magnitude: "1e1000000000" would build a billion-digit integer.
+    The numerator and denominator may have at most as many digits as the
+    integer-string limit (4300 by default), so that the value can be printed.
+    An exponent past that limit is rejected before it is expanded:
+    "1e1000000000" would build a billion-digit integer.
     """
     if isinstance(text, float):
         raise TypeError("floating-point input rejected; pass an exact 'p/q' string")
@@ -31,9 +33,14 @@ def parse_rational(text: str) -> Fraction:
     if exp and (len(exp[1]) > limit or abs(int(exp[1])) > limit):
         raise ValueError(f"exponent of {text!r} exceeds {limit} in magnitude")
     try:
-        return Fraction(literal)
+        q = Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational 'p/q' value: {text!r}") from exc
+    # below 8**limit, so 3*limit bits, a part has at most limit digits
+    big = max(abs(q.numerator), q.denominator)
+    if big.bit_length() > 3 * limit and big >= 10**limit:
+        raise ValueError(f"{text!r} has a numerator or denominator over {limit} digits")
+    return q
 
 
 def rational_str(q: Fraction) -> str:

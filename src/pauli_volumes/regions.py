@@ -36,20 +36,15 @@ eigenvalue is distinguished: its sorted slot is enumerated, one chain set
 per slot, and only the N used-basis coordinates are exchangeable, so the
 factor is N!.
 
-Construction is pure and everything here is immutable. Membership helpers
-are provided for Monte Carlo cross-checks; they never feed the exact
-integrals.
+Construction is pure and everything here is exact and immutable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import factorial
 from typing import Sequence
-
-import numpy as np
 
 from .geometry import weights
 
@@ -67,67 +62,24 @@ class AffineExpr:
         object.__setattr__(self, "const", Fraction(self.const))
         object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
 
-    def evaluate(self, values: Sequence[Fraction]) -> Fraction:
-        out = self.const
-        for c, v in zip(self.coeffs, values):
-            out += c * v
-        return out
-
-    @cached_property
-    def _float_view(self) -> tuple[float, np.ndarray]:
-        return float(self.const), np.array([float(c) for c in self.coeffs])
-
-    def evaluate_batch(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorized float evaluation over rows of ``pts``."""
-        const, coeffs = self._float_view
-        out = np.full(pts.shape[0], const)
-        if coeffs.size:
-            out = out + pts[:, : coeffs.size] @ coeffs
-        return out
-
-    def scaled(self, s: Fraction) -> "AffineExpr":
-        """The bound after dilating all variables by s (constant scales, slopes stay)."""
-        return AffineExpr(self.const * s, self.coeffs)
-
 
 @dataclass(frozen=True)
 class BoundChain:
     """An iterated-integral region; ``bounds[i]`` is the (lower, upper) pair
     for variable i and may reference variables 0..i-1 only."""
 
-    n_vars: int
     bounds: tuple[tuple[AffineExpr, AffineExpr], ...]
     label: str
     nplus1_slot: int | None = None
 
     def __post_init__(self) -> None:
-        if len(self.bounds) != self.n_vars:
-            raise ValueError(f"{self.label}: {len(self.bounds)} bounds for {self.n_vars} vars")
         for i, (lo, hi) in enumerate(self.bounds):
             if len(lo.coeffs) > i or len(hi.coeffs) > i:
                 raise ValueError(
                     f"{self.label}: bound {i} references later variables"
                 )
-        if self.nplus1_slot is not None and not 0 <= self.nplus1_slot < self.n_vars:
+        if self.nplus1_slot is not None and not 0 <= self.nplus1_slot < len(self.bounds):
             raise ValueError(f"{self.label}: slot {self.nplus1_slot} out of range")
-
-    def contains(self, point: Sequence[Fraction]) -> bool:
-        """Exact membership of an (ordered) point."""
-        for i, (lo, hi) in enumerate(self.bounds):
-            if not lo.evaluate(point) <= point[i] <= hi.evaluate(point):
-                return False
-        return True
-
-    def scaled(self, s: Fraction) -> "BoundChain":
-        """The chain for variables dilated by s > 0 (volume scales by s^n)."""
-        if s <= 0:
-            raise ValueError("scale must be positive")
-        return BoundChain(
-            self.n_vars,
-            tuple((lo.scaled(s), hi.scaled(s)) for lo, hi in self.bounds),
-            label=f"{self.label}*{s}",
-            nplus1_slot=self.nplus1_slot,
-        )
 
 
 @dataclass(frozen=True)
@@ -140,72 +92,30 @@ class ChamberSet:
     class_tag: str
     d: int
     N: int
-    ordered: bool = True
 
     def __post_init__(self) -> None:
         if self.class_tag not in CLASS_TAGS:
             raise ValueError(f"unknown class tag {self.class_tag!r}")
         if not self.chains:
             raise ValueError("a chamber set needs at least one chain")
-        n = self.chains[0].n_vars
-        if any(ch.n_vars != n for ch in self.chains):
+        if len({len(ch.bounds) for ch in self.chains}) != 1:
             raise ValueError("all chains must share the variable count")
         if self.symmetry_factor < 1:
             raise ValueError("symmetry factor must be >= 1")
 
     @property
     def n_vars(self) -> int:
-        return self.chains[0].n_vars
+        return len(self.chains[0].bounds)
 
-    def membership_counts(
-        self, pts: np.ndarray, margin: float = 0.0
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """How many chains contain each raw eigenvalue sample.
-
-        Rows of ``pts`` are unsorted eigenvalue vectors in the chain's
-        coordinate count. Ordered sets are sorted per row first; chains that
-        pin the lambda_{N+1} slot only see samples whose sorted rank of the
-        last coordinate matches. Returns (counts, near) where ``near`` flags
-        samples within ``margin`` of any bound surface or sorting tie; their
-        counts are unreliable and callers should skip them.
-        """
-        pts = np.asarray(pts, dtype=float)
-        n_samples = pts.shape[0]
-        counts = np.zeros(n_samples, dtype=int)
-        near = np.zeros(n_samples, dtype=bool)
-        if self.ordered:
-            mu = np.sort(pts, axis=1)
-            if margin:
-                near |= np.any(np.diff(mu, axis=1) <= margin, axis=1)
-            slot = np.sum(pts[:, :-1] < pts[:, -1:], axis=1)
-        else:
-            mu = pts
-            slot = None
-        for chain in self.chains:
-            scope = np.ones(n_samples, dtype=bool)
-            if slot is not None and chain.nplus1_slot is not None:
-                scope = slot == chain.nplus1_slot
-            inside = scope.copy()
-            for i, (lo, hi) in enumerate(chain.bounds):
-                lo_v = lo.evaluate_batch(mu)
-                hi_v = hi.evaluate_batch(mu)
-                x = mu[:, i]
-                inside &= (x >= lo_v) & (x <= hi_v)
-                if margin:
-                    near |= scope & (
-                        (np.abs(x - lo_v) <= margin) | (np.abs(x - hi_v) <= margin)
-                    )
-            counts += inside
-        return counts, near
+    @property
+    def ordered(self) -> bool:
+        """Whether the chains live on the ordered wedge; only the box does not."""
+        return self.class_tag != "p"
 
 
 # --------------------------------------------------------------------------
 # region builders
 # --------------------------------------------------------------------------
-
-
-def _const(value: Fraction | int) -> AffineExpr:
-    return AffineExpr(Fraction(value))
 
 
 def _prev_var(i: int) -> AffineExpr:
@@ -216,9 +126,9 @@ def _prev_var(i: int) -> AffineExpr:
 def p_box(d: int, N: int) -> ChamberSet:
     """The necessary-positivity box: every coordinate in [-1/(d-1), 1]."""
     n = len(weights(d, N))
-    lo, hi = _const(Fraction(-1, d - 1)), _const(1)
-    chain = BoundChain(n, ((lo, hi),) * n, label="p-box")
-    return ChamberSet((chain,), 1, "p", d, N, ordered=False)
+    lo, hi = AffineExpr(Fraction(-1, d - 1)), AffineExpr(1)
+    chain = BoundChain(((lo, hi),) * n, label="p-box")
+    return ChamberSet((chain,), 1, "p", d, N)
 
 
 def chambers(d: int, N: int, class_tag: str) -> ChamberSet:
@@ -253,7 +163,7 @@ def chambers(d: int, N: int, class_tag: str) -> ChamberSet:
         cp_levels = [(m, f"cp-n{N}:sys{k}") for k, m in enumerate((1, *range(n, 1, -1)), 1)]
         single_label = f"{class_tag}-n{N}"
     slot_names = ("min", *(f"mid{k}" for k in range(1, n - 1)), "max")
-    floor = _const(Fraction(-1, d - 1) if class_tag == "cp" else 0)
+    floor = AffineExpr(Fraction(-1, d - 1) if class_tag == "cp" else 0)
     below = [floor] + [_prev_var(i) for i in range(1, n)]
     chains: list[BoundChain] = []
     for slot in slots:
@@ -265,7 +175,7 @@ def chambers(d: int, N: int, class_tag: str) -> ChamberSet:
             neg.append(AffineExpr(Fraction(-1, (d - 1) * den), tail))
             eb.append(AffineExpr(Fraction(1, den), tail))
             head = (Fraction(d - w[0], den),) + tail[1:]
-            pos.append(AffineExpr(Fraction(1, den), head) if i else _const(1))
+            pos.append(AffineExpr(Fraction(1, den), head) if i else AffineExpr(1))
         at = "" if slot is None else f":slot={slot_names[slot]}"
         if class_tag == "cp":
             for m, label in cp_levels:
@@ -275,8 +185,8 @@ def chambers(d: int, N: int, class_tag: str) -> ChamberSet:
                     else (below[i], pos[i])
                     for i in range(n)
                 )
-                chains.append(BoundChain(n, bounds, label + at, slot))
+                chains.append(BoundChain(bounds, label + at, slot))
         else:
             upper = pos if class_tag == "g" else eb
-            chains.append(BoundChain(n, tuple(zip(below, upper)), single_label + at, slot))
+            chains.append(BoundChain(tuple(zip(below, upper)), single_label + at, slot))
     return ChamberSet(tuple(chains), factorial(n if w_out == 1 else N), class_tag, d, N)

@@ -34,6 +34,8 @@ from .regions import CLASS_TAGS, BoundChain, ChamberSet, chambers, p_box
 
 _MC_BLOCK = 1 << 16
 _MC_MIN_SAMPLES = 10_000
+# about 20 s at 5 M samples/s; a larger request is a usage error
+_MC_MAX_SAMPLES = 10**8
 
 
 def _d_cap() -> int:
@@ -53,6 +55,10 @@ class ChamberInconsistency(Exception):
         super().__init__(f"chain {label!r} has negative volume {value}")
         self.label = label
         self.value = value
+
+
+class RatioMismatch(Exception):
+    """The eigenvalue-space and metric routes to a volume ratio disagree."""
 
 
 # --------------------------------------------------------------------------
@@ -99,7 +105,7 @@ def integrate_chain(chain: BoundChain) -> Fraction:
     ]
     u = max((c[1:-1] for pair in full for c in pair if any(c[1:-1])), key=len, default=())
     poly: _Poly = {(0, 0, 0): Fraction(1)}
-    for k in range(chain.n_vars - 1, 0, -1):
+    for k in range(len(chain.bounds) - 1, 0, -1):
         ends = []
         for expr, c in zip(chain.bounds[k], full[k]):
             t = next((m / w for m, w in zip(c[1:-1], u) if w), 0)
@@ -265,9 +271,7 @@ def volume_ratio(d: int, N: int, num_tag: str, den_tag: str) -> Fraction:
     ratio = num.lambda_volume / den.lambda_volume
     hs_ratio = num.hs_volume / den.hs_volume
     if not (hs_ratio.is_rational and hs_ratio.as_fraction() == ratio):
-        raise AssertionError(
-            f"inconsistent ratio routes at d={d}, N={N}: {hs_ratio} vs {ratio}"
-        )
+        raise RatioMismatch(f"ratio routes disagree at d={d}, N={N}: {hs_ratio} vs {ratio}")
     return ratio
 
 
@@ -430,12 +434,22 @@ def mc_volume(
     _validate_combo(d, N, class_tag)
     if samples < _MC_MIN_SAMPLES:
         raise ValueError(f"need at least {_MC_MIN_SAMPLES} samples (got {samples})")
+    if samples > _MC_MAX_SAMPLES:
+        raise ValueError(f"at most {_MC_MAX_SAMPLES} samples are supported (got {samples})")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64) (got {seed})")
+    scale = float(vp_volume(d, N))
+    hits = _mc_hits(d, N, class_tag, samples, seed)
+    p_hat = hits / samples
+    stderr = scale * sqrt(p_hat * (1.0 - p_hat) / samples)
+    return McEstimate(estimate=p_hat * scale, stderr=stderr, hits=hits, samples=samples)
+
+
+def _mc_hits(d: int, N: int, class_tag: str, samples: int, seed: int) -> int:
+    """How many of the first ``samples`` box draws of stream ``seed`` lie in the class."""
     n_coords = len(weights(d, N))
     lo = -1.0 / (d - 1)
     span = 1.0 - lo
-    scale = float(vp_volume(d, N))
     hits = 0
     produced = 0
     block = 0
@@ -450,6 +464,4 @@ def mc_volume(
         hits += int(np.count_nonzero(_class_mask(pts, d, N, class_tag)))
         produced += take
         block += 1
-    p_hat = hits / samples
-    stderr = scale * sqrt(p_hat * (1.0 - p_hat) / samples)
-    return McEstimate(estimate=p_hat * scale, stderr=stderr, hits=hits, samples=samples)
+    return hits

@@ -1,16 +1,19 @@
 """Command line behavior: output formats, determinism, exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pauli_volumes import volume
 from pauli_volumes.cli import main
 from pauli_volumes.mub import build_weyl_mubs
 
@@ -168,6 +171,22 @@ def test_classify_rejects_a_huge_exponent(capsys):
     assert json.loads(out)["lambdas"] == ["1/1000", "1/4", "1/3", "0/1", "0/1"]
 
 
+@pytest.mark.parametrize("value", ["1e4300", "12345e4296", "1e-4300"])
+def test_classify_rejects_a_value_too_long_to_print(capsys, value):
+    """One digit past the integer-string limit (4300) in a numerator or a
+    denominator is a usage error that names the value."""
+    code, out, err = run_cli(capsys, "classify", "--d", "3", "--lambdas", f"{value},0,0,0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {value!r}") and err.count("\n") == 1
+
+
+def test_classify_prints_a_value_at_the_digit_limit(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--d", "3", "--lambdas", "1e4299,0,0,0")
+    assert code == 0
+    assert json.loads(out)["lambdas"][0] == f"{10**4299}/1"
+
+
 def test_unknown_flag_and_missing_subcommand(capsys):
     assert run_cli(capsys, "ratios", "--d", "2", "--bogus")[0] == 2
     assert run_cli(capsys)[0] == 2
@@ -205,6 +224,40 @@ def test_mc_seed_must_fit_the_64_bit_key(capsys):
     code, out, _ = run_cli(capsys, *base, "--seed", str((1 << 64) - 1))
     assert code == 0
     assert json.loads(out)["seed"] == (1 << 64) - 1
+
+
+def test_mc_sample_count_is_capped(capsys, monkeypatch):
+    base = ["mc", "--d", "2", "--class", "p", "--samples"]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *base, str(10**8 + 1))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "100000000 samples" in err
+    # the cap itself is accepted; every box draw lies in the box, so a stub
+    # sampler that counts them all stands in for 10^8 draws
+    monkeypatch.setattr("pauli_volumes.volume._mc_hits", lambda d, N, tag, n, seed: n)
+    code, out, _ = run_cli(capsys, *base, str(10**8))
+    assert code == 0
+    assert json.loads(out)["hits"] == 10**8
+
+
+def test_mc_without_hits_writes_null_sigma(capsys):
+    """No hits means a zero standard error and an infinite deviation, which
+    JSON (RFC 8259) cannot encode: sigma is null and the run fails."""
+    argv = ["mc", "--d", "8", "--class", "eb", "--samples", "10000", "--seed", "1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (1, "")
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    doc = json.loads(out, parse_constant=reject)
+    assert (doc["hits"], doc["stderr"], doc["sigma"]) == (0, 0.0, None)
+    assert doc["within_3_sigma"] is False
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 1
+    assert out.splitlines()[1].endswith(",0.0,0.0,1.3042722801309299870E-10,inf")
 
 
 def test_bad_dimension_cap_is_usage_error(capsys, monkeypatch):
@@ -294,11 +347,12 @@ _VOCABULARY = {
             ("5..2", "0", "-3", "x", "", "103", _HUGE_PRIME, "2..1000000000")),
     "--n-mode": (("max", "d", "3"), ("4",)),
     "--class": (("p", "cp", "g", "eb"), ("q",)),
-    "--samples": (("10000", "20000"), ("9999", "-1", "x")),
+    "--samples": (("10000", "20000"), ("9999", "100000001", "-1", "x")),
     "--seed": (("0", "7"), ("-1", str(1 << 64), "x")),
     "--tol": (("1e-10", "1e-300"), ("1e400", "nan", "inf", "-1", "0", "x")),
     "--lambdas": (("1/2,1/2,0,1/4", '["1/10", 0, 0, 0]', "-1/12,1/12,1/24,-1/4,1/24"),
-                  ("1e1000000000,0,0,0", "[0.5, 0, 0]", "[true]", "[", "1,0", "")),
+                  ("1e1000000000,0,0,0", "1e4300,0,0,0", "[0.5, 0, 0]",
+                   "[true]", "[", "1,0", "")),
     "--format": (("json", "csv"), ("xml",)),
     "--out": (("file",), ("missing-dir", "dir")),
 }
@@ -381,6 +435,33 @@ def test_dump_regions_structure(capsys):
     assert set(chain) == {"label", "nplus1_slot", "bounds"}
     assert len(chain["bounds"]) == 4
     assert chain["bounds"][0]["lower"]["coeffs"] == []
+
+
+def test_failed_consistency_check_is_exit_one(capsys, monkeypatch):
+    """Two ratio routes that disagree, or a chamber with negative volume,
+    are failed verifications: exit 1, one error line, no traceback."""
+    true_volume = volume.class_volume
+
+    def doubled_cp(d, N, tag):
+        result = true_volume(d, N, tag)
+        if tag != "cp":
+            return result
+        return dataclasses.replace(result, hs_volume=result.hs_volume * 2)
+
+    monkeypatch.setattr(volume, "class_volume", doubled_cp)
+    code, out, err = run_cli(capsys, "ratios", "--d", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ratio routes disagree") and err.count("\n") == 1
+    monkeypatch.undo()
+
+    def negative(chain):
+        raise volume.ChamberInconsistency(chain.label, Fraction(-1))
+
+    volume._volume_cached.cache_clear()
+    monkeypatch.setattr(volume, "integrate_chain", negative)
+    code, out, err = run_cli(capsys, "volume", "--d", "3", "--class", "g")
+    assert (code, out) == (1, "")
+    assert err == "error: chain 'g' has negative volume -1\n"
 
 
 def test_mub_verify_passes_for_primes(capsys):

@@ -1,26 +1,46 @@
 """Chamber decompositions: construction, well-formedness, membership."""
 
+import ast
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pauli_volumes
 from pauli_volumes.regions import AffineExpr, BoundChain, chambers, p_box
 from pauli_volumes.volume import _class_mask, region_for, supported_n_values
 
 
-def test_affine_expr_evaluation():
-    e = AffineExpr(Fraction(1, 2), (Fraction(-1), Fraction(1, 3)))
-    assert e.evaluate((Fraction(1, 4), Fraction(3))) == Fraction(5, 4)
-    pts = np.array([[0.25, 3.0, 9.9], [0.0, 0.0, 0.0]])
-    np.testing.assert_allclose(e.evaluate_batch(pts), [1.25, 0.5])
+def _chain_counts(chains, pts, margin=1e-9):
+    """Float oracle for the ordered chambers: how many chains contain each
+    raw eigenvalue sample. Rows are sorted first, and a chain that pins the
+    lambda_{N+1} slot only sees rows whose last coordinate has that sorted
+    rank. Also returns the rows within margin of a bound surface or a
+    sorting tie, whose counts are unreliable."""
+    mu = np.sort(pts, axis=1)
+    slot = np.sum(pts[:, :-1] < pts[:, -1:], axis=1)
+    near = np.any(np.diff(mu, axis=1) <= margin, axis=1)
+    counts = np.zeros(len(pts), dtype=int)
+    for ch in chains:
+        scope = np.ones_like(near) if ch.nplus1_slot is None else slot == ch.nplus1_slot
+        inside = scope.copy()
+        for i, pair in enumerate(ch.bounds):
+            x = mu[:, i]
+            lo, hi = (
+                float(e.const) + mu[:, : len(e.coeffs)] @ np.array(e.coeffs, float) for e in pair
+            )
+            inside &= (lo <= x) & (x <= hi)
+            near |= scope & ((abs(x - lo) <= margin) | (abs(x - hi) <= margin))
+        counts += inside
+    return counts, near
 
 
 def test_bound_chain_rejects_forward_references():
     future = AffineExpr(Fraction(0), (Fraction(1),))  # mentions x_0
     with pytest.raises(ValueError, match="later"):
-        BoundChain(2, ((AffineExpr(Fraction(0)), future),) * 2, label="bad")
+        BoundChain(((AffineExpr(Fraction(0)), future),) * 2, label="bad")
 
 
 def test_p_box_coordinate_counts():
@@ -47,7 +67,7 @@ def test_full_family_chamber_inventory(d):
     assert len(eb.chains) == 1
     for cs in (cp, g, eb):
         for ch in cs.chains:
-            assert ch.n_vars == d + 1
+            assert len(ch.bounds) == d + 1
             lo0, hi0 = ch.bounds[0]
             assert not lo0.coeffs and not hi0.coeffs  # outer bounds constant
 
@@ -132,14 +152,9 @@ def test_slot_determines_which_sorted_position_is_special():
     cs = chambers(4, 3, "g")
     # lambda_4 = 0.2 ranks second among (0.05, 0.3, 0.1, 0.2): slot 2
     pts = np.array([[0.05, 0.3, 0.1, 0.2]])
-    counts, near = cs.membership_counts(pts, margin=1e-9)
+    counts, near = _chain_counts(cs.chains, pts)
     assert not near[0]
-    by_slot = {}
-    for ch in cs.chains:
-        sub = cs.__class__(
-            (ch,), cs.symmetry_factor, cs.class_tag, cs.d, cs.N, cs.ordered
-        )
-        by_slot[ch.nplus1_slot] = int(sub.membership_counts(pts)[0][0])
+    by_slot = {ch.nplus1_slot: int(_chain_counts((ch,), pts)[0][0]) for ch in cs.chains}
     assert by_slot[2] == 1
     assert sum(by_slot.values()) == counts[0] == 1
 
@@ -157,31 +172,22 @@ def test_chambers_agree_with_defining_inequalities(d, N):
     pts = lo + (1.0 - lo) * rng.random((100_000, n))
     for tag in ("cp", "g", "eb"):
         cs = region_for(d, N, tag)
-        counts, near = cs.membership_counts(pts, margin=1e-9)
+        counts, near = _chain_counts(cs.chains, pts)
         mask = _class_mask(pts, d, N, tag)
         ok = ~near
         assert np.array_equal(counts[ok] >= 1, mask[ok])
         assert counts[ok].max(initial=0) <= 1  # chambers are disjoint
 
 
-def test_exact_membership_matches_float_membership():
-    cs = chambers(3, 4, "cp")
-    rng = np.random.default_rng(9)
-    for _ in range(200):
-        raw = [Fraction(int(rng.integers(-50, 101)), 100) for _ in range(4)]
-        mu = sorted(raw)
-        exact = sum(ch.contains(mu) for ch in cs.chains)
-        counts, near = cs.membership_counts(
-            np.array([[float(x) for x in raw]]), margin=1e-12
-        )
-        if not near[0]:
-            assert counts[0] == exact
-
-
-def test_scaled_chain_keeps_slopes():
-    ch = chambers(2, 3, "g").chains[0]
-    doubled = ch.scaled(Fraction(2))
-    assert doubled.bounds[0][1].const == 2
-    assert doubled.bounds[2][1].coeffs == ch.bounds[2][1].coeffs
-    with pytest.raises(ValueError):
-        ch.scaled(Fraction(-1))
+@pytest.mark.parametrize("module", ["regions", "geometry", "rationals"])
+def test_exact_modules_do_not_import_numpy(module):
+    """Chains, surds and rationals are exact data: no float library in them."""
+    source = Path(pauli_volumes.__file__).with_name(f"{module}.py").read_text()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        assert "numpy" not in {name.split(".")[0] for name in names}, f"{module}.py imports numpy"

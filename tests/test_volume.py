@@ -27,7 +27,7 @@ def _const(v):
 
 
 def _chain(bounds, label="t"):
-    return BoundChain(len(bounds), tuple(bounds), label=label)
+    return BoundChain(tuple(bounds), label=label)
 
 
 # --------------------------------------------------------------------------
@@ -87,9 +87,12 @@ def test_integrator_against_midpoint_riemann_sum():
 
 
 def test_scaling_law():
+    """Dilating every variable by s scales each bound's constant and keeps
+    its slopes, so the volume scales by s^n."""
     ch = chambers(2, 3, "g").chains[0]
-    base = integrate_chain(ch)
-    assert integrate_chain(ch.scaled(Fraction(3, 2))) == base * Fraction(3, 2) ** 3
+    s = Fraction(3, 2)
+    dilated = _chain([[AffineExpr(e.const * s, e.coeffs) for e in pair] for pair in ch.bounds])
+    assert integrate_chain(dilated) == integrate_chain(ch) * s ** 3
 
 
 def test_non_proportional_running_sum_raises():
