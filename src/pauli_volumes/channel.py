@@ -11,10 +11,11 @@ the projectors of basis alpha. Its spectrum is fixed by the eigenvalues
     lambda_alpha = p_{N+1} + p_alpha  (alpha = 1..N),
     lambda_{N+1} = p_{N+1},
 
-which are the canonical coordinates for everything in this package. All
-class predicates below are exact: eigenvalues are rationals and every
-comparison is in rational arithmetic. The map/Choi helpers at the bottom are
-numerical and exist to cross-check the predicates, never to define them.
+which are the canonical coordinates and the only input of this package
+(:func:`mixing_weights` inverts the map). All class predicates below are
+exact: eigenvalues are rationals and every comparison is in rational
+arithmetic. The map/Choi helpers at the bottom are numerical and exist to
+cross-check the predicates, never to define them.
 
 Class membership, writing S = sum_{alpha<=N} lambda_alpha + (d+1-N) lambda_{N+1}:
 
@@ -37,23 +38,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .mub import MubSet
 
-RationalLike = Fraction | int | str
-
 _HERMITICITY_TOL = 1e-8
-
-
-def _to_fraction(value: RationalLike) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError(
-            "floating-point eigenvalues are rejected; pass Fraction, int, or 'p/q'"
-        )
-    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -74,7 +65,11 @@ class ChannelSpec:
             raise ValueError(f"d must be an integer >= 2 (got {self.d})")
         if not 3 <= self.N <= self.d + 1:
             raise ValueError(f"N must satisfy 3 <= N <= d+1 (got N={self.N}, d={self.d})")
-        object.__setattr__(self, "lambdas", tuple(_to_fraction(x) for x in self.lambdas))
+        if any(isinstance(x, float) for x in self.lambdas):
+            raise TypeError(
+                "floating-point eigenvalues are rejected; pass Fraction, int, or 'p/q'"
+            )
+        object.__setattr__(self, "lambdas", tuple(Fraction(x) for x in self.lambdas))
         if len(self.lambdas) != self.N + 1:
             raise ValueError(
                 f"need N+1={self.N + 1} eigenvalues (got {len(self.lambdas)})"
@@ -83,11 +78,9 @@ class ChannelSpec:
             raise ValueError("lambda_{N+1} must be 0 when N = d+1")
 
     @classmethod
-    def make(
-        cls, d: int, N: int, values: Iterable[RationalLike]
-    ) -> "ChannelSpec":
+    def make(cls, d: int, N: int, values: Iterable[Fraction | int | str]) -> "ChannelSpec":
         """Lenient constructor: for N = d+1 the trailing zero may be omitted."""
-        vals = [_to_fraction(v) for v in values]
+        vals = list(values)
         if N == d + 1 and len(vals) == N:
             vals.append(Fraction(0))
         return cls(d, N, tuple(vals))
@@ -108,21 +101,6 @@ class ChannelSpec:
 
 
 @dataclass(frozen=True)
-class ProbabilityVector:
-    """Mixing weights (p_0, p_1, ..., p_N, p_{N+1}) summing exactly to one."""
-
-    probs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", tuple(_to_fraction(x) for x in self.probs))
-        if len(self.probs) < 5:
-            raise ValueError("need at least N+2 = 5 weights (N >= 3)")
-        total = sum(self.probs, Fraction(0))
-        if total != 1:
-            raise ValueError(f"weights must sum to 1 exactly (got {total})")
-
-
-@dataclass(frozen=True)
 class EbCheck:
     """Result of the entanglement-breaking test.
 
@@ -134,27 +112,13 @@ class EbCheck:
     holds: bool
     known_sufficient: bool
 
-    def __bool__(self) -> bool:
-        return self.holds
 
-
-def eigenvalues_from_probabilities(p: ProbabilityVector, d: int, N: int) -> ChannelSpec:
-    """Convert mixing weights to eigenvalue coordinates, exactly."""
-    if len(p.probs) != N + 2:
-        raise ValueError(f"need N+2={N + 2} weights (got {len(p.probs)})")
-    rest = p.probs[N + 1]
-    if N == d + 1 and rest != 0:
-        raise ValueError("p_{N+1} must be 0 when N = d+1 (no direction is left out)")
-    lams = tuple(rest + p.probs[a] for a in range(1, N + 1)) + (rest,)
-    return ChannelSpec(d, N, lams)
-
-
-def probabilities_from_eigenvalues(c: ChannelSpec) -> ProbabilityVector:
-    """Invert the eigenvalue map; the weights may be negative for non-CP input."""
+def mixing_weights(c: ChannelSpec) -> tuple[Fraction, ...]:
+    """Exact mixing weights (p_0, ..., p_{N+1}), summing to one; negative for non-CP input."""
     rest = c.lam_rest
     body = tuple(lam - rest for lam in c.body)
     p0 = 1 - rest - sum(body, Fraction(0))
-    return ProbabilityVector((p0,) + body + (rest,))
+    return (p0,) + body + (rest,)
 
 
 def is_cp(c: ChannelSpec) -> bool:
@@ -204,10 +168,6 @@ def is_eb_necessary(c: ChannelSpec) -> EbCheck:
 # --------------------------------------------------------------------------
 
 
-def _as_float_probs(c: ChannelSpec) -> np.ndarray:
-    return np.array([float(p) for p in probabilities_from_eigenvalues(c).probs])
-
-
 def apply(
     c: ChannelSpec,
     m: MubSet,
@@ -235,7 +195,7 @@ def apply(
         if abs(np.trace(rho) - 1.0) > _HERMITICITY_TOL:
             warnings.warn("input matrix does not have unit trace", stacklevel=2)
 
-    p = _as_float_probs(c)
+    p = np.array([float(w) for w in mixing_weights(c)])
     out = p[n + 1] * rho + p[0] * np.trace(rho) / d * np.eye(d)
     for alpha in range(n):
         projs = m.projectors(alpha)
@@ -255,13 +215,13 @@ def _choi_of_map(apply_fn, d: int) -> np.ndarray:
 
 
 def choi_basis(m: MubSet, n: int) -> np.ndarray:
-    """Choi matrices of the channel's building blocks, aligned with the
-    probability vector: stack[0] is Phi_0, stack[alpha] is Phi_alpha for
+    """Choi matrices of the channel's building blocks, aligned with
+    :func:`mixing_weights`: stack[0] is Phi_0, stack[alpha] is Phi_alpha for
     alpha = 1..N, stack[N+1] is the identity map.
 
     The Choi matrix of any channel with these bases is then the contraction
-    of its float probability weights with this stack, which makes bulk
-    spectral checks cheap.
+    of its float mixing weights with this stack, which makes bulk spectral
+    checks cheap.
     """
     d = m.d
     if m.n_bases < n:

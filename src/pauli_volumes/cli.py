@@ -41,7 +41,7 @@ from .channel import (
     min_output_overlap,
 )
 from .mub import DEFAULT_TOL, build_weyl_mubs, verify_unbiased
-from .rationals import decimal_str, parse_rational, rational_str
+from .rationals import decimal_str, digit_limit, parse_rational, rational_str
 from .regions import CLASS_TAGS
 from .volume import (
     N_MODES,
@@ -164,10 +164,20 @@ def _parse_lambdas(text: str) -> list[Fraction]:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"bad JSON array: {exc}")
+        except ValueError:  # the only other one: an integer too long to convert
+            raise ValueError(f"a JSON integer has over {digit_limit()} digits") from None
         if not isinstance(data, list):
             raise ValueError("expected a JSON array of eigenvalues")
         return [_rational_from_json(v) for v in data]
     return [parse_rational(tok) for tok in text.split(",")]
+
+
+def _printable(name: str, q: Fraction) -> str:
+    """A derived value can pass the digit limit even when no input does."""
+    try:
+        return rational_str(q)
+    except ValueError:
+        raise ValueError(f"{name} is over the {digit_limit()}-digit limit") from None
 
 
 def _cmd_classify(args) -> _Result:
@@ -183,8 +193,8 @@ def _cmd_classify(args) -> _Result:
         "generator_achievable": is_generator_achievable(spec),
         "eb_necessary": eb.holds,
         "eb_known_sufficient": eb.known_sufficient,
-        "min_output_overlap": rational_str(min_output_overlap(spec)),
-        "eigenvalue_sum": rational_str(spec.eigenvalue_sum()),
+        "min_output_overlap": _printable("min_output_overlap", min_output_overlap(spec)),
+        "eigenvalue_sum": _printable("eigenvalue_sum", spec.eigenvalue_sum()),
     }
     return 0, doc, None
 
@@ -292,15 +302,14 @@ def _cmd_mub_verify(args) -> _Result:
 # --------------------------------------------------------------------------
 
 
-def _add_common(sub, *, fmt: bool, n_mode: bool = True, class_flag: bool = False):
+def _add_common(sub, *, fmt: bool, class_flag: bool = False):
     sub.add_argument("--d", required=True, help="dimension, or an inclusive range a..b")
-    if n_mode:
-        sub.add_argument(
-            "--n-mode",
-            choices=N_MODES,
-            default="max",
-            help="basis count: max=d+1, d, or 3 (default max)",
-        )
+    sub.add_argument(
+        "--n-mode",
+        choices=N_MODES,
+        default="max",
+        help="basis count: max=d+1, d, or 3 (default max)",
+    )
     if class_flag:
         sub.add_argument(
             "--class",

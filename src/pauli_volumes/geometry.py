@@ -62,10 +62,6 @@ class SurdValue:
         object.__setattr__(self, "radicand", r)
 
     @classmethod
-    def from_rational(cls, q: Fraction | int) -> "SurdValue":
-        return cls(Fraction(q), 1)
-
-    @classmethod
     def sqrt(cls, q: Fraction | int) -> "SurdValue":
         """Exact square root of a non-negative rational: sqrt(p/q) = sqrt(pq)/q."""
         q = Fraction(q)
@@ -101,14 +97,6 @@ class SurdValue:
             return self * inverse
         return SurdValue(self.coeff / Fraction(other), self.radicand)
 
-    def __pow__(self, n: int) -> "SurdValue":
-        if n < 0:
-            raise ValueError("negative powers unsupported; divide instead")
-        out = SurdValue(Fraction(1), 1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __float__(self) -> float:
         return float(self.coeff) * float(self.radicand) ** 0.5
 
@@ -117,8 +105,8 @@ class SurdValue:
             return rational_str(self.coeff)
         return f"{rational_str(self.coeff)}*sqrt({self.radicand})"
 
-    def decimal(self, digits: int = 20) -> str:
-        return surd_decimal_str(self.coeff, self.radicand, digits)
+    def decimal(self) -> str:
+        return surd_decimal_str(self.coeff, self.radicand)
 
     def to_json_dict(self) -> dict:
         return {"coeff": rational_str(self.coeff), "radicand": self.radicand}

@@ -73,10 +73,6 @@ class MubSet:
     def n_bases(self) -> int:
         return len(self.bases)
 
-    def take(self, n: int) -> "MubSet":
-        """The sub-family made of the first ``n`` bases."""
-        return MubSet(self.d, self.bases[:n])
-
     def projectors(self, alpha: int) -> np.ndarray:
         """Rank-1 projectors of basis ``alpha`` as a (d, d, d) stack."""
         b = self.bases[alpha]

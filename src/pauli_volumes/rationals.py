@@ -1,7 +1,7 @@
 """Parsing and formatting of exact numbers.
 
 Every exact quantity crosses the JSON/CSV boundary as a ``"p/q"`` string;
-decimal renderings (20 significant digits by default) are annotations only
+decimal renderings (20 significant digits) are annotations only
 and never feed back into any computation.
 """
 
@@ -17,6 +17,11 @@ DECIMAL_DIGITS = 20
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\Z", re.IGNORECASE)
 
 
+def digit_limit() -> int:
+    """Python's integer-string limit (4300 by default): most digits a part may print."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"`` (or a bare integer literal) into an exact Fraction.
 
@@ -29,7 +34,7 @@ def parse_rational(text: str) -> Fraction:
         raise TypeError("floating-point input rejected; pass an exact 'p/q' string")
     literal = str(text).strip()
     exp = _EXPONENT.search(literal)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    limit = digit_limit()
     if exp and (len(exp[1]) > limit or abs(int(exp[1])) > limit):
         raise ValueError(f"exponent of {text!r} exceeds {limit} in magnitude")
     try:
@@ -49,22 +54,22 @@ def rational_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def decimal_str(q: Fraction, digits: int = DECIMAL_DIGITS) -> str:
-    """Decimal expansion of a rational, rounded to ``digits`` significant digits."""
+def decimal_str(q: Fraction) -> str:
+    """Decimal expansion of a rational, rounded to ``DECIMAL_DIGITS`` significant digits."""
     q = Fraction(q)
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = DECIMAL_DIGITS
         return str(Decimal(q.numerator) / Decimal(q.denominator))
 
 
-def surd_decimal_str(coeff: Fraction, radicand: int, digits: int = DECIMAL_DIGITS) -> str:
-    """Decimal expansion of ``coeff * sqrt(radicand)`` to ``digits`` significant digits."""
+def surd_decimal_str(coeff: Fraction, radicand: int) -> str:
+    """Decimal expansion of ``coeff * sqrt(radicand)``, like :func:`decimal_str`."""
     if radicand < 0:
         raise ValueError("radicand must be non-negative")
     with localcontext() as ctx:
-        ctx.prec = digits + 10
+        ctx.prec = DECIMAL_DIGITS + 10
         value = Decimal(coeff.numerator) / Decimal(coeff.denominator)
         if radicand != 1:
             value *= Decimal(radicand).sqrt()
-        ctx.prec = digits
+        ctx.prec = DECIMAL_DIGITS
         return str(+value)

@@ -20,10 +20,9 @@ from pauli_volumes.channel import (
     is_cp,
     is_positive_necessary,
     min_output_overlap,
-    probabilities_from_eigenvalues,
 )
 from pauli_volumes.geometry import SurdValue, volume_prefactor, vp_volume
-from pauli_volumes.mub import build_weyl_mubs, unitaries_from_bases, verify_unbiased
+from pauli_volumes.mub import MubSet, build_weyl_mubs, unitaries_from_bases, verify_unbiased
 from pauli_volumes.volume import (
     check_conjectures,
     class_volume,
@@ -226,7 +225,7 @@ def test_criterion_9_basis_construction():
             for _ in range(n_coords)
         ]
         spec = ChannelSpec.make(d, N, vals)
-        fam = unitaries_from_bases(m.take(N))
+        fam = unitaries_from_bases(MubSet(d, m.bases[:N]))
         for alpha, group in enumerate(fam.u_ops):
             for op in group[1:]:
                 out = apply(spec, m, op, validate=False)

@@ -9,19 +9,17 @@ from hypothesis import strategies as st
 
 from pauli_volumes.channel import (
     ChannelSpec,
-    ProbabilityVector,
     apply,
     choi_basis,
     choi_state,
-    eigenvalues_from_probabilities,
     is_cp,
     is_eb_necessary,
     is_generator_achievable,
     is_positive_necessary,
     min_output_overlap,
-    probabilities_from_eigenvalues,
+    mixing_weights,
 )
-from pauli_volumes.mub import unitaries_from_bases
+from pauli_volumes.mub import MubSet, unitaries_from_bases
 
 
 def _spec(d, N, vals):
@@ -59,29 +57,12 @@ def test_probability_eigenvalue_round_trip_is_exact(dn, data):
         if sum(weights) == 0:
             weights[0] = 1
     total = sum(weights)
-    probs = ProbabilityVector(tuple(Fraction(w, total) for w in weights))
-    spec = eigenvalues_from_probabilities(probs, d, N)
-    back = probabilities_from_eigenvalues(spec)
-    assert back.probs == probs.probs
-
-
-def test_probability_vector_must_sum_to_one():
-    with pytest.raises(ValueError, match="sum to 1"):
-        ProbabilityVector((Fraction(1, 2), 0, 0, 0, Fraction(1, 3)))
-
-
-def test_probability_vector_needs_five_weights():
-    with pytest.raises(ValueError, match="at least"):
-        ProbabilityVector((1, 0, 0, 0))
-
-
-def test_eigenvalues_from_probabilities_checks_shape_and_rest():
-    probs = ProbabilityVector((Fraction(1, 2), Fraction(1, 2), 0, 0, 0, 0))
-    with pytest.raises(ValueError, match="weights"):
-        eigenvalues_from_probabilities(probs, 4, 3)  # needs N+2 = 5, got 6
-    bad_rest = ProbabilityVector((0, Fraction(1, 2), 0, 0, Fraction(1, 2)))
-    with pytest.raises(ValueError, match="left out"):
-        eigenvalues_from_probabilities(bad_rest, 2, 3)
+    probs = tuple(Fraction(w, total) for w in weights)
+    # lambda_alpha = p_{N+1} + p_alpha, lambda_{N+1} = p_{N+1}
+    rest = probs[N + 1]
+    spec = ChannelSpec(d, N, tuple(rest + p for p in probs[1 : N + 1]) + (rest,))
+    assert mixing_weights(spec) == probs
+    assert sum(mixing_weights(spec)) == 1
 
 
 def test_float_input_rejected():
@@ -175,9 +156,9 @@ def test_generator_achievable_and_eb():
     assert not is_generator_achievable(_spec(3, 3, [0, 0, 0, Fraction(-1, 10)]))
 
     eb = is_eb_necessary(_spec(2, 3, [Fraction(1, 4)] * 3))
-    assert eb.holds and eb.known_sufficient and bool(eb)
+    assert eb.holds and eb.known_sufficient
     eb = is_eb_necessary(_spec(2, 3, [1, 1, 1]))
-    assert not eb.holds and not bool(eb)
+    assert not eb.holds
     # sum test alone is not known to decide it with several bases left out
     eb = is_eb_necessary(_spec(5, 3, [Fraction(1, 10)] * 4))
     assert eb.holds and not eb.known_sufficient
@@ -227,7 +208,7 @@ def test_apply_eigen_equation_on_operator_basis(mub_cache):
     for d, N in ((3, 4), (5, 3)):
         m = mub_cache(d)
         spec = _rng_rational_spec(rng, d, N, den=20)
-        fam = unitaries_from_bases(m.take(N))
+        fam = unitaries_from_bases(MubSet(d, m.bases[:N]))
         for alpha, group in enumerate(fam.u_ops):
             lam = float(spec.lambdas[alpha])
             for op in group[1:]:
@@ -271,7 +252,7 @@ def test_apply_validates_dimensions(mub_cache):
     with pytest.raises(ValueError, match="shape"):
         apply(spec, mub_cache(3), np.eye(2) / 2)
     with pytest.raises(ValueError, match="bases"):
-        apply(_spec(5, 6, [1] * 6), mub_cache(5).take(4), np.eye(5) / 5)
+        apply(_spec(5, 6, [1] * 6), MubSet(5, mub_cache(5).bases[:4]), np.eye(5) / 5)
 
 
 # --------------------------------------------------------------------------
@@ -301,9 +282,7 @@ def test_choi_basis_contraction_matches_direct_choi(mub_cache):
         assert stack.shape == (N + 2, d * d, d * d)
         for _ in range(5):
             spec = _rng_rational_spec(rng, d, N, den=25)
-            probs = np.array(
-                [float(p) for p in probabilities_from_eigenvalues(spec).probs]
-            )
+            probs = np.array([float(p) for p in mixing_weights(spec)])
             via_stack = np.tensordot(probs, stack, axes=1)
             np.testing.assert_allclose(
                 via_stack, choi_state(spec, m), atol=1e-10

@@ -187,6 +187,23 @@ def test_classify_prints_a_value_at_the_digit_limit(capsys):
     assert json.loads(out)["lambdas"][0] == f"{10**4299}/1"
 
 
+@pytest.mark.parametrize(
+    "lambdas, named",
+    [
+        ("9e4299,9e4299,0,0", "eigenvalue_sum"),  # 18e4299 has 4301 digits
+        ("-9e4299,0,0,0", "min_output_overlap"),
+        (f"[{'1' * 5000}, 0, 0, 0]", "a JSON integer"),
+    ],
+)
+def test_classify_rejects_a_result_too_long_to_print(capsys, lambdas, named):
+    """Values derived from printable inputs, and JSON integers, can pass the
+    integer-string limit; the usage error names the value and the limit."""
+    code, out, err = run_cli(capsys, "classify", "--d", "3", f"--lambdas={lambdas}")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {named}") and "4300" in err
+    assert err.count("\n") == 1
+
+
 def test_unknown_flag_and_missing_subcommand(capsys):
     assert run_cli(capsys, "ratios", "--d", "2", "--bogus")[0] == 2
     assert run_cli(capsys)[0] == 2
@@ -258,14 +275,6 @@ def test_mc_without_hits_writes_null_sigma(capsys):
     code, out, _ = run_cli(capsys, *argv, "--format", "csv")
     assert code == 1
     assert out.splitlines()[1].endswith(",0.0,0.0,1.3042722801309299870E-10,inf")
-
-
-def test_bad_dimension_cap_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("PV_MAX_D", "abc")
-    code, out, err = run_cli(capsys, "volume", "--d", "3", "--class", "cp")
-    assert code == 2
-    assert out == ""
-    assert "PV_MAX_D" in err
 
 
 def test_mc_output_bytes_are_reproducible(tmp_path, capsys):

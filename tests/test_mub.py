@@ -99,7 +99,7 @@ def test_unitary_group_powers_close(d, mub_cache):
 
 
 def test_incomplete_family_gets_complementary_operators(mub_cache):
-    m = mub_cache(5).take(3)
+    m = MubSet(5, mub_cache(5).bases[:3])
     fam = unitaries_from_bases(m)
     assert len(fam.u_ops) == 3
     assert len(fam.a_ops) == 3  # bases 3, 4, 5 of the complete six
@@ -115,4 +115,4 @@ def test_incomplete_family_gets_complementary_operators(mub_cache):
 
 def test_take_requires_at_least_three_bases(mub_cache):
     with pytest.raises(ValueError):
-        mub_cache(5).take(2)
+        MubSet(5, mub_cache(5).bases[:2])

@@ -191,3 +191,17 @@ def test_exact_modules_do_not_import_numpy(module):
         else:
             continue
         assert "numpy" not in {name.split(".")[0] for name in names}, f"{module}.py imports numpy"
+
+
+def test_no_module_reads_the_environment():
+    """The package has no settings: no module reads os.environ or os.getenv."""
+    env_names = {"environ", "environb", "getenv", "getenvb"}
+    for path in sorted(Path(pauli_volumes.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                found = node.attr in env_names and getattr(node.value, "id", None) == "os"
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found = bool(env_names & {alias.name for alias in node.names})
+            else:
+                continue
+            assert not found, f"{path.name}:{node.lineno} reads the environment"

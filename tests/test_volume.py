@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from pauli_volumes import volume
 from pauli_volumes.geometry import SurdValue, vp_volume
 from pauli_volumes.regions import AffineExpr, BoundChain, chambers
 from pauli_volumes.volume import (
@@ -213,15 +214,10 @@ def test_supported_combinations_and_validation():
         class_volume(3, 4, "x")
 
 
-def test_dimension_cap_env(monkeypatch):
-    monkeypatch.setenv("PV_MAX_D", "3")
-    with pytest.raises(ValueError, match="PV_MAX_D"):
-        class_volume(4, 5, "cp")
-    monkeypatch.setenv("PV_MAX_D", "abc")
-    with pytest.raises(ValueError, match="PV_MAX_D must be an integer"):
-        class_volume(4, 5, "cp")
-    monkeypatch.setenv("PV_MAX_D", "4")
-    assert class_volume(4, 5, "cp").lambda_volume > 0
+def test_dimension_cap_is_fixed():
+    with pytest.raises(ValueError, match="d=9 exceeds the exact-volume cap 8"):
+        class_volume(9, 10, "cp")
+    assert class_volume(8, 9, "eb").lambda_volume > 0
 
 
 def test_volume_ratio_cross_route():
@@ -253,10 +249,14 @@ def test_conjectures_extrapolated_dimension():
 
 
 def test_conjectures_beyond_default_cap(monkeypatch):
-    monkeypatch.setenv("PV_MAX_D", "10")
+    monkeypatch.setattr(volume, "_MAX_D", 10)
     report = check_conjectures([9, 10], "max")
     assert report.all_match
     assert len(report.entries) == 6
+    monkeypatch.undo()
+    # the d = 9 volume is cached now; the cap is checked before the cache
+    with pytest.raises(ValueError, match="cap 8"):
+        class_volume(9, 10, "cp")
 
 
 def test_conjectures_three_basis_mode():
