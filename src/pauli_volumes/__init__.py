@@ -6,9 +6,9 @@ breaking) they measure.
 The package root exports what the README's library section uses; every
 other name is imported from its submodule."""
 
-from .channel import ChannelSpec, apply, choi_state, is_cp
+from .channel import ChannelSpec, is_cp
 from .geometry import SurdValue
-from .mub import build_weyl_mubs, unitaries_from_bases
+from .mub import apply, build_weyl_mubs, choi_state, unitaries_from_bases
 from .regions import ChamberSet, chambers, p_box
 from .volume import check_conjectures, class_volume, mc_volume, region_for, supported_n_values
 

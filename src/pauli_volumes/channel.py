@@ -14,8 +14,8 @@ the projectors of basis alpha. Its spectrum is fixed by the eigenvalues
 which are the canonical coordinates and the only input of this package
 (:func:`mixing_weights` inverts the map). All class predicates below are
 exact: eigenvalues are rationals and every comparison is in rational
-arithmetic. The map/Choi helpers at the bottom are numerical and exist to
-cross-check the predicates, never to define them.
+arithmetic. The numerical channel action and Choi matrix that cross-check
+them live in :mod:`.mub`, which imports this module and never the reverse.
 
 Class membership, writing S = sum_{alpha<=N} lambda_alpha + (d+1-N) lambda_{N+1}:
 
@@ -35,16 +35,9 @@ Class membership, writing S = sum_{alpha<=N} lambda_alpha + (d+1-N) lambda_{N+1}
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
-
-import numpy as np
-
-from .mub import MubSet
-
-_HERMITICITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -161,82 +154,3 @@ def is_eb_necessary(c: ChannelSpec) -> EbCheck:
     holds = c.eigenvalue_sum() <= 1
     sufficient = c.N in (c.d, c.d + 1) and all(lam >= 0 for lam in c.lambdas)
     return EbCheck(holds=holds, known_sufficient=sufficient)
-
-
-# --------------------------------------------------------------------------
-# numerical channel action and Choi matrix (verification scaffolding)
-# --------------------------------------------------------------------------
-
-
-def apply(
-    c: ChannelSpec,
-    m: MubSet,
-    rho: np.ndarray,
-    *,
-    validate: bool = True,
-) -> np.ndarray:
-    """Apply the channel to a matrix, using the first N bases of ``m``.
-
-    With ``validate`` on (the default), non-Hermitian or non-unit-trace input
-    draws a warning; operator arguments such as basis unitaries are legal,
-    pass ``validate=False`` for them.
-    """
-    d, n = c.d, c.N
-    if m.d != d:
-        raise ValueError(f"basis family dimension {m.d} != channel dimension {d}")
-    if m.n_bases < n:
-        raise ValueError(f"need at least N={n} bases (family has {m.n_bases})")
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (d, d):
-        raise ValueError(f"state shape {rho.shape} != ({d}, {d})")
-    if validate:
-        if not np.allclose(rho, rho.conj().T, atol=_HERMITICITY_TOL):
-            warnings.warn("input matrix is not Hermitian", stacklevel=2)
-        if abs(np.trace(rho) - 1.0) > _HERMITICITY_TOL:
-            warnings.warn("input matrix does not have unit trace", stacklevel=2)
-
-    p = np.array([float(w) for w in mixing_weights(c)])
-    out = p[n + 1] * rho + p[0] * np.trace(rho) / d * np.eye(d)
-    for alpha in range(n):
-        projs = m.projectors(alpha)
-        out = out + p[alpha + 1] * np.einsum("kij,jl,klm->im", projs, rho, projs)
-    return out
-
-
-def _choi_of_map(apply_fn, d: int) -> np.ndarray:
-    """Choi matrix (1/d) sum_{kl} |k><l| (x) map(|k><l|), from the definition."""
-    rho = np.zeros((d * d, d * d), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[k, l] = 1.0
-            rho += np.kron(e, apply_fn(e))
-    return rho / d
-
-
-def choi_basis(m: MubSet, n: int) -> np.ndarray:
-    """Choi matrices of the channel's building blocks, aligned with
-    :func:`mixing_weights`: stack[0] is Phi_0, stack[alpha] is Phi_alpha for
-    alpha = 1..N, stack[N+1] is the identity map.
-
-    The Choi matrix of any channel with these bases is then the contraction
-    of its float mixing weights with this stack, which makes bulk spectral
-    checks cheap.
-    """
-    d = m.d
-    if m.n_bases < n:
-        raise ValueError(f"need at least N={n} bases (family has {m.n_bases})")
-    eye = np.eye(d)
-    stack = [_choi_of_map(lambda r: np.trace(r) / d * eye, d)]
-    for alpha in range(n):
-        projs = m.projectors(alpha)
-        stack.append(
-            _choi_of_map(lambda r: np.einsum("kij,jl,klm->im", projs, r, projs), d)
-        )
-    stack.append(_choi_of_map(lambda r: r, d))
-    return np.array(stack)
-
-
-def choi_state(c: ChannelSpec, m: MubSet) -> np.ndarray:
-    """Choi matrix of the channel, computed directly from the definition."""
-    return _choi_of_map(lambda r: apply(c, m, r, validate=False), c.d)

@@ -1,4 +1,5 @@
-"""Mutually unbiased bases and the unitary operator basis they generate.
+"""Mutually unbiased bases, the unitary groups they generate, and the
+numerical channel action.
 
 For a prime dimension ``d`` this module constructs the complete family of
 ``d + 1`` mutually unbiased bases (MUBs): the computational basis together
@@ -11,23 +12,29 @@ Each basis also generates a cyclic group of unitaries
     U_alpha^k = sum_j omega^{j k} P_j^{(alpha)},   omega = exp(2 pi i / d),
 
 and the non-identity members of all d+1 groups, together with the identity,
-form a trace-orthogonal basis of d x d operator space. Channels built
-elsewhere in this package use only the first N of these groups; the leftover
-groups supply the complementary operators (the ``A`` family) that complete
-the operator basis.
+form a trace-orthogonal basis of d x d operator space. A channel built from
+the first N bases has the first N groups as eigenoperators with eigenvalues
+lambda_1..lambda_N, and the remaining groups of the complete family share
+lambda_{N+1}.
 
-Everything in this module is floating-point verification scaffolding.
-Channel classification and volume computation run in exact rational
-arithmetic and never depend on these matrices.
+Everything in this module is floating-point verification scaffolding:
+:func:`apply` and :func:`choi_state` evaluate a channel on matrices so that
+spectra can cross-check the exact predicates of :mod:`.channel`. Channel
+classification and volume computation run in exact rational arithmetic and
+never depend on these matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import ChannelSpec, mixing_weights
+
 DEFAULT_TOL = 1e-10
+_HERMITICITY_TOL = 1e-8
 
 
 def _is_prime(n: int) -> bool:
@@ -80,30 +87,6 @@ class MubSet:
 
 
 @dataclass(frozen=True)
-class UnitaryFamily:
-    """The operator basis generated by a MUB family.
-
-    ``u_ops[alpha][k]`` is U_{alpha+1}^k for k = 0..d-1 (k = 0 is the
-    identity). ``a_ops[beta][k-1]`` holds the complementary operators
-    A_{beta+1,k} for k = 1..d-1 built from the unused bases when the family
-    has fewer than d+1 of them.
-    """
-
-    d: int
-    u_ops: tuple[tuple[np.ndarray, ...], ...]
-    a_ops: tuple[tuple[np.ndarray, ...], ...] = field(default=())
-
-    def operator_basis(self) -> list[np.ndarray]:
-        """Identity + non-trivial U ops + A ops: d^2 operators in total."""
-        ops = [np.eye(self.d, dtype=complex)]
-        for group in self.u_ops:
-            ops.extend(group[1:])
-        for group in self.a_ops:
-            ops.extend(group)
-        return ops
-
-
-@dataclass(frozen=True)
 class MubReport:
     """Outcome of an unbiasedness check."""
 
@@ -153,33 +136,21 @@ def build_weyl_mubs(d: int) -> MubSet:
     return MubSet(d, tuple(bases))
 
 
-def unitaries_from_bases(m: MubSet) -> UnitaryFamily:
-    """Build the unitary groups U_alpha^k, plus the complementary A family.
+def unitaries_from_bases(m: MubSet) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The cyclic unitary group of each basis of ``m``, in basis order.
 
-    The U operators come directly from the supplied bases. When the family
-    holds fewer than d+1 bases the remaining operators of the canonical
-    prime-d construction (the eigenbasis groups of the unused XZ^a) are
-    returned as the A family, completing the d^2-element trace-orthogonal
-    operator basis.
+    ``groups[alpha][k]`` is U_{alpha+1}^k for k = 0..d-1 (k = 0 is the
+    identity). For the complete family the identity and the non-identity
+    members of all groups are the d^2-element operator basis.
     """
     d = m.d
     omega = np.exp(2j * np.pi / d)
     phases = omega ** np.outer(np.arange(d), np.arange(d))  # phases[j, k]
-
-    def group(basis_index: int, source: MubSet) -> tuple[np.ndarray, ...]:
-        projs = source.projectors(basis_index)
-        return tuple(np.tensordot(phases[:, k], projs, axes=1) for k in range(d))
-
-    u_ops = tuple(group(a, m) for a in range(m.n_bases))
-    a_ops: tuple[tuple[np.ndarray, ...], ...] = ()
-    if m.n_bases < d + 1:
-        if not _is_prime(d):
-            raise ValueError(
-                f"completing the operator basis requires a prime dimension (got d={d})"
-            )
-        full = build_weyl_mubs(d)
-        a_ops = tuple(group(b, full)[1:] for b in range(m.n_bases, d + 1))
-    return UnitaryFamily(d, u_ops, a_ops)
+    groups = []
+    for alpha in range(m.n_bases):
+        projs = m.projectors(alpha)
+        groups.append(tuple(np.tensordot(phases[:, k], projs, axes=1) for k in range(d)))
+    return tuple(groups)
 
 
 def verify_unbiased(m: MubSet, tol: float = DEFAULT_TOL) -> MubReport:
@@ -216,3 +187,50 @@ def verify_unbiased(m: MubSet, tol: float = DEFAULT_TOL) -> MubReport:
         pair_deviations=pair_deviations,
         passed=max_cross < tol,
     )
+
+
+def apply(
+    c: ChannelSpec,
+    m: MubSet,
+    rho: np.ndarray,
+    *,
+    validate: bool = True,
+) -> np.ndarray:
+    """Apply the channel to a matrix, using the first N bases of ``m``.
+
+    With ``validate`` on (the default), non-Hermitian or non-unit-trace input
+    draws a warning; operator arguments such as basis unitaries are legal,
+    pass ``validate=False`` for them.
+    """
+    d, n = c.d, c.N
+    if m.d != d:
+        raise ValueError(f"basis family dimension {m.d} != channel dimension {d}")
+    if m.n_bases < n:
+        raise ValueError(f"need at least N={n} bases (family has {m.n_bases})")
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (d, d):
+        raise ValueError(f"state shape {rho.shape} != ({d}, {d})")
+    if validate:
+        if not np.allclose(rho, rho.conj().T, atol=_HERMITICITY_TOL):
+            warnings.warn("input matrix is not Hermitian", stacklevel=2)
+        if abs(np.trace(rho) - 1.0) > _HERMITICITY_TOL:
+            warnings.warn("input matrix does not have unit trace", stacklevel=2)
+
+    p = np.array([float(w) for w in mixing_weights(c)])
+    out = p[n + 1] * rho + p[0] * np.trace(rho) / d * np.eye(d)
+    for alpha in range(n):
+        projs = m.projectors(alpha)
+        out = out + p[alpha + 1] * np.einsum("kij,jl,klm->im", projs, rho, projs)
+    return out
+
+
+def choi_state(c: ChannelSpec, m: MubSet) -> np.ndarray:
+    """Choi matrix (1/d) sum_{kl} |k><l| (x) Lambda(|k><l|), from the definition."""
+    d = c.d
+    rho = np.zeros((d * d, d * d), dtype=complex)
+    for k in range(d):
+        for l in range(d):
+            e = np.zeros((d, d), dtype=complex)
+            e[k, l] = 1.0
+            rho += np.kron(e, apply(c, m, e, validate=False))
+    return rho / d

@@ -15,6 +15,7 @@ from fractions import Fraction
 DECIMAL_DIGITS = 20
 
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\Z", re.IGNORECASE)
+_DIGIT_RUN = re.compile(r"\d(?:_?\d)*")
 
 
 def digit_limit() -> int:
@@ -27,15 +28,17 @@ def parse_rational(text: str) -> Fraction:
 
     The numerator and denominator may have at most as many digits as the
     integer-string limit (4300 by default), so that the value can be printed.
-    An exponent past that limit is rejected before it is expanded:
-    "1e1000000000" would build a billion-digit integer.
+    A longer digit run, or an exponent past that limit, is rejected before
+    it is expanded: "1e1000000000" would build a billion-digit integer.
     """
     if isinstance(text, float):
         raise TypeError("floating-point input rejected; pass an exact 'p/q' string")
     literal = str(text).strip()
-    exp = _EXPONENT.search(literal)
     limit = digit_limit()
-    if exp and (len(exp[1]) > limit or abs(int(exp[1])) > limit):
+    if any(len(run.replace("_", "")) > limit for run in _DIGIT_RUN.findall(literal)):
+        raise ValueError(f"a number has a run of more than {limit} digits")
+    exp = _EXPONENT.search(literal)
+    if exp and abs(int(exp[1])) > limit:
         raise ValueError(f"exponent of {text!r} exceeds {limit} in magnitude")
     try:
         q = Fraction(literal)

@@ -15,14 +15,12 @@ import pytest
 
 from pauli_volumes.channel import (
     ChannelSpec,
-    apply,
-    choi_basis,
     is_cp,
     is_positive_necessary,
     min_output_overlap,
 )
 from pauli_volumes.geometry import SurdValue, volume_prefactor, vp_volume
-from pauli_volumes.mub import MubSet, build_weyl_mubs, unitaries_from_bases, verify_unbiased
+from pauli_volumes.mub import apply, build_weyl_mubs, unitaries_from_bases, verify_unbiased
 from pauli_volumes.volume import (
     check_conjectures,
     class_volume,
@@ -143,14 +141,13 @@ def test_criterion_6_monte_carlo():
 
 @criterion(7, "Choi spectrum sign agrees with the exact CP test on 1e4 "
              "rational samples per d in {2,3,5}")
-def test_criterion_7_choi_cross_check():
+def test_criterion_7_choi_cross_check(choi_stack):
     n_samples = 10_000
     den = 1000
     rng = np.random.default_rng(2024)
     for d in (2, 3, 5):
         N = d + 1
-        m = build_weyl_mubs(d)
-        stack = choi_basis(m, N)
+        stack = choi_stack(d, N)  # N = d+1: no identity block, its weight is 0
         lo_num = -den // (d - 1)
         # half the samples sweep the whole box (mostly non-CP at large d),
         # half stay in a sub-box that always satisfies the CP constraints,
@@ -171,9 +168,7 @@ def test_criterion_7_choi_cross_check():
         # Choi spectra for all samples at once via the building-block stack
         lam = nums / den
         p0 = 1.0 - lam.sum(axis=1)
-        probs = np.concatenate(
-            [p0[:, None], lam, np.zeros((n_samples, 1))], axis=1
-        )
+        probs = np.concatenate([p0[:, None], lam], axis=1)
         min_eig = np.empty(n_samples)
         for i in range(0, n_samples, 2000):
             chunk = np.tensordot(probs[i : i + 2000], stack, axes=1)
@@ -225,12 +220,12 @@ def test_criterion_9_basis_construction():
             for _ in range(n_coords)
         ]
         spec = ChannelSpec.make(d, N, vals)
-        fam = unitaries_from_bases(MubSet(d, m.bases[:N]))
-        for alpha, group in enumerate(fam.u_ops):
+        groups = unitaries_from_bases(m)
+        for alpha, group in enumerate(groups[:N]):
             for op in group[1:]:
                 out = apply(spec, m, op, validate=False)
                 assert np.max(np.abs(out - float(spec.lambdas[alpha]) * op)) < 1e-9
-        for group in fam.a_ops:
-            for op in group:
+        for group in groups[N:]:
+            for op in group[1:]:
                 out = apply(spec, m, op, validate=False)
                 assert np.max(np.abs(out - float(spec.lam_rest) * op)) < 1e-9

@@ -9,9 +9,6 @@ from hypothesis import strategies as st
 
 from pauli_volumes.channel import (
     ChannelSpec,
-    apply,
-    choi_basis,
-    choi_state,
     is_cp,
     is_eb_necessary,
     is_generator_achievable,
@@ -19,7 +16,7 @@ from pauli_volumes.channel import (
     min_output_overlap,
     mixing_weights,
 )
-from pauli_volumes.mub import MubSet, unitaries_from_bases
+from pauli_volumes.mub import MubSet, apply, choi_state, unitaries_from_bases
 
 
 def _spec(d, N, vals):
@@ -202,22 +199,23 @@ def test_apply_zero_eigenvalues_is_depolarizing(mub_cache):
 
 
 def test_apply_eigen_equation_on_operator_basis(mub_cache):
-    """The basis unitaries are eigenoperators: the group of basis alpha gets
-    eigenvalue lambda_alpha, the complementary operators the shared one."""
+    """The basis unitaries are eigenoperators: the group of used basis alpha
+    gets eigenvalue lambda_alpha, the groups of the left-out bases share
+    lambda_{N+1}."""
     rng = np.random.default_rng(2)
     for d, N in ((3, 4), (5, 3)):
         m = mub_cache(d)
         spec = _rng_rational_spec(rng, d, N, den=20)
-        fam = unitaries_from_bases(MubSet(d, m.bases[:N]))
-        for alpha, group in enumerate(fam.u_ops):
+        groups = unitaries_from_bases(m)
+        for alpha, group in enumerate(groups[:N]):
             lam = float(spec.lambdas[alpha])
             for op in group[1:]:
                 np.testing.assert_allclose(
                     apply(spec, m, op, validate=False), lam * op, atol=1e-9
                 )
         lam_rest = float(spec.lam_rest)
-        for group in fam.a_ops:
-            for op in group:
+        for group in groups[N:]:
+            for op in group[1:]:
                 np.testing.assert_allclose(
                     apply(spec, m, op, validate=False), lam_rest * op, atol=1e-9
                 )
@@ -230,9 +228,9 @@ def test_apply_matches_mixed_unitary_average(mub_cache):
     m = mub_cache(d)
     lams = [Fraction(1) if b == alpha else Fraction(0) for b in range(N)]
     spec = _spec(d, N, lams)
-    fam = unitaries_from_bases(m)
+    group = unitaries_from_bases(m)[alpha]
     rho = _random_state(np.random.default_rng(4), d)
-    avg = sum(u @ rho @ u.conj().T for u in fam.u_ops[alpha]) / d
+    avg = sum(u @ rho @ u.conj().T for u in group) / d
     np.testing.assert_allclose(apply(spec, m, rho), avg, atol=1e-12)
 
 
@@ -274,16 +272,18 @@ def test_choi_of_identity_is_pure(mub_cache):
     np.testing.assert_allclose(eigs, [0, 0, 0, 1], atol=1e-12)
 
 
-def test_choi_basis_contraction_matches_direct_choi(mub_cache):
+def test_choi_basis_contraction_matches_direct_choi(mub_cache, choi_stack):
+    """The Choi matrix is linear in the mixing weights: contracting them with
+    the building-block stack gives the direct Choi matrix."""
     rng = np.random.default_rng(6)
     for d, N in ((2, 3), (3, 3), (3, 4)):
         m = mub_cache(d)
-        stack = choi_basis(m, N)
-        assert stack.shape == (N + 2, d * d, d * d)
+        stack = choi_stack(d, N)
+        assert stack.shape == (N + 1 if N == d + 1 else N + 2, d * d, d * d)
         for _ in range(5):
             spec = _rng_rational_spec(rng, d, N, den=25)
             probs = np.array([float(p) for p in mixing_weights(spec)])
-            via_stack = np.tensordot(probs, stack, axes=1)
+            via_stack = np.tensordot(probs[: len(stack)], stack, axes=1)
             np.testing.assert_allclose(
                 via_stack, choi_state(spec, m), atol=1e-10
             )

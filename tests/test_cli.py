@@ -185,6 +185,22 @@ def test_classify_prints_a_value_at_the_digit_limit(capsys):
     code, out, _ = run_cli(capsys, "classify", "--d", "3", "--lambdas", "1e4299,0,0,0")
     assert code == 0
     assert json.loads(out)["lambdas"][0] == f"{10**4299}/1"
+    code, out, _ = run_cli(capsys, "classify", "--d", "3", "--lambdas", f"{'7' * 4300},0,0,0")
+    assert code == 0
+    assert json.loads(out)["lambdas"][0] == f"{'7' * 4300}/1"
+
+
+@pytest.mark.parametrize(
+    "literal",
+    ["1" * 4301, "0." + "1" * 4301, "1/" + "7" * 4301],
+    ids=["numerator", "decimal", "denominator"],
+)
+def test_classify_rejects_a_digit_run_past_the_limit(capsys, literal):
+    """A digit run past the integer-string limit is refused before it is
+    converted, with a short message that names the limit and not the input."""
+    code, out, err = run_cli(capsys, "classify", "--d", "3", "--lambdas", f"{literal},0,0,0")
+    assert (code, out) == (2, "")
+    assert "4300" in err and err.count("\n") == 1 and len(err) < 100
 
 
 @pytest.mark.parametrize(

@@ -73,8 +73,8 @@ def test_first_nonzero_component_is_real_positive():
 
 @pytest.mark.parametrize("d", (2, 3, 5))
 def test_operator_family_is_unitary_and_trace_orthogonal(d, mub_cache):
-    fam = unitaries_from_bases(mub_cache(d))
-    ops = fam.operator_basis()
+    groups = unitaries_from_bases(mub_cache(d))
+    ops = [np.eye(d)] + [op for group in groups for op in group[1:]]
     assert len(ops) == d * d
     eye = np.eye(d)
     for op in ops:
@@ -89,8 +89,7 @@ def test_operator_family_is_unitary_and_trace_orthogonal(d, mub_cache):
 @pytest.mark.parametrize("d", (2, 3, 5))
 def test_unitary_group_powers_close(d, mub_cache):
     """U_alpha^k is the k-th power of U_alpha^1; the group is cyclic."""
-    fam = unitaries_from_bases(mub_cache(d))
-    for group in fam.u_ops:
+    for group in unitaries_from_bases(mub_cache(d)):
         gen = group[1]
         acc = np.eye(d, dtype=complex)
         for k in range(d):
@@ -98,21 +97,19 @@ def test_unitary_group_powers_close(d, mub_cache):
             acc = acc @ gen
 
 
-def test_incomplete_family_gets_complementary_operators(mub_cache):
-    m = MubSet(5, mub_cache(5).bases[:3])
-    fam = unitaries_from_bases(m)
-    assert len(fam.u_ops) == 3
-    assert len(fam.a_ops) == 3  # bases 3, 4, 5 of the complete six
-    assert sum(len(g) for g in fam.a_ops) == 3 * 4 == 12
-    ops = fam.operator_basis()
-    assert len(ops) == 25
-    for i, a in enumerate(ops):
-        for j, b in enumerate(ops):
-            inner = np.trace(a.conj().T @ b)
-            expected = 5 if i == j else 0.0
-            assert abs(inner - expected) < 1e-10
+def test_subset_family_keeps_its_own_groups(mub_cache):
+    """A family of bases (0, 2, 3) gets exactly groups 0, 2 and 3 of the
+    complete family, whatever bases it skips."""
+    m = mub_cache(5)
+    full = unitaries_from_bases(m)
+    groups = unitaries_from_bases(MubSet(5, (m.bases[0], m.bases[2], m.bases[3])))
+    assert len(groups) == 3
+    for group, alpha in zip(groups, (0, 2, 3)):
+        assert len(group) == 5
+        for op, expected in zip(group, full[alpha]):
+            assert np.array_equal(op, expected)
 
 
-def test_take_requires_at_least_three_bases(mub_cache):
-    with pytest.raises(ValueError):
+def test_family_requires_at_least_three_bases(mub_cache):
+    with pytest.raises(ValueError, match="between 3"):
         MubSet(5, mub_cache(5).bases[:2])

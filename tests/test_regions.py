@@ -179,18 +179,21 @@ def test_chambers_agree_with_defining_inequalities(d, N):
         assert counts[ok].max(initial=0) <= 1  # chambers are disjoint
 
 
-@pytest.mark.parametrize("module", ["regions", "geometry", "rationals"])
+@pytest.mark.parametrize("module", ["regions", "geometry", "rationals", "channel"])
 def test_exact_modules_do_not_import_numpy(module):
-    """Chains, surds and rationals are exact data: no float library in them."""
+    """Chains, surds, rationals and channel predicates are exact data: no float
+    library in them, and no import of the package modules that load one."""
     source = Path(pauli_volumes.__file__).with_name(f"{module}.py").read_text()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
+            names, banned = [alias.name for alias in node.names], {"numpy"}
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            banned = {"mub", "volume"} if node.level else {"numpy"}
         else:
             continue
-        assert "numpy" not in {name.split(".")[0] for name in names}, f"{module}.py imports numpy"
+        found = banned & {name.split(".")[0] for name in names}
+        assert not found, f"{module}.py imports {sorted(found)}, which loads numpy"
 
 
 def test_no_module_reads_the_environment():
