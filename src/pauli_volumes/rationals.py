@@ -16,11 +16,19 @@ DECIMAL_DIGITS = 20
 
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\Z", re.IGNORECASE)
 _DIGIT_RUN = re.compile(r"\d(?:_?\d)*")
+# an error message echoes at most this many characters of the literal
+_QUOTED_CHARS = 40
 
 
 def digit_limit() -> int:
     """Python's integer-string limit (4300 by default): most digits a part may print."""
     return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
+def _quoted(text) -> str:
+    """repr of a literal for an error message, cut short when it is long."""
+    text = str(text)
+    return repr(text) if len(text) <= _QUOTED_CHARS else f"{text[:_QUOTED_CHARS]!r}..."
 
 
 def parse_rational(text: str) -> Fraction:
@@ -39,15 +47,15 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"a number has a run of more than {limit} digits")
     exp = _EXPONENT.search(literal)
     if exp and abs(int(exp[1])) > limit:
-        raise ValueError(f"exponent of {text!r} exceeds {limit} in magnitude")
+        raise ValueError(f"exponent of {_quoted(text)} exceeds {limit} in magnitude")
     try:
         q = Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational 'p/q' value: {text!r}") from exc
+        raise ValueError(f"not a rational 'p/q' value: {_quoted(text)}") from exc
     # below 8**limit, so 3*limit bits, a part has at most limit digits
     big = max(abs(q.numerator), q.denominator)
     if big.bit_length() > 3 * limit and big >= 10**limit:
-        raise ValueError(f"{text!r} has a numerator or denominator over {limit} digits")
+        raise ValueError(f"{_quoted(text)} has a numerator or denominator over {limit} digits")
     return q
 
 

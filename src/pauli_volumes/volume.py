@@ -1,9 +1,10 @@
 """Exact and Monte Carlo volumes of the channel classes.
 
-The exact route integrates each bound chain symbolically with Fraction
-coefficients, innermost variable first. Each bound on x_k is affine in x0,
-x_{k-1} and one running sum S_k = sum_{1<=j<=k-2} u_j x_j, with u fixed for
-the chain, so the integrand is a polynomial in three variables throughout.
+The exact route integrates each bound chain symbolically, innermost
+variable first, with integer numerators over one denominator per level.
+Each bound on x_k is affine in x0, x_{k-1} and one running sum
+S_k = sum_{1<=j<=k-2} u_j x_j, with u fixed for the chain, so the integrand
+is a polynomial in three variables throughout.
 Every chamber qualifies: its bounds are constants, the ordering bound
 x_{k-1}, or level bounds whose x_1..x_{k-2} coefficients are the chain's
 weights -w_j over the level's denominator. Any other chain raises
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, sqrt
+from math import factorial, gcd, lcm, sqrt
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -38,9 +39,11 @@ _MC_MAX_SAMPLES = 10**8
 
 
 # Largest dimension the exact engine attempts. Cost model, measured cold on
-# a 2-core host: check_conjectures([d]) takes about 0.35 s at d = 8, and
-# each step in d costs about 2x (0.6 s at d = 9, 1.4 s at d = 10).
-_MAX_D = 8
+# a 2-core host: check_conjectures([d]) in the "max" or "d" mode takes about
+# 0.07 s at d = 8, and each step in d costs about 1.7x (0.1 s at d = 9,
+# 0.16 s at d = 10, 0.3 s at d = 11, 0.5 s at d = 12); the "3" mode takes
+# about 0.02 s at any d.
+_MAX_D = 12
 
 
 class ChamberInconsistency(Exception):
@@ -60,8 +63,9 @@ class RatioMismatch(Exception):
 # exact chain integration
 # --------------------------------------------------------------------------
 
-# {(a, b, c): coefficient} is the polynomial sum of coefficient * x0^a y^b s^c
-_Poly = dict[tuple[int, int, int], Fraction]
+# {(a, b, c): numerator} is the polynomial sum of numerator * x0^a y^b s^c;
+# each level keeps its numerators over one integer denominator held beside them
+_Poly = dict[tuple[int, int, int], int]
 
 
 def _acc(out: _Poly, p: _Poly, q: _Poly) -> _Poly:
@@ -75,58 +79,90 @@ def _acc(out: _Poly, p: _Poly, q: _Poly) -> _Poly:
 
 def _affine(const, x0, y, s) -> _Poly:
     terms = {(0, 0, 0): const, (1, 0, 0): x0, (0, 1, 0): y, (0, 0, 1): s}
-    return {e: Fraction(v) for e, v in terms.items() if v}
+    return {e: v for e, v in terms.items() if v}
 
 
 def _powers(p: _Poly, top: int) -> list[_Poly]:
-    out = [{(0, 0, 0): Fraction(1)}]
+    out = [{(0, 0, 0): 1}]
     for _ in range(top):
         out.append(_acc({}, out[-1], p))
     return out
 
 
-def integrate_chain(chain: BoundChain) -> Fraction:
-    """Exact volume of one bound chain, innermost variable first.
+def _integer_levels(chain: BoundChain) -> list[tuple[int, _Poly, _Poly, _Poly]]:
+    """Read levels n-1..1 of a chain as (q, q*lo, q*hi, carry), all integer.
 
-    u is read once from the chain's longest non-zero middle coefficients
-    (those of x_1..x_{k-2} at level k); a bound whose middle coefficients
-    are not a multiple of u raises ValueError. Integrating x_k turns a
-    polynomial in (x0, x_k, S_{k+1}) into one in (x0, x_{k-1}, S_k), by
-    substituting the bounds and S_{k+1} = S_k + u_{k-1} x_{k-1}.
+    u is read from the chain's longest non-zero middle coefficients (those
+    of x_1..x_{k-2} at level k) and scaled to integers, so the running sum
+    S_k = sum u_j x_j and the carry S_{k+1} = S_k + u_{k-1} x_{k-1} have
+    integer coefficients. A bound whose middle coefficients are not a
+    multiple of u raises ValueError. Both ends of level k go over their
+    least common denominator q.
     """
     full = [
         [e.coeffs + (Fraction(0),) * (k - len(e.coeffs)) for e in pair]
         for k, pair in enumerate(chain.bounds)
     ]
     u = max((c[1:-1] for pair in full for c in pair if any(c[1:-1])), key=len, default=())
-    poly: _Poly = {(0, 0, 0): Fraction(1)}
+    scale = lcm(*(w.denominator for w in u))
+    u = tuple(int(w * scale) for w in u)
+    levels = []
     for k in range(len(chain.bounds) - 1, 0, -1):
         ends = []
         for expr, c in zip(chain.bounds[k], full[k]):
-            t = next((m / w for m, w in zip(c[1:-1], u) if w), 0)
+            t = next((m / w for m, w in zip(c[1:-1], u) if w), Fraction(0))
             if any(m != t * w for m, w in zip(c[1:-1], u)):
                 msg = f"the x_{k} bound is not affine in x0, x_{k - 1} and one running sum"
                 raise ValueError(f"chain {chain.label!r}: {msg}")
             # at k = 1, x_{k-1} is x0 itself
-            ends.append(_affine(expr.const, c[0], c[-1] if k > 1 else 0, t))
+            ends.append((expr.const, c[0], c[-1] if k > 1 else Fraction(0), t))
+        q = lcm(*(v.denominator for end in ends for v in end))
+        lo, hi = (_affine(*(v.numerator * (q // v.denominator) for v in end)) for end in ends)
         # S_{k+1} in terms of x_{k-1} and S_k; S_1 = S_2 = 0
         carry = _affine(0, 0, u[k - 2] if 2 <= k <= len(u) + 1 else 0, int(k >= 3))
-        anti = {(a, b + 1, c): v / (b + 1) for (a, b, c), v in poly.items()}
-        top_b, top_c = (max((e[i] for e in anti), default=0) for i in (1, 2))
-        lo_pw, hi_pw = (_powers(end, top_b) for end in ends)
+        levels.append((q, lo, hi, carry))
+    return levels
+
+
+def integrate_chain(chain: BoundChain) -> Fraction:
+    """Exact volume of one bound chain, innermost variable first.
+
+    The integrand is held as integer numerators over one denominator D per
+    level. Integrating x_k turns a polynomial in (x0, x_k, S_{k+1}) into one
+    in (x0, x_{k-1}, S_k), by substituting the bounds lo/q and hi/q and
+    S_{k+1} = S_k + u_{k-1} x_{k-1}. With B the top power of x_k after
+    integration, each term is scaled to sit over D * lcm(1..B) * q^B, and
+    the numerators and that denominator are divided by their gcd once per
+    level. Fractions appear only in reading the bounds and in the final
+    integral over x0.
+    """
+    den, poly = 1, {(0, 0, 0): 1}
+    for q, lo, hi, carry in _integer_levels(chain):
+        top_b = 1 + max((b for _, b, _ in poly), default=0)
+        top_c = max((c for _, _, c in poly), default=0)
+        ladder = lcm(*range(1, top_b + 1))
+        lo_pw, hi_pw = _powers(lo, top_b), _powers(hi, top_b)
         carry_pw = _powers(carry, top_c)
         spans: dict[tuple[int, int], _Poly] = {}
-        poly = {}
-        for (a, b, c), v in anti.items():
-            if (b, c) not in spans:  # (hi^b - lo^b) * S_{k+1}^c
-                neg_lo = {e: -w for e, w in lo_pw[b].items()}
-                spans[b, c] = _acc(_acc({}, hi_pw[b], carry_pw[c]), neg_lo, carry_pw[c])
-            _acc(poly, {(a, 0, 0): v}, spans[b, c])
-        poly = {e: v for e, v in poly.items() if v}
-    lo, hi = (e.const for e in chain.bounds[0])
-    value = Fraction(0)
-    for (a, _, _), v in poly.items():
-        value += v * (hi ** (a + 1) - lo ** (a + 1)) / (a + 1)
+        out: _Poly = {}
+        for (a, b, c), v in poly.items():
+            b += 1  # x_k^(b-1) integrates to x_k^b / b
+            if (b, c) not in spans:  # (hi^b - lo^b) * S_{k+1}^c, scaled to the level
+                f = ladder // b * q ** (top_b - b)
+                diff = {e: f * w for e, w in hi_pw[b].items()}
+                for e, w in lo_pw[b].items():
+                    diff[e] = diff.get(e, 0) - f * w
+                spans[b, c] = _acc({}, diff, carry_pw[c])
+            _acc(out, {(a, 0, 0): v}, spans[b, c])
+        den *= ladder * q**top_b
+        g = gcd(den, *out.values())
+        den //= g
+        poly = {e: v // g for e, v in out.items() if v}
+    lo0, hi0 = (e.const for e in chain.bounds[0])
+    value = sum(
+        (Fraction(v, a + 1) * (hi0 ** (a + 1) - lo0 ** (a + 1)) for (a, _, _), v in poly.items()),
+        Fraction(0),
+    ) / den
     if value < 0:
         raise ChamberInconsistency(chain.label, value)
     return value

@@ -147,9 +147,9 @@ def test_dimension_range_is_checked_before_any_work(capsys, monkeypatch):
     monkeypatch.setattr("pauli_volumes.cli.ratio_table", no_work)
     monkeypatch.setattr("pauli_volumes.cli.check_conjectures", no_work)
     for argv in (
-        ("ratios", "--d", "2..9"),
-        ("ratios", "--d", "9..2000000"),
-        ("check-conjectures", "--d", "2..9"),
+        ("ratios", "--d", "2..13"),
+        ("ratios", "--d", "13..2000000"),
+        ("check-conjectures", "--d", "2..13"),
         ("check-conjectures", "--d", "2..4", "--n-mode", "d"),
         ("check-conjectures", "--d", "0"),
     ):
@@ -201,6 +201,20 @@ def test_classify_rejects_a_digit_run_past_the_limit(capsys, literal):
     code, out, err = run_cli(capsys, "classify", "--d", "3", "--lambdas", f"{literal},0,0,0")
     assert (code, out) == (2, "")
     assert "4300" in err and err.count("\n") == 1 and len(err) < 100
+
+
+@pytest.mark.parametrize(
+    "literal",
+    ["0." + "1" * 4300, "1" * 4300 + "e5000", "1" * 4300 + "x", "1/" + "0" * 4300],
+    ids=["denominator", "exponent", "not-rational", "zero-denominator"],
+)
+def test_classify_error_does_not_echo_a_long_literal(capsys, literal):
+    """Digit runs within the limit can still make a literal that is refused;
+    the error line quotes only the start of it."""
+    code, out, err = run_cli(capsys, "classify", "--d", "3", "--lambdas", f"{literal},0,0,0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 200
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,10 @@
 """Exact integration, class volumes, closed-form checks, Monte Carlo."""
 
+import json
+from collections import defaultdict
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +117,31 @@ def test_inconsistent_chain_raises_with_label():
         integrate_chain(bad)
 
 
+def test_every_chain_matches_its_golden_volume():
+    """tests/data/chain_volumes.json holds [d, N, class, label, "p/q"] for
+    every chain of chambers(d, N, class) at d = 2..8, 3 <= N <= d+1, as the
+    earlier Fraction-coefficient integrator computed them. The labels pin
+    the slot names, mid{k} included at 4 <= N < d. Each class sum is also
+    checked against its closed form: with n coordinates (N+1, or d+1 when
+    N = d+1) and W the left-out weight d+1-N (1 when N = d+1),
+    eb = 1/(n! W), g = (d+1) eb and cp = d (d/(d-1))^n eb."""
+    rows = json.loads((Path(__file__).parent / "data" / "chain_volumes.json").read_text())
+    golden = defaultdict(list)
+    for d, N, cls, label, value in rows:
+        golden[d, N, cls].append((label, Fraction(value)))
+    assert sorted(golden) == sorted(
+        (d, N, cls) for d in range(2, 9) for N in range(3, d + 2) for cls in ("cp", "g", "eb")
+    )
+    for (d, N, cls), expected in golden.items():
+        region = chambers(d, N, cls)
+        got = [(ch.label, integrate_chain(ch)) for ch in region.chains]
+        assert got == expected, (d, N, cls)
+        n, W = (d + 1, 1) if N == d + 1 else (N + 1, d + 1 - N)
+        eb = Fraction(1, factorial(n) * W)
+        closed = {"eb": eb, "g": (d + 1) * eb, "cp": d * Fraction(d, d - 1) ** n * eb}[cls]
+        assert sum(v for _, v in got) * region.symmetry_factor == closed, (d, N, cls)
+
+
 # --------------------------------------------------------------------------
 # class volumes and ratios
 # --------------------------------------------------------------------------
@@ -215,9 +243,9 @@ def test_supported_combinations_and_validation():
 
 
 def test_dimension_cap_is_fixed():
-    with pytest.raises(ValueError, match="d=9 exceeds the exact-volume cap 8"):
-        class_volume(9, 10, "cp")
-    assert class_volume(8, 9, "eb").lambda_volume > 0
+    with pytest.raises(ValueError, match="d=13 exceeds the exact-volume cap 12"):
+        class_volume(13, 14, "cp")
+    assert class_volume(12, 13, "eb").lambda_volume > 0
 
 
 def test_volume_ratio_cross_route():
@@ -248,15 +276,22 @@ def test_conjectures_extrapolated_dimension():
     assert forms["cp/p"].as_fraction() == Fraction(1, 840)
 
 
-def test_conjectures_beyond_default_cap(monkeypatch):
-    monkeypatch.setattr(volume, "_MAX_D", 10)
-    report = check_conjectures([9, 10], "max")
+def test_conjectures_up_to_the_cap():
+    report = check_conjectures(range(9, 13), "max")
     assert report.all_match
-    assert len(report.entries) == 6
+    assert len(report.entries) == 12
+    assert all(e.extrapolated for e in report.entries)
+
+
+def test_conjectures_beyond_default_cap(monkeypatch):
+    monkeypatch.setattr(volume, "_MAX_D", 13)
+    report = check_conjectures([13], "max")
+    assert report.all_match
+    assert len(report.entries) == 3
     monkeypatch.undo()
-    # the d = 9 volume is cached now; the cap is checked before the cache
-    with pytest.raises(ValueError, match="cap 8"):
-        class_volume(9, 10, "cp")
+    # the d = 13 volume is cached now; the cap is checked before the cache
+    with pytest.raises(ValueError, match="cap 12"):
+        class_volume(13, 14, "cp")
 
 
 def test_conjectures_three_basis_mode():
