@@ -77,10 +77,10 @@ def surd_decimal_str(coeff: Fraction, radicand: int) -> str:
     """Decimal expansion of ``coeff * sqrt(radicand)``, like :func:`decimal_str`."""
     if radicand < 0:
         raise ValueError("radicand must be non-negative")
+    if radicand == 1:  # rounded once, not to 30 digits and then to 20
+        return decimal_str(coeff)
     with localcontext() as ctx:
         ctx.prec = DECIMAL_DIGITS + 10
-        value = Decimal(coeff.numerator) / Decimal(coeff.denominator)
-        if radicand != 1:
-            value *= Decimal(radicand).sqrt()
+        value = Decimal(coeff.numerator) / Decimal(coeff.denominator) * Decimal(radicand).sqrt()
         ctx.prec = DECIMAL_DIGITS
         return str(+value)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, gcd, lcm, sqrt
 from typing import Iterable, NamedTuple
 
@@ -261,8 +260,13 @@ def _sufficiency(d: int, N: int, class_tag: str) -> str:
     return "known-exact"
 
 
-@lru_cache(maxsize=None)
-def _volume_cached(d: int, N: int, class_tag: str) -> VolumeResult:
+def class_volume(d: int, N: int, class_tag: str) -> VolumeResult:
+    """Exact volume of one channel class.
+
+    Supported basis counts: N = d+1 and N = d (all or all-but-one bases,
+    d >= 3 for the latter), and N = 3 in any dimension d >= 3.
+    The d = 2 case only admits N = 3.
+    """
     chambers = region_for(d, N, class_tag)
     raw = tuple(integrate_chain(ch) for ch in chambers.chains)
     lam = sum(raw, Fraction(0)) * chambers.symmetry_factor
@@ -280,37 +284,29 @@ def _volume_cached(d: int, N: int, class_tag: str) -> VolumeResult:
     )
 
 
-def class_volume(d: int, N: int, class_tag: str) -> VolumeResult:
-    """Exact volume of one channel class.
-
-    Supported basis counts: N = d+1 and N = d (all or all-but-one bases,
-    d >= 3 for the latter), and N = 3 in any prime-power dimension d >= 3.
-    The d = 2 case only admits N = 3.
-    """
-    _validate_combo(d, N, class_tag)  # before the cache, so no hit skips the cap
-    return _volume_cached(d, N, class_tag)
-
-
-def volume_ratio(d: int, N: int, num_tag: str, den_tag: str) -> Fraction:
-    """Exact ratio of two class volumes; the metric prefactor cancels."""
-    num = class_volume(d, N, num_tag)
-    den = class_volume(d, N, den_tag)
-    if den.lambda_volume == 0:
-        raise ValueError(f"class {den_tag!r} has zero volume at d={d}, N={N}")
-    ratio = num.lambda_volume / den.lambda_volume
-    hs_ratio = num.hs_volume / den.hs_volume
-    if not (hs_ratio.is_rational and hs_ratio.as_fraction() == ratio):
-        raise RatioMismatch(f"ratio routes disagree at d={d}, N={N}: {hs_ratio} vs {ratio}")
-    return ratio
-
-
 _RATIO_TAGS = {"cp/p": ("cp", "p"), "g/cp": ("g", "cp"), "eb/g": ("eb", "g")}
 RATIO_NAMES = tuple(_RATIO_TAGS)
 
 
 def ratio_table(d: int, N: int) -> dict[str, Fraction]:
-    """The three nested-class ratios at one (d, N)."""
-    return {name: volume_ratio(d, N, *tags) for name, tags in _RATIO_TAGS.items()}
+    """The three nested-class ratios at one (d, N), each class integrated once.
+
+    The metric prefactor cancels in a ratio, so each ratio is formed both
+    from the eigenvalue-space volumes and from the metric volumes, and the
+    two routes must agree.
+    """
+    vols = {tag: class_volume(d, N, tag) for tag in CLASS_TAGS}
+    table = {}
+    for name, (num_tag, den_tag) in _RATIO_TAGS.items():
+        num, den = vols[num_tag], vols[den_tag]
+        if den.lambda_volume == 0:
+            raise ValueError(f"class {den_tag!r} has zero volume at d={d}, N={N}")
+        ratio = num.lambda_volume / den.lambda_volume
+        hs_ratio = num.hs_volume / den.hs_volume
+        if not (hs_ratio.is_rational and hs_ratio.as_fraction() == ratio):
+            raise RatioMismatch(f"ratio routes disagree at d={d}, N={N}: {hs_ratio} vs {ratio}")
+        table[name] = ratio
+    return table
 
 
 # --------------------------------------------------------------------------

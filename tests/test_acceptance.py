@@ -27,7 +27,6 @@ from pauli_volumes.volume import (
     mc_volume,
     ratio_table,
     supported_n_values,
-    volume_ratio,
 )
 
 
@@ -82,11 +81,10 @@ def test_criterion_3_three_basis_closed_forms():
     start = time.perf_counter()
     for d in (3, 4, 5, 6):
         assert class_volume(d, 3, "p").hs_volume == vp_volume(d, 3)
-        assert volume_ratio(d, 3, "cp", "p") == Fraction(d, 24 * (d - 2))
-        assert volume_ratio(d, 3, "g", "cp") == Fraction(
-            (d * d - 1) * (d - 1) ** 3, d**5
-        )
-        assert volume_ratio(d, 3, "eb", "g") == Fraction(1, d + 1)
+        table = ratio_table(d, 3)
+        assert table["cp/p"] == Fraction(d, 24 * (d - 2))
+        assert table["g/cp"] == Fraction((d * d - 1) * (d - 1) ** 3, d**5)
+        assert table["eb/g"] == Fraction(1, d + 1)
     # at d=3 counting the fourth basis as used or left out is the same thing
     for tag in ("p", "cp", "g", "eb"):
         assert class_volume(3, 3, tag).hs_volume == class_volume(3, 4, tag).hs_volume
@@ -102,7 +100,7 @@ def test_criterion_4_full_family_conjectures():
     beyond = check_conjectures([6], "max")
     assert beyond.all_match
     assert all(e.extrapolated for e in beyond.entries)
-    ratios = [volume_ratio(d, d + 1, "g", "cp") for d in range(2, 9)]
+    ratios = [ratio_table(d, d + 1)["g/cp"] for d in range(2, 9)]
     for a, b in zip(ratios, ratios[1:]):
         assert a < b
     assert all(r < Fraction(36788, 100000) for r in ratios)

@@ -496,7 +496,6 @@ def test_failed_consistency_check_is_exit_one(capsys, monkeypatch):
     def negative(chain):
         raise volume.ChamberInconsistency(chain.label, Fraction(-1))
 
-    volume._volume_cached.cache_clear()
     monkeypatch.setattr(volume, "integrate_chain", negative)
     code, out, err = run_cli(capsys, "volume", "--d", "3", "--class", "g")
     assert (code, out) == (1, "")

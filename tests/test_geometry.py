@@ -14,6 +14,7 @@ from pauli_volumes.geometry import (
     vp_volume,
     weights,
 )
+from pauli_volumes.rationals import decimal_str
 
 rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=50
@@ -58,6 +59,12 @@ def test_rational_interop_and_division():
 def test_as_fraction_refuses_irrational():
     with pytest.raises(ValueError):
         SurdValue(Fraction(1), 2).as_fraction()
+
+
+def test_rational_decimal_is_rounded_once():
+    # rounding to 30 digits first would carry the ...9149999... tail up to ...92
+    q = Fraction(1234567890123456789149999999999, 10**31)
+    assert SurdValue(q).decimal() == decimal_str(q) == "0.12345678901234567891"
 
 
 @given(a=surds, b=surds)

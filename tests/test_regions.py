@@ -1,6 +1,8 @@
 """Chamber decompositions: construction, well-formedness, membership."""
 
 import ast
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -208,3 +210,22 @@ def test_no_module_reads_the_environment():
             else:
                 continue
             assert not found, f"{path.name}:{node.lineno} reads the environment"
+
+
+def test_package_root_exports_what_callers_import():
+    """The README's library example and the benchmark harness import these
+    six names from the root; every other name comes from its submodule."""
+    assert sorted(pauli_volumes.__all__) == sorted([
+        "ChannelSpec", "check_conjectures", "class_volume", "is_cp", "mc_volume",
+        "supported_n_values", "__version__",
+    ])
+
+
+def test_package_root_does_not_load_mub():
+    src = Path(pauli_volumes.__file__).parents[1]
+    probe = "import sys, pauli_volumes; print('pauli_volumes.mub' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={"PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "False\n"

@@ -13,6 +13,7 @@ from pauli_volumes.geometry import SurdValue, vp_volume
 from pauli_volumes.regions import AffineExpr, BoundChain, chambers
 from pauli_volumes.volume import (
     ChamberInconsistency,
+    N_MODES,
     McEstimate,
     check_conjectures,
     class_volume,
@@ -22,7 +23,6 @@ from pauli_volumes.volume import (
     ratio_table,
     region_for,
     supported_n_values,
-    volume_ratio,
 )
 
 
@@ -251,8 +251,9 @@ def test_dimension_cap_is_fixed():
 def test_volume_ratio_cross_route():
     # irrational prefactors cancel: the ratio route through metric volumes
     # must agree with the plain eigenvalue-volume ratio
-    assert volume_ratio(4, 3, "cp", "p") == Fraction(1, 12)
-    assert volume_ratio(4, 3, "eb", "g") == Fraction(1, 5)
+    table = ratio_table(4, 3)
+    assert table["cp/p"] == Fraction(1, 12)
+    assert table["eb/g"] == Fraction(1, 5)
 
 
 # --------------------------------------------------------------------------
@@ -276,11 +277,13 @@ def test_conjectures_extrapolated_dimension():
     assert forms["cp/p"].as_fraction() == Fraction(1, 840)
 
 
-def test_conjectures_up_to_the_cap():
-    report = check_conjectures(range(9, 13), "max")
+@pytest.mark.parametrize("n_mode", N_MODES)
+def test_conjectures_up_to_the_cap(n_mode):
+    report = check_conjectures(range(9, 13), n_mode)
     assert report.all_match
-    assert len(report.entries) == 12
-    assert all(e.extrapolated for e in report.entries)
+    # the "3" mode also checks the box volume at each d
+    assert len(report.entries) == (16 if n_mode == "3" else 12)
+    assert all(e.extrapolated == (n_mode != "3") for e in report.entries)
 
 
 def test_conjectures_beyond_default_cap(monkeypatch):
@@ -289,7 +292,7 @@ def test_conjectures_beyond_default_cap(monkeypatch):
     assert report.all_match
     assert len(report.entries) == 3
     monkeypatch.undo()
-    # the d = 13 volume is cached now; the cap is checked before the cache
+    # with the cap restored, d = 13 is refused again
     with pytest.raises(ValueError, match="cap 12"):
         class_volume(13, 14, "cp")
 
