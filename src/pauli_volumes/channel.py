@@ -28,7 +28,11 @@ Class membership, writing S = sum_{alpha<=N} lambda_alpha + (d+1-N) lambda_{N+1}
   is what :func:`is_positive_necessary` tests. The volume region ``p``
   (:func:`..regions.p_box`) bounds every eigenvalue coordinate, so for
   N <= d it bounds lambda_{N+1} too.
-* time-local generator reachable (G): every eigenvalue >= 0.
+* generator achievable (G): CP with every eigenvalue >= 0. These are the
+  channels a legitimate time-local generator can reach, whose rates may
+  turn negative on the way; non-negative rates reach only a smaller set.
+  The qubit point lambda = (1/2, 1/2, 1/10) is in G, but its integrated
+  rates are about (0.58, 0.58, -0.23).
 * entanglement breaking, necessary condition (EB): S <= 1; known sufficient
   when N is d or d+1 and all eigenvalues are non-negative.
 """
@@ -93,19 +97,6 @@ class ChannelSpec:
         return sum(self.body, Fraction(0)) + (self.d + 1 - self.N) * self.lam_rest
 
 
-@dataclass(frozen=True)
-class EbCheck:
-    """Result of the entanglement-breaking test.
-
-    ``holds`` is the necessary condition; ``known_sufficient`` records
-    whether that condition is also sufficient for this channel (N in
-    {d, d+1} with all eigenvalues non-negative).
-    """
-
-    holds: bool
-    known_sufficient: bool
-
-
 def mixing_weights(c: ChannelSpec) -> tuple[Fraction, ...]:
     """Exact mixing weights (p_0, ..., p_{N+1}), summing to one; negative for non-CP input."""
     rest = c.lam_rest
@@ -144,13 +135,18 @@ def min_output_overlap(c: ChannelSpec) -> Fraction:
 
 
 def is_generator_achievable(c: ChannelSpec) -> bool:
-    """True when every eigenvalue is non-negative (reachable by a time-local
-    generator with non-negative rates, given complete positivity)."""
+    """True when every eigenvalue is non-negative: given complete positivity,
+    the channel is reachable by a legitimate time-local generator, whose
+    rates may turn negative on the way."""
     return all(lam >= 0 for lam in c.lambdas)
 
 
-def is_eb_necessary(c: ChannelSpec) -> EbCheck:
-    """Entanglement-breaking test; see :class:`EbCheck` for the flag semantics."""
-    holds = c.eigenvalue_sum() <= 1
-    sufficient = c.N in (c.d, c.d + 1) and all(lam >= 0 for lam in c.lambdas)
-    return EbCheck(holds=holds, known_sufficient=sufficient)
+def is_eb_necessary(c: ChannelSpec) -> bool:
+    """Necessary entanglement-breaking condition: S <= 1."""
+    return c.eigenvalue_sum() <= 1
+
+
+def eb_known_sufficient(c: ChannelSpec) -> bool:
+    """Whether S <= 1 is known to be sufficient too: N in {d, d+1} and
+    every eigenvalue non-negative."""
+    return c.N in (c.d, c.d + 1) and all(lam >= 0 for lam in c.lambdas)

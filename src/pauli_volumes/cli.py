@@ -13,8 +13,9 @@ Subcommands:
 Exit codes: 0 on success, 1 when a verification fails (conjecture
 mismatch, Monte Carlo off by more than three standard errors, basis check
 failing its tolerance, inconsistent chamber or ratio), 2 on bad usage,
-unsupported parameters or an --out file that cannot be written. main is
-the one place that renders output, writes it and maps errors to exit codes.
+unsupported parameters or an --out file that cannot be written. Only this
+module shapes output: each subcommand builds its document from exact values,
+and main renders it, writes it and maps errors to exit codes.
 
 Output is JSON by default; ratios, volume, mc and check-conjectures also
 take --format csv with fixed headers. Rationals are printed as "p/q"
@@ -34,14 +35,16 @@ from pathlib import Path
 
 from .channel import (
     ChannelSpec,
+    eb_known_sufficient,
     is_cp,
     is_eb_necessary,
     is_generator_achievable,
     is_positive_necessary,
     min_output_overlap,
 )
+from .geometry import SurdValue
 from .mub import DEFAULT_TOL, build_weyl_mubs, verify_unbiased
-from .rationals import decimal_str, digit_limit, parse_rational, rational_str
+from .rationals import decimal_str, digit_limit, parse_rational, rational_str, surd_decimal_str
 from .regions import CLASS_TAGS
 from .volume import (
     N_MODES,
@@ -109,6 +112,14 @@ def _ratio_csv(rows) -> _CsvTable:
     ]
 
 
+def _surd(key: str, v: SurdValue) -> dict:
+    """The two JSON fields of an exact surd: {"coeff", "radicand"} and its decimal."""
+    return {
+        key: {"coeff": rational_str(v.coeff), "radicand": v.radicand},
+        f"{key}_decimal": surd_decimal_str(v.coeff, v.radicand),
+    }
+
+
 # --------------------------------------------------------------------------
 # subcommand implementations; main renders and writes what they return
 # --------------------------------------------------------------------------
@@ -139,8 +150,22 @@ def _cmd_volume(args) -> _Result:
     d, N = _one_dimension(args)
     result = class_volume(d, N, args.class_tag)
     lam = result.lambda_volume
-    row = [d, N, args.class_tag, lam.numerator, lam.denominator, result.hs_volume.decimal()]
-    return 0, result.to_json_dict(), (_RATIO_CSV_HEADER, [row])
+    doc = {
+        "class": args.class_tag,
+        "d": d,
+        "N": N,
+        "chains": [
+            {"label": label, "volume": rational_str(vol)}
+            for label, vol in zip(result.chain_labels, result.chain_volumes)
+        ],
+        "symmetry_factor": result.symmetry_factor,
+        "lambda_volume": rational_str(lam),
+        "lambda_volume_decimal": decimal_str(lam),
+        **_surd("hs_volume", result.hs_volume),
+        "sufficiency": result.sufficiency,
+    }
+    row = [d, N, args.class_tag, lam.numerator, lam.denominator, doc["hs_volume_decimal"]]
+    return 0, doc, (_RATIO_CSV_HEADER, [row])
 
 
 def _rational_from_json(value) -> Fraction:
@@ -183,7 +208,6 @@ def _printable(name: str, q: Fraction) -> str:
 def _cmd_classify(args) -> _Result:
     d, N = _one_dimension(args)
     spec = ChannelSpec.make(d, N, _parse_lambdas(args.lambdas))
-    eb = is_eb_necessary(spec)
     doc = {
         "d": d,
         "N": N,
@@ -191,8 +215,8 @@ def _cmd_classify(args) -> _Result:
         "positive_necessary": is_positive_necessary(spec),
         "cp": is_cp(spec),
         "generator_achievable": is_generator_achievable(spec),
-        "eb_necessary": eb.holds,
-        "eb_known_sufficient": eb.known_sufficient,
+        "eb_necessary": is_eb_necessary(spec),
+        "eb_known_sufficient": eb_known_sufficient(spec),
         "min_output_overlap": _printable("min_output_overlap", min_output_overlap(spec)),
         "eigenvalue_sum": _printable("eigenvalue_sum", spec.eigenvalue_sum()),
     }
@@ -203,7 +227,7 @@ def _cmd_mc(args) -> _Result:
     d, N = _one_dimension(args)
     est = mc_volume(d, N, args.class_tag, args.samples, args.seed)
     exact = class_volume(d, N, args.class_tag).hs_volume
-    exact_float, exact_decimal = float(exact), exact.decimal()
+    exact_float = float(exact)
     if est.stderr > 0.0:
         sigma = abs(est.estimate - exact_float) / est.stderr
     else:
@@ -218,15 +242,15 @@ def _cmd_mc(args) -> _Result:
         "hits": est.hits,
         "estimate": est.estimate,
         "stderr": est.stderr,
-        "exact": exact.to_json_dict(),
-        "exact_decimal": exact_decimal,
+        **_surd("exact", exact),
         # no hits: stderr is 0 and sigma infinite, which JSON cannot encode
         "sigma": None if sigma == float("inf") else sigma,
         "within_3_sigma": ok,
     }
     header = ["d", "N", "class", "estimate", "stderr", "exact_decimal", "sigma"]
     row = [
-        d, N, args.class_tag, repr(est.estimate), repr(est.stderr), exact_decimal, repr(sigma)
+        d, N, args.class_tag, repr(est.estimate), repr(est.stderr),
+        doc["exact_decimal"], repr(sigma),
     ]
     return (0 if ok else 1), doc, (header, [row])
 
@@ -239,7 +263,22 @@ def _cmd_check_conjectures(args) -> _Result:
         for e in report.entries
         if e.name in RATIO_NAMES
     ]
-    return (0 if report.all_match else 1), report.to_json_dict(), _ratio_csv(rows)
+    doc = {
+        "all_match": report.all_match,
+        "entries": [
+            {
+                "d": e.d,
+                "N": e.N,
+                "ratio": e.name,
+                **_surd("computed", e.computed),
+                **_surd("formula", e.formula),
+                "match": e.match,
+                "extrapolated": e.extrapolated,
+            }
+            for e in report.entries
+        ],
+    }
+    return (0 if report.all_match else 1), doc, _ratio_csv(rows)
 
 
 def _affine_json(expr) -> dict:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
-from .rationals import rational_str, surd_decimal_str
+from .rationals import rational_str
 
 
 def _square_free_split(n: int) -> tuple[int, int]:
@@ -104,12 +104,6 @@ class SurdValue:
         if self.is_rational:
             return rational_str(self.coeff)
         return f"{rational_str(self.coeff)}*sqrt({self.radicand})"
-
-    def decimal(self) -> str:
-        return surd_decimal_str(self.coeff, self.radicand)
-
-    def to_json_dict(self) -> dict:
-        return {"coeff": rational_str(self.coeff), "radicand": self.radicand}
 
 
 def weights(d: int, N: int) -> tuple[int, ...]:

@@ -186,25 +186,6 @@ class VolumeResult:
     hs_volume: SurdValue
     sufficiency: str
 
-    def to_json_dict(self) -> dict:
-        from .rationals import decimal_str, rational_str
-
-        return {
-            "class": self.class_tag,
-            "d": self.d,
-            "N": self.N,
-            "chains": [
-                {"label": lab, "volume": rational_str(vol)}
-                for lab, vol in zip(self.chain_labels, self.chain_volumes)
-            ],
-            "symmetry_factor": self.symmetry_factor,
-            "lambda_volume": rational_str(self.lambda_volume),
-            "lambda_volume_decimal": decimal_str(self.lambda_volume),
-            "hs_volume": self.hs_volume.to_json_dict(),
-            "hs_volume_decimal": self.hs_volume.decimal(),
-            "sufficiency": self.sufficiency,
-        }
-
 
 _N_FOR_MODE = {"max": lambda d: d + 1, "d": lambda d: d, "3": lambda d: 3}
 N_MODES = tuple(_N_FOR_MODE)
@@ -289,13 +270,18 @@ RATIO_NAMES = tuple(_RATIO_TAGS)
 
 
 def ratio_table(d: int, N: int) -> dict[str, Fraction]:
-    """The three nested-class ratios at one (d, N), each class integrated once.
+    """The three nested-class ratios at one (d, N), each class integrated once."""
+    return _ratios({tag: class_volume(d, N, tag) for tag in CLASS_TAGS})
+
+
+def _ratios(vols: dict[str, VolumeResult]) -> dict[str, Fraction]:
+    """The three ratios of the class volumes at one (d, N).
 
     The metric prefactor cancels in a ratio, so each ratio is formed both
     from the eigenvalue-space volumes and from the metric volumes, and the
     two routes must agree.
     """
-    vols = {tag: class_volume(d, N, tag) for tag in CLASS_TAGS}
+    d, N = vols["p"].d, vols["p"].N
     table = {}
     for name, (num_tag, den_tag) in _RATIO_TAGS.items():
         num, den = vols[num_tag], vols[den_tag]
@@ -327,19 +313,6 @@ class ConjectureEntry:
     def match(self) -> bool:
         return self.computed == self.formula
 
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "N": self.N,
-            "ratio": self.name,
-            "computed": self.computed.to_json_dict(),
-            "computed_decimal": self.computed.decimal(),
-            "formula": self.formula.to_json_dict(),
-            "formula_decimal": self.formula.decimal(),
-            "match": self.match,
-            "extrapolated": self.extrapolated,
-        }
-
 
 @dataclass(frozen=True)
 class ConjectureReport:
@@ -348,12 +321,6 @@ class ConjectureReport:
     @property
     def all_match(self) -> bool:
         return all(e.match for e in self.entries)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "all_match": self.all_match,
-            "entries": [e.to_json_dict() for e in self.entries],
-        }
 
 
 # dimensions whose nested-class ratios have been confirmed independently
@@ -401,11 +368,13 @@ def check_conjectures(d_values: Iterable[int], n_mode: str = "max") -> Conjectur
     entries: list[ConjectureEntry] = []
     for d in d_values:
         N = n_for_mode(d, n_mode)
-        computed = ratio_table(d, N)  # validates (d, N) before the closed forms divide by d
+        # class_volume validates (d, N) before the closed forms divide by d
+        vols = {tag: class_volume(d, N, tag) for tag in CLASS_TAGS}
+        computed = _ratios(vols)
         forms = closed_form_ratios(d, N)
         extrapolated = n_mode in ("max", "d") and d not in _CONFIRMED_FULL_D
         if n_mode == "3" and d >= 3:
-            box = class_volume(d, N, "p").hs_volume
+            box = vols["p"].hs_volume
             entries.append(ConjectureEntry(d, N, "p", box, vp_volume(d, N), extrapolated))
         for name in RATIO_NAMES:
             exact = SurdValue(computed[name])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from pauli_volumes.channel import (
     ChannelSpec,
+    eb_known_sufficient,
     is_cp,
     is_eb_necessary,
     is_generator_achievable,
@@ -152,16 +153,15 @@ def test_generator_achievable_and_eb():
     # the left-out eigenvalue counts
     assert not is_generator_achievable(_spec(3, 3, [0, 0, 0, Fraction(-1, 10)]))
 
-    eb = is_eb_necessary(_spec(2, 3, [Fraction(1, 4)] * 3))
-    assert eb.holds and eb.known_sufficient
-    eb = is_eb_necessary(_spec(2, 3, [1, 1, 1]))
-    assert not eb.holds
+    c = _spec(2, 3, [Fraction(1, 4)] * 3)
+    assert is_eb_necessary(c) and eb_known_sufficient(c)
+    assert not is_eb_necessary(_spec(2, 3, [1, 1, 1]))
     # sum test alone is not known to decide it with several bases left out
-    eb = is_eb_necessary(_spec(5, 3, [Fraction(1, 10)] * 4))
-    assert eb.holds and not eb.known_sufficient
+    c = _spec(5, 3, [Fraction(1, 10)] * 4)
+    assert is_eb_necessary(c) and not eb_known_sufficient(c)
     # negative eigenvalues also void the sufficiency guarantee
-    eb = is_eb_necessary(_spec(2, 3, [Fraction(-1, 10), 0, 0]))
-    assert eb.holds and not eb.known_sufficient
+    c = _spec(2, 3, [Fraction(-1, 10), 0, 0])
+    assert is_eb_necessary(c) and not eb_known_sufficient(c)
 
 
 def test_eigenvalue_sum_weights_left_out_directions():

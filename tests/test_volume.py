@@ -306,6 +306,20 @@ def test_conjectures_three_basis_mode():
     assert p_entries[1].computed == SurdValue(Fraction(1, 9), 2)
 
 
+def test_conjectures_integrate_the_box_once_per_dimension(monkeypatch):
+    box_chains = []
+    true_integrate = volume.integrate_chain
+
+    def counted(chain):
+        if chain.label == "p-box":
+            box_chains.append(chain)
+        return true_integrate(chain)
+
+    monkeypatch.setattr(volume, "integrate_chain", counted)
+    assert check_conjectures([4, 5, 6], "3").all_match
+    assert len(box_chains) == 3
+
+
 def test_conjectures_all_but_one_mode():
     assert check_conjectures([3, 4, 5], "d").all_match
 
