@@ -43,7 +43,6 @@ from .channel import (
     min_output_overlap,
 )
 from .geometry import SurdValue
-from .mub import DEFAULT_TOL, build_weyl_mubs, verify_unbiased
 from .rationals import decimal_str, digit_limit, parse_rational, rational_str, surd_decimal_str
 from .regions import CLASS_TAGS
 from .volume import (
@@ -321,7 +320,11 @@ def _cmd_mub_verify(args) -> _Result:
     d, _ = _one_dimension(args)
     if d > _MUB_MAX_D:
         raise ValueError(f"mub-verify supports d <= {_MUB_MAX_D} (got {d})")
-    report = verify_unbiased(build_weyl_mubs(d), tol=args.tol)
+    # imported here: mub loads numpy, which no exact subcommand needs
+    from .mub import DEFAULT_TOL, build_weyl_mubs, verify_unbiased
+
+    tol = DEFAULT_TOL if args.tol is None else args.tol
+    report = verify_unbiased(build_weyl_mubs(d), tol=tol)
     doc = {
         "d": report.d,
         "n_bases": report.n_bases,
@@ -404,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("mub-verify", help="check the basis construction numerically")
     sp.add_argument("--d", required=True, help="a prime dimension")
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sp.add_argument("--tol", type=float)  # default: mub.DEFAULT_TOL
     sp.add_argument("--out", help="write output to this file instead of stdout")
     # the family has all d+1 bases, so _one_dimension reads N = d+1
     sp.set_defaults(func=_cmd_mub_verify, n_mode="max")

@@ -16,7 +16,8 @@ The Monte Carlo route samples the necessary-positivity box uniformly and
 counts membership with float predicates. It exists to cross-check the
 exact numbers, so it deliberately shares nothing with the chain
 integration: the predicates are the defining inequalities of each class,
-not the chamber decompositions.
+not the chamber decompositions. It is the only route that needs numpy,
+and its functions import it themselves, so exact callers never load it.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm, sqrt
 from typing import Iterable, NamedTuple
-
-import numpy as np
 
 from .geometry import SurdValue, volume_prefactor, vp_volume, weights
 from .regions import CLASS_TAGS, BoundChain, ChamberSet, chambers, p_box
@@ -394,10 +393,12 @@ class McEstimate(NamedTuple):
     samples: int
 
 
-def _class_mask(pts: np.ndarray, d: int, N: int, class_tag: str) -> np.ndarray:
-    """Defining inequalities of each class, vectorized over rows of raw
-    eigenvalue samples (all used-basis coordinates, plus the left-out one
-    when N <= d)."""
+def _class_mask(pts, d: int, N: int, class_tag: str):
+    """Defining inequalities of each class, vectorized over the rows of a
+    float array of raw eigenvalue samples (all used-basis coordinates, plus
+    the left-out one when N <= d); returns one bool per row."""
+    import numpy as np
+
     if class_tag == "p":
         lo = -1.0 / (d - 1)
         return np.all((pts >= lo) & (pts <= 1.0), axis=1)
@@ -441,6 +442,8 @@ def mc_volume(
 
 def _mc_hits(d: int, N: int, class_tag: str, samples: int, seed: int) -> int:
     """How many of the first ``samples`` box draws of stream ``seed`` lie in the class."""
+    import numpy as np
+
     n_coords = len(weights(d, N))
     lo = -1.0 / (d - 1)
     span = 1.0 - lo

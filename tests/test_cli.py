@@ -374,7 +374,7 @@ def test_mub_verify_accepts_the_largest_supported_dimension(capsys, monkeypatch)
         built.append(d)
         return build_weyl_mubs(3)
 
-    monkeypatch.setattr("pauli_volumes.cli.build_weyl_mubs", small_family)
+    monkeypatch.setattr("pauli_volumes.mub.build_weyl_mubs", small_family)
     assert run_cli(capsys, "mub-verify", "--d", "101")[0] == 0
     assert run_cli(capsys, "mub-verify", "--d", "102")[0] == 2
     assert built == [101]

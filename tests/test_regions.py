@@ -1,6 +1,7 @@
 """Chamber decompositions: construction, well-formedness, membership."""
 
 import ast
+import json
 import subprocess
 import sys
 from fractions import Fraction
@@ -181,21 +182,50 @@ def test_chambers_agree_with_defining_inequalities(d, N):
         assert counts[ok].max(initial=0) <= 1  # chambers are disjoint
 
 
-@pytest.mark.parametrize("module", ["regions", "geometry", "rationals", "channel"])
-def test_exact_modules_do_not_import_numpy(module):
-    """Chains, surds, rationals and channel predicates are exact data: no float
-    library in them, and no import of the package modules that load one."""
-    source = Path(pauli_volumes.__file__).with_name(f"{module}.py").read_text()
-    for node in ast.walk(ast.parse(source)):
+def _banned_imports(nodes, package_banned):
+    """The names among ``nodes`` that import numpy, or one of the package's
+    own modules in ``package_banned``."""
+    found = set()
+    for node in nodes:
         if isinstance(node, ast.Import):
             names, banned = [alias.name for alias in node.names], {"numpy"}
         elif isinstance(node, ast.ImportFrom):
             names = [node.module] if node.module else [alias.name for alias in node.names]
-            banned = {"mub", "volume"} if node.level else {"numpy"}
+            banned = package_banned if node.level else {"numpy"}
         else:
             continue
-        found = banned & {name.split(".")[0] for name in names}
-        assert not found, f"{module}.py imports {sorted(found)}, which loads numpy"
+        found |= banned & {name.split(".")[0] for name in names}
+    return found
+
+
+def _module_tree(module):
+    return ast.parse(Path(pauli_volumes.__file__).with_name(f"{module}.py").read_text())
+
+
+@pytest.mark.parametrize("module", ["regions", "geometry", "rationals", "channel"])
+def test_exact_modules_do_not_import_numpy(module):
+    """Chains, surds, rationals and channel predicates are exact data: no float
+    library in them, and no import of the package modules that load one."""
+    found = _banned_imports(ast.walk(_module_tree(module)), {"mub", "volume"})
+    assert not found, f"{module}.py imports {sorted(found)}, which loads numpy"
+
+
+def _import_time_nodes(tree):
+    """Every node that runs when the module is imported: all but function bodies."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+            todo.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("module", ["volume", "cli"])
+def test_float_routes_import_numpy_only_when_called(module):
+    """volume.py (for mc_volume) and cli.py (for mub-verify) reach numpy, but
+    only from inside the functions that use it."""
+    found = _banned_imports(_import_time_nodes(_module_tree(module)), {"mub"})
+    assert not found, f"{module}.py imports {sorted(found)} at import time"
 
 
 def test_no_module_reads_the_environment():
@@ -221,11 +251,43 @@ def test_package_root_exports_what_callers_import():
     ])
 
 
-def test_package_root_does_not_load_mub():
+_EXACT_ARGVS = [
+    ["classify", "--d", "3", "--lambdas=1/2,0,-1/4,0"],
+    ["volume", "--d", "3", "--class", "cp"],
+    ["ratios", "--d", "2..4"],
+    ["check-conjectures", "--d", "2..4"],
+    ["dump-regions", "--d", "3", "--class", "g"],
+    ["--help"],
+]
+
+# prints, after the imports and after each call, its exit code and which of
+# numpy and pauli_volumes.mub are loaded
+_PROBE = """
+import contextlib, io, json, sys
+import pauli_volumes
+from pauli_volumes import cli
+
+def loaded():
+    return [m for m in ("numpy", "pauli_volumes.mub") if m in sys.modules]
+
+print(json.dumps([None, loaded()]))
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    print(json.dumps([code, loaded()]))
+"""
+
+
+def test_exact_subcommands_leave_numpy_unloaded():
+    """A fresh process that imports the package and runs every exact
+    subcommand never loads numpy or mub; the mc call at the end does load
+    numpy, which shows the probe can see it."""
     src = Path(pauli_volumes.__file__).parents[1]
-    probe = "import sys, pauli_volumes; print('pauli_volumes.mub' in sys.modules)"
+    argvs = _EXACT_ARGVS + [["mc", "--d", "3", "--class", "eb", "--samples", "10000"]]
     out = subprocess.run(
-        [sys.executable, "-c", probe], env={"PYTHONPATH": str(src)},
+        [sys.executable, "-c", _PROBE, json.dumps(argvs)], env={"PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True,
     ).stdout
-    assert out == "False\n"
+    steps = [json.loads(line) for line in out.splitlines()]
+    assert steps[: len(_EXACT_ARGVS) + 1] == [[None, []]] + [[0, []]] * len(_EXACT_ARGVS)
+    assert steps[-1][0] == 0 and "numpy" in steps[-1][1]
