@@ -43,6 +43,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from .geometry import check_dims
+
 
 @dataclass(frozen=True)
 class ChannelSpec:
@@ -58,10 +60,7 @@ class ChannelSpec:
     lambdas: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or self.d < 2:
-            raise ValueError(f"d must be an integer >= 2 (got {self.d})")
-        if not 3 <= self.N <= self.d + 1:
-            raise ValueError(f"N must satisfy 3 <= N <= d+1 (got N={self.N}, d={self.d})")
+        check_dims(self.d, self.N)
         if any(isinstance(x, float) for x in self.lambdas):
             raise TypeError(
                 "floating-point eigenvalues are rejected; pass Fraction, int, or 'p/q'"

@@ -190,8 +190,6 @@ def _parse_lambdas(text: str) -> list[Fraction]:
             raise ValueError(f"bad JSON array: {exc}")
         except ValueError:  # the only other one: an integer too long to convert
             raise ValueError(f"a JSON integer has over {digit_limit()} digits") from None
-        if not isinstance(data, list):
-            raise ValueError("expected a JSON array of eigenvalues")
         return [_rational_from_json(v) for v in data]
     return [parse_rational(tok) for tok in text.split(",")]
 

@@ -51,10 +51,10 @@ class SurdValue:
     radicand: int = 1
 
     def __post_init__(self) -> None:
-        if isinstance(self.coeff, float):
-            raise TypeError("floating-point coefficient rejected")
+        if isinstance(self.coeff, float) or not isinstance(self.radicand, int):
+            raise TypeError("floating-point coefficient or non-integer radicand rejected")
         coeff = Fraction(self.coeff)
-        s, r = _square_free_split(int(self.radicand))
+        s, r = _square_free_split(self.radicand)
         coeff *= s
         if r == 0 or coeff == 0:
             coeff, r = Fraction(0), 1
@@ -106,14 +106,21 @@ class SurdValue:
         return f"{rational_str(self.coeff)}*sqrt({self.radicand})"
 
 
+def check_dims(d: int, N: int) -> None:
+    """The one rule on (d, N): d an integer >= 2, N an integer in [3, d+1].
+
+    O(1) at any d, so callers that take any d can check before they build."""
+    if not isinstance(d, int) or d < 2:
+        raise ValueError(f"d must be an integer >= 2 (got {d})")
+    if not isinstance(N, int) or not 3 <= N <= d + 1:
+        raise ValueError(f"N must be an integer with 3 <= N <= d+1 (got N={N}, d={d})")
+
+
 def weights(d: int, N: int) -> tuple[int, ...]:
     """Per-coordinate weights of eigenvalue space: 1 for each used-basis
     eigenvalue and d+1-N for the left-out one, which is pinned to zero and
     dropped when N = d+1. The weights total d+1."""
-    if not isinstance(d, int) or d < 2:
-        raise ValueError(f"d must be an integer >= 2 (got {d})")
-    if not 3 <= N <= d + 1:
-        raise ValueError(f"N must satisfy 3 <= N <= d+1 (got N={N}, d={d})")
+    check_dims(d, N)
     return (1,) * (d + 1) if N == d + 1 else (1,) * N + (d + 1 - N,)
 
 
@@ -134,7 +141,7 @@ def vp_volume(d: int, N: int) -> SurdValue:
     N = d+1; both are the box side d/(d-1) per coordinate times the metric
     prefactor, reduced.
     """
-    weights(d, N)  # validates (d, N); the closed form below does not use them
+    check_dims(d, N)
     if N == d + 1:
         return SurdValue.sqrt(Fraction(1, (d - 1) ** (d + 1)))
     return SurdValue.sqrt(Fraction(d + 1 - N, (d - 1) ** (N + 1)))

@@ -26,7 +26,6 @@ never depend on these matrices.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,6 @@ import numpy as np
 from .channel import ChannelSpec, mixing_weights
 
 DEFAULT_TOL = 1e-10
-_HERMITICITY_TOL = 1e-8
 
 
 def _is_prime(n: int) -> bool:
@@ -189,18 +187,11 @@ def verify_unbiased(m: MubSet, tol: float = DEFAULT_TOL) -> MubReport:
     )
 
 
-def apply(
-    c: ChannelSpec,
-    m: MubSet,
-    rho: np.ndarray,
-    *,
-    validate: bool = True,
-) -> np.ndarray:
-    """Apply the channel to a matrix, using the first N bases of ``m``.
+def apply(c: ChannelSpec, m: MubSet, rho: np.ndarray) -> np.ndarray:
+    """Apply the channel to any d x d matrix, using the first N bases of ``m``.
 
-    With ``validate`` on (the default), non-Hermitian or non-unit-trace input
-    draws a warning; operator arguments such as basis unitaries are legal,
-    pass ``validate=False`` for them.
+    The map is linear, so operators such as basis unitaries are as legal as
+    density matrices.
     """
     d, n = c.d, c.N
     if m.d != d:
@@ -210,11 +201,6 @@ def apply(
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d, d):
         raise ValueError(f"state shape {rho.shape} != ({d}, {d})")
-    if validate:
-        if not np.allclose(rho, rho.conj().T, atol=_HERMITICITY_TOL):
-            warnings.warn("input matrix is not Hermitian", stacklevel=2)
-        if abs(np.trace(rho) - 1.0) > _HERMITICITY_TOL:
-            warnings.warn("input matrix does not have unit trace", stacklevel=2)
 
     p = np.array([float(w) for w in mixing_weights(c)])
     out = p[n + 1] * rho + p[0] * np.trace(rho) / d * np.eye(d)
@@ -232,5 +218,5 @@ def choi_state(c: ChannelSpec, m: MubSet) -> np.ndarray:
         for l in range(d):
             e = np.zeros((d, d), dtype=complex)
             e[k, l] = 1.0
-            rho += np.kron(e, apply(c, m, e, validate=False))
+            rho += np.kron(e, apply(c, m, e))
     return rho / d

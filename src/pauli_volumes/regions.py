@@ -78,8 +78,6 @@ class BoundChain:
                 raise ValueError(
                     f"{self.label}: bound {i} references later variables"
                 )
-        if self.nplus1_slot is not None and not 0 <= self.nplus1_slot < len(self.bounds):
-            raise ValueError(f"{self.label}: slot {self.nplus1_slot} out of range")
 
 
 @dataclass(frozen=True)
@@ -92,16 +90,6 @@ class ChamberSet:
     class_tag: str
     d: int
     N: int
-
-    def __post_init__(self) -> None:
-        if self.class_tag not in CLASS_TAGS:
-            raise ValueError(f"unknown class tag {self.class_tag!r}")
-        if not self.chains:
-            raise ValueError("a chamber set needs at least one chain")
-        if len({len(ch.bounds) for ch in self.chains}) != 1:
-            raise ValueError("all chains must share the variable count")
-        if self.symmetry_factor < 1:
-            raise ValueError("symmetry factor must be >= 1")
 
     @property
     def n_vars(self) -> int:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm, sqrt
 from typing import Iterable, NamedTuple
 
-from .geometry import SurdValue, volume_prefactor, vp_volume, weights
+from .geometry import SurdValue, check_dims, volume_prefactor, vp_volume, weights
 from .regions import CLASS_TAGS, BoundChain, ChamberSet, chambers, p_box
 
 _MC_BLOCK = 1 << 16
@@ -209,14 +209,12 @@ def supported_n_values(d: int) -> tuple[int, ...]:
 def _validate_combo(d: int, N: int, class_tag: str) -> None:
     if class_tag not in CLASS_TAGS:
         raise ValueError(f"unknown class tag {class_tag!r}; expected one of {CLASS_TAGS}")
-    if not isinstance(d, int) or d < 2:
-        raise ValueError(f"d must be an integer >= 2 (got {d})")
+    check_dims(d, N)
     if d > _MAX_D:
         raise ValueError(f"d={d} exceeds the exact-volume cap {_MAX_D}")
     if N not in supported_n_values(d):
         raise ValueError(
-            f"no exact volume for d={d}, N={N}; supported N at this d: "
-            f"{supported_n_values(d) or 'none'}"
+            f"no exact volume for d={d}, N={N}; supported N at this d: {supported_n_values(d)}"
         )
 
 
@@ -411,9 +409,7 @@ def _class_mask(pts, d: int, N: int, class_tag: str):
     nonneg = np.all(pts >= 0.0, axis=1)
     if class_tag == "g":
         return nonneg & (s <= 1.0 + d * pts.min(axis=1))
-    if class_tag == "eb":
-        return nonneg & (s <= 1.0)
-    raise ValueError(f"unknown class tag {class_tag!r}")
+    return nonneg & (s <= 1.0)  # eb
 
 
 def mc_volume(
@@ -427,6 +423,8 @@ def mc_volume(
     float once, so the "p" class reproduces the exact volume bit for bit.
     """
     _validate_combo(d, N, class_tag)
+    if not isinstance(samples, int) or not isinstance(seed, int):
+        raise ValueError(f"samples and seed must be integers (got {samples!r}, {seed!r})")
     if samples < _MC_MIN_SAMPLES:
         raise ValueError(f"need at least {_MC_MIN_SAMPLES} samples (got {samples})")
     if samples > _MC_MAX_SAMPLES:

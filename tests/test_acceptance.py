@@ -221,9 +221,9 @@ def test_criterion_9_basis_construction():
         groups = unitaries_from_bases(m)
         for alpha, group in enumerate(groups[:N]):
             for op in group[1:]:
-                out = apply(spec, m, op, validate=False)
+                out = apply(spec, m, op)
                 assert np.max(np.abs(out - float(spec.lambdas[alpha]) * op)) < 1e-9
         for group in groups[N:]:
             for op in group[1:]:
-                out = apply(spec, m, op, validate=False)
+                out = apply(spec, m, op)
                 assert np.max(np.abs(out - float(spec.lam_rest) * op)) < 1e-9

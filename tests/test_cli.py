@@ -124,6 +124,13 @@ def test_classify_rejects_json_floats(capsys):
     assert "float" in err
 
 
+@pytest.mark.parametrize("lambdas", ["[true]", "[null]", "["])
+def test_classify_rejects_a_bad_json_array(capsys, lambdas):
+    code, out, err = run_cli(capsys, "classify", "--d", "2", f"--lambdas={lambdas}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_classify_rejects_wrong_length(capsys):
     code, _, err = run_cli(capsys, "classify", "--d", "3", "--lambdas", "1,0")
     assert code == 2

@@ -14,7 +14,7 @@ from pauli_volumes.geometry import (
     vp_volume,
     weights,
 )
-from pauli_volumes.rationals import decimal_str, surd_decimal_str
+from pauli_volumes.rationals import decimal_str, parse_rational, surd_decimal_str
 
 rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=50
@@ -31,6 +31,14 @@ def test_square_factors_move_into_the_coefficient():
     assert SurdValue(Fraction(3), 1).is_rational
     assert SurdValue(Fraction(0), 7) == SurdValue(Fraction(0), 1)
     assert SurdValue(Fraction(5), 0) == SurdValue(Fraction(0), 1)
+    # a radicand is never truncated: 2.5 is not sqrt(2), and 8.9 is not 2*sqrt(2)
+    for radicand in (2.5, 8.9):
+        with pytest.raises(TypeError, match="radicand"):
+            SurdValue(Fraction(1), radicand)
+    with pytest.raises(TypeError, match="floating-point"):
+        SurdValue(0.5, 2)
+    with pytest.raises(ValueError, match="non-negative"):
+        SurdValue(Fraction(1), -2)
 
 
 def test_sqrt_constructor():
@@ -54,6 +62,8 @@ def test_rational_interop_and_division():
     w = v / SurdValue(Fraction(1), 2)  # sqrt(5)/sqrt(2) = sqrt(10)/2
     assert (w.coeff, w.radicand) == (Fraction(3, 8), 10)
     assert float(v) == pytest.approx(0.75 * 5**0.5)
+    with pytest.raises(ZeroDivisionError, match="zero surd"):
+        v / SurdValue(Fraction(0), 3)
 
 
 def test_as_fraction_refuses_irrational():
@@ -65,6 +75,14 @@ def test_rational_decimal_is_rounded_once():
     # rounding to 30 digits first would carry the ...9149999... tail up to ...92
     q = Fraction(1234567890123456789149999999999, 10**31)
     assert surd_decimal_str(q, 1) == decimal_str(q) == "0.12345678901234567891"
+    with pytest.raises(ValueError, match="non-negative"):
+        surd_decimal_str(q, -1)
+
+
+def test_parse_rational_rejects_a_float():
+    assert parse_rational(" 3/6 ") == Fraction(1, 2)
+    with pytest.raises(TypeError, match="floating-point"):
+        parse_rational(0.5)
 
 
 @given(a=surds, b=surds)
@@ -98,6 +116,8 @@ def test_coordinate_weights():
         weights(1, 3)
     with pytest.raises(ValueError, match="3 <= N <= d[+]1"):
         weights(4, 6)
+    with pytest.raises(ValueError, match="N must be an integer"):
+        weights(4, 3.5)
 
 
 def test_metric_diagonals():

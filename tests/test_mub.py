@@ -113,3 +113,7 @@ def test_subset_family_keeps_its_own_groups(mub_cache):
 def test_family_requires_at_least_three_bases(mub_cache):
     with pytest.raises(ValueError, match="between 3"):
         MubSet(5, mub_cache(5).bases[:2])
+    with pytest.raises(ValueError, match="dimension must be >= 2"):
+        MubSet(1, (np.eye(1),) * 3)
+    with pytest.raises(ValueError, match="shape"):
+        MubSet(5, mub_cache(5).bases[:3] + (np.eye(4),))

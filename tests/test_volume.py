@@ -234,12 +234,17 @@ def test_supported_combinations_and_validation():
     assert supported_n_values(2) == (3,)
     assert supported_n_values(3) == (3, 4)
     assert supported_n_values(5) == (3, 5, 6)
+    assert supported_n_values(1) == ()
     with pytest.raises(ValueError, match="d must be"):
         class_volume(1, 3, "cp")
     with pytest.raises(ValueError, match="supported N"):
         class_volume(5, 4, "cp")
     with pytest.raises(ValueError, match="class tag"):
         class_volume(3, 4, "x")
+    # a float N is refused even where it equals a supported integer
+    for d, N in ((3, 4.0), (5, 3.0)):
+        with pytest.raises(ValueError, match="N must be an integer"):
+            class_volume(d, N, "cp")
 
 
 def test_dimension_cap_is_fixed():
@@ -376,9 +381,13 @@ def test_mc_input_validation():
         mc_volume(2, 3, "cp", 100)
     with pytest.raises(ValueError, match="class tag"):
         mc_volume(2, 3, "q", 10_000)
-    for seed in (-1, 1 << 64):
+    for seed in (-1, 1 << 64, 1.5):
         with pytest.raises(ValueError, match="seed"):
             mc_volume(2, 3, "cp", 10_000, seed=seed)
+    with pytest.raises(ValueError, match="samples"):
+        mc_volume(3, 4, "cp", 10_000.0)
+    with pytest.raises(ValueError, match="N must be an integer"):
+        mc_volume(5, 3.0, "cp", 10_000)
 
 
 def test_mc_estimate_type():
