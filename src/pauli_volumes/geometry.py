@@ -106,13 +106,18 @@ class SurdValue:
         return f"{rational_str(self.coeff)}*sqrt({self.radicand})"
 
 
+def is_int(x) -> bool:
+    """An int proper: a bool is an int to Python, but never a count here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def check_dims(d: int, N: int) -> None:
     """The one rule on (d, N): d an integer >= 2, N an integer in [3, d+1].
 
     O(1) at any d, so callers that take any d can check before they build."""
-    if not isinstance(d, int) or d < 2:
+    if not is_int(d) or d < 2:
         raise ValueError(f"d must be an integer >= 2 (got {d})")
-    if not isinstance(N, int) or not 3 <= N <= d + 1:
+    if not is_int(N) or not 3 <= N <= d + 1:
         raise ValueError(f"N must be an integer with 3 <= N <= d+1 (got N={N}, d={d})")
 
 

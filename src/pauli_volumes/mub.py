@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSpec, mixing_weights
+from .geometry import is_int
 
 DEFAULT_TOL = 1e-10
 
@@ -107,7 +108,7 @@ def build_weyl_mubs(d: int) -> MubSet:
 
     :raises ValueError: if ``d`` is not a prime >= 2.
     """
-    if not _is_prime(d):
+    if not is_int(d) or not _is_prime(d):
         raise ValueError(f"d must be a prime >= 2 (got {d})")
 
     identity = np.eye(d, dtype=complex)

@@ -112,12 +112,14 @@ def test_coordinate_weights():
     for d in range(2, 9):
         for N in range(3, d + 2):
             assert sum(weights(d, N)) == d + 1
-    with pytest.raises(ValueError, match="d must be an integer >= 2"):
-        weights(1, 3)
+    for d in (1, True):
+        with pytest.raises(ValueError, match="d must be an integer >= 2"):
+            weights(d, 3)
     with pytest.raises(ValueError, match="3 <= N <= d[+]1"):
         weights(4, 6)
-    with pytest.raises(ValueError, match="N must be an integer"):
-        weights(4, 3.5)
+    for N in (3.5, True):
+        with pytest.raises(ValueError, match="N must be an integer"):
+            weights(4, N)
 
 
 def test_metric_diagonals():

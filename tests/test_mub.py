@@ -31,7 +31,7 @@ def test_cross_basis_overlap_is_one_over_d(d, mub_cache):
             np.testing.assert_allclose(gram, 1.0 / d, atol=1e-12)
 
 
-@pytest.mark.parametrize("d", (1, 4, 6, 9))
+@pytest.mark.parametrize("d", (1, 4, 6, 9, 5.0, True))
 def test_non_prime_dimension_rejected(d):
     with pytest.raises(ValueError, match="prime"):
         build_weyl_mubs(d)

@@ -13,7 +13,7 @@ import pytest
 
 import pauli_volumes
 from pauli_volumes.regions import AffineExpr, BoundChain, chambers, p_box
-from pauli_volumes.volume import _class_mask, region_for, supported_n_values
+from pauli_volumes.volume import _class_mask, _row_sum, region_for, supported_n_values
 
 
 def _chain_counts(chains, pts, margin=1e-9):
@@ -181,6 +181,74 @@ def test_chambers_agree_with_defining_inequalities(d, N):
         assert np.array_equal(counts[ok] >= 1, mask[ok])
         assert counts[ok].max(initial=0) <= 1  # chambers are disjoint
 
+
+
+# Dyadic rows on the facets of each class, and just past them, so that every
+# sum below is exact. At d = 3 (lo = -1/2) every coordinate has weight 1.
+_FACET_ROWS_D3 = [
+    (0.25, 0.25, 0.25, 0.25),  # s = 1
+    (0.25, 0.25, 0.25, 0.375),  # s = 9/8
+    (0.0, 0.5, 0.25, 0.25),  # low = 0, s = 1
+    (-0.125, 0.25, 0.25, 0.25),  # s = 1 + d*low = 5/8
+    (-0.125, 0.25, 0.25, 0.375),  # s = 3/4 > 1 + d*low
+    (-0.5, 0.0, 0.0, 0.0),  # a coordinate at lo, s = -1/(d-1) = 1 + d*low
+    (-0.25, -0.25, 0.0, 0.0),  # s = -1/(d-1)
+    (-0.25, -0.25, -0.125, 0.0),  # s = -5/8
+    (1.0, 0.0, 0.0, 0.0),  # a coordinate at 1, s = 1, low = 0
+    (1.0, -0.5, 1.0, -0.5),  # a corner of the box
+    (-0.625, 0.0, 0.0, 0.0),  # past lo
+    (1.125, 0.0, 0.0, 0.0),  # past 1
+]
+# d = 5, N = 3 (lo = -1/4): the last coordinate is the left-out one, weight 3.
+_FACET_ROWS_D5_N3 = [
+    (0.25, 0.25, 0.5, 0.0),  # s = 1, low = 0
+    (0.25, 0.0, 0.0, 0.25),  # s = 1 through the left-out coordinate
+    (0.25, 0.0, 0.125, 0.25),  # s = 9/8
+    (-0.0625, 0.25, 0.3125, 0.0625),  # s = 1 + d*low = 11/16
+    (-0.0625, 0.25, 0.375, 0.0625),  # s = 3/4 > 1 + d*low
+    (-0.25, 0.0, 0.0, 0.0),  # a coordinate at lo, s = -1/(d-1) = 1 + d*low
+    (-0.125, -0.125, 0.0, 0.0),  # s = -1/(d-1)
+    (-0.125, -0.125, -0.125, 0.0),  # s = -3/8
+    (0.0, 0.0, 0.0, -0.125),  # s = -3/8 through the left-out coordinate
+    (1.0, 0.0, 0.0, 0.0),  # a coordinate at 1
+    (1.0, -0.25, 1.0, -0.25),  # a corner of the box
+    (0.0, 0.0, 0.0, 1.125),  # past 1
+    (-0.3125, 0.0, 0.0, 0.0),  # past lo
+]
+
+
+def _class_by_rows(row, d, N, tag):
+    """The defining inequalities of each class, written out for one row."""
+    w = (1,) * (d + 1) if N == d + 1 else (1,) * N + (d + 1 - N,)
+    s = sum(wi * x for wi, x in zip(w, row))
+    low = min(row)
+    if tag == "p":
+        return all(-1 / (d - 1) <= x <= 1 for x in row)
+    if tag == "cp":
+        return -1 / (d - 1) <= s <= 1 + d * low
+    if tag == "g":
+        return low >= 0 and s <= 1 + d * low
+    return low >= 0 and s <= 1
+
+
+@pytest.mark.parametrize(
+    "d,N,rows", [(3, 4, _FACET_ROWS_D3), (3, 3, _FACET_ROWS_D3), (5, 3, _FACET_ROWS_D5_N3)]
+)
+@pytest.mark.parametrize("tag", ["p", "cp", "g", "eb"])
+def test_class_mask_on_facets(d, N, rows, tag):
+    """Rows exactly on each facet count as inside (the inequalities are
+    closed) and rows just past one count as outside."""
+    expected = [_class_by_rows(row, d, N, tag) for row in rows]
+    assert True in expected and False in expected
+    assert _class_mask(np.array(rows), d, N, tag).tolist() == expected
+
+
+@pytest.mark.parametrize("n", range(3, 14))
+def test_row_sum_matches_numpy_bitwise(n):
+    """The column-wise sum inside _class_mask keeps numpy's row-sum order,
+    so the mask compares the same floats as pts.sum(axis=1) would."""
+    pts = np.random.default_rng(n).random((4096, n)) * 1.5 - 0.5
+    assert np.array_equal(_row_sum(pts.T), pts.sum(axis=1))
 
 def _banned_imports(nodes, package_banned):
     """The names among ``nodes`` that import numpy, or one of the package's

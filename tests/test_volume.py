@@ -235,6 +235,9 @@ def test_supported_combinations_and_validation():
     assert supported_n_values(3) == (3, 4)
     assert supported_n_values(5) == (3, 5, 6)
     assert supported_n_values(1) == ()
+    for d in (4.0, True):
+        with pytest.raises(ValueError, match="d must be an integer"):
+            supported_n_values(d)
     with pytest.raises(ValueError, match="d must be"):
         class_volume(1, 3, "cp")
     with pytest.raises(ValueError, match="supported N"):
@@ -362,6 +365,25 @@ def test_mc_is_deterministic_and_blockwise_stable():
     assert mc_volume(4, 5, "cp", 100_000, seed=3).hits == 3362
 
 
+# Hits of mc_volume(d, N, tag, samples, seed=11): the sampler's draws and
+# predicates fix them, so a faster sampler must reproduce every one. 70,001
+# samples ends mid-block and mid-chunk.
+_MC_HITS_SEED_11 = {
+    (2, 3, 70_001): {"p": 70_001, "cp": 23_366, "g": 4_457, "eb": 1_449},
+    (4, 3, 70_001): {"p": 70_001, "cp": 5_801, "g": 2_205, "eb": 433},
+    (3, 4, 300_001): {"cp": 37_271, "g": 9_752, "eb": 2_361},
+    (5, 3, 300_001): {"cp": 20_826, "g": 10_176, "eb": 1_761},
+}
+
+
+@pytest.mark.parametrize(
+    "d, N, samples, tag, hits",
+    [(*key, tag, hits) for key, row in _MC_HITS_SEED_11.items() for tag, hits in row.items()],
+)
+def test_mc_hits_are_pinned(d, N, samples, tag, hits):
+    assert mc_volume(d, N, tag, samples, seed=11).hits == hits
+
+
 def test_mc_p_class_reproduces_exact_volume_bitwise():
     est = mc_volume(4, 3, "p", 50_000, seed=1)
     assert est.estimate == float(class_volume(4, 3, "p").hs_volume)
@@ -381,13 +403,18 @@ def test_mc_input_validation():
         mc_volume(2, 3, "cp", 100)
     with pytest.raises(ValueError, match="class tag"):
         mc_volume(2, 3, "q", 10_000)
-    for seed in (-1, 1 << 64, 1.5):
+    # a bool is an int to Python: seed=True would draw seed 1's stream
+    for seed in (-1, 1 << 64, 1.5, True):
         with pytest.raises(ValueError, match="seed"):
             mc_volume(2, 3, "cp", 10_000, seed=seed)
-    with pytest.raises(ValueError, match="samples"):
-        mc_volume(3, 4, "cp", 10_000.0)
-    with pytest.raises(ValueError, match="N must be an integer"):
-        mc_volume(5, 3.0, "cp", 10_000)
+    for samples in (10_000.0, True):
+        with pytest.raises(ValueError, match="samples"):
+            mc_volume(3, 4, "cp", samples)
+    for N in (3.0, True):
+        with pytest.raises(ValueError, match="N must be an integer"):
+            mc_volume(5, N, "cp", 10_000)
+    with pytest.raises(ValueError, match="d must be an integer"):
+        mc_volume(True, 3, "cp", 10_000)
 
 
 def test_mc_estimate_type():
