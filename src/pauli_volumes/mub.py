@@ -153,13 +153,14 @@ def unitaries_from_bases(m: MubSet) -> tuple[tuple[np.ndarray, ...], ...]:
 
 
 def verify_unbiased(m: MubSet, tol: float = DEFAULT_TOL) -> MubReport:
-    """Check pairwise unbiasedness of a basis family.
+    """Check that a family is a set of mutually unbiased bases.
 
     Reports the largest deviation ``| |<psi|phi>|^2 - 1/d |`` over all
-    cross-basis vector pairs, per pair of bases and overall, plus the worst
-    within-basis orthonormality defect as context. ``passed`` reflects the
-    cross-basis deviation against ``tol``, which must be finite and > 0:
-    NaN would fail every family and infinity would pass any.
+    cross-basis vector pairs, per pair of bases and overall, and the worst
+    within-basis orthonormality defect ``max |<e_i|e_j> - delta_ij|``.
+    ``passed`` requires both below ``tol``: unbiased overlaps alone do not
+    make each member a basis. ``tol`` must be finite and > 0: NaN would fail
+    every family and infinity would pass any.
     """
     if not 0 < tol < float("inf"):
         raise ValueError(f"tol must be finite and > 0 (got {tol})")
@@ -184,7 +185,7 @@ def verify_unbiased(m: MubSet, tol: float = DEFAULT_TOL) -> MubReport:
         max_cross_deviation=max_cross,
         max_orthonormality_deviation=max_ortho,
         pair_deviations=pair_deviations,
-        passed=max_cross < tol,
+        passed=max(max_cross, max_ortho) < tol,
     )
 
 

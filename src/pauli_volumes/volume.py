@@ -4,7 +4,11 @@ The exact route integrates each bound chain symbolically, innermost
 variable first, with integer numerators over one denominator per level.
 Each bound on x_k is affine in x0, x_{k-1} and one running sum
 S_k = sum_{1<=j<=k-2} u_j x_j, with u fixed for the chain, so the integrand
-is a polynomial in three variables throughout.
+is a polynomial in three variables throughout. Each level substitutes its
+bounds into the antiderivative by Horner's rule, first over the powers of
+the running sum and then over the powers of x_k, so every product is by an
+affine polynomial of at most four terms; monomials are keyed by one packed
+int, so multiplying two of them is one integer addition.
 Every chamber qualifies: its bounds are constants, the ordering bound
 x_{k-1}, or level bounds whose x_1..x_{k-2} coefficients are the chain's
 weights -w_j over the level's denominator. Any other chain raises
@@ -45,9 +49,9 @@ _MC_MAX_SAMPLES = 10**8
 
 # Largest dimension the exact engine attempts. Cost model, measured cold on
 # a 2-core host: check_conjectures([d]) in the "max" or "d" mode takes about
-# 0.07 s at d = 8, and each step in d costs about 1.7x (0.1 s at d = 9,
-# 0.16 s at d = 10, 0.3 s at d = 11, 0.5 s at d = 12); the "3" mode takes
-# about 0.02 s at any d.
+# 0.02 s at d = 8, and each step in d costs about 1.5x (0.03 s at d = 9,
+# 0.05 s at d = 10, 0.07 s at d = 11, 0.11 s at d = 12); the "3" mode takes
+# about 0.01 s at any d.
 _MAX_D = 12
 
 
@@ -68,42 +72,45 @@ class RatioMismatch(Exception):
 # exact chain integration
 # --------------------------------------------------------------------------
 
-# {(a, b, c): numerator} is the polynomial sum of numerator * x0^a y^b s^c;
-# each level keeps its numerators over one integer denominator held beside them
-_Poly = dict[tuple[int, int, int], int]
-
-
-def _acc(out: _Poly, p: _Poly, q: _Poly) -> _Poly:
-    """Add the product p*q into out, and return out."""
-    for (a1, b1, c1), v1 in p.items():
-        for (a2, b2, c2), v2 in q.items():
-            key = (a1 + a2, b1 + b2, c1 + c2)
-            out[key] = out.get(key, 0) + v1 * v2
-    return out
+# {key: numerator} is the polynomial sum of numerator * x0^a y^b s^c, keyed by
+# the packed int key = a*_X0 + b*_Y + c*_S, so a product of two monomials is
+# the sum of their keys; each level keeps its numerators over one integer
+# denominator held beside them
+_Poly = dict[int, int]
+_X0, _Y, _S = 1 << 12, 1 << 6, 1
+# y and s take 6 bits each; no exponent reaches the chain's variable count
+_MAX_VARS = 63
 
 
 def _affine(const, x0, y, s) -> _Poly:
-    terms = {(0, 0, 0): const, (1, 0, 0): x0, (0, 1, 0): y, (0, 0, 1): s}
+    terms = {0: const, _X0: x0, _Y: y, _S: s}
     return {e: v for e, v in terms.items() if v}
 
 
-def _powers(p: _Poly, top: int) -> list[_Poly]:
-    out = [{(0, 0, 0): 1}]
-    for _ in range(top):
-        out.append(_acc({}, out[-1], p))
+def _mul_add(p: _Poly, f: _Poly, add: _Poly) -> _Poly:
+    """p*f + add, for an affine f of at most four terms."""
+    out = dict(add)
+    get = out.get
+    for e2, v2 in f.items():
+        for e1, v1 in p.items():
+            e = e1 + e2
+            out[e] = get(e, 0) + v1 * v2
     return out
 
 
 def _integer_levels(chain: BoundChain) -> list[tuple[int, _Poly, _Poly, _Poly]]:
-    """Read levels n-1..1 of a chain as (q, q*lo, q*hi, carry), all integer.
+    """Read levels n-1..1 of a chain as (q, q*lo, q*hi, carry), all integer
+    affine polynomials over packed keys.
 
     u is read from the chain's longest non-zero middle coefficients (those
     of x_1..x_{k-2} at level k) and scaled to integers, so the running sum
     S_k = sum u_j x_j and the carry S_{k+1} = S_k + u_{k-1} x_{k-1} have
     integer coefficients. A bound whose middle coefficients are not a
-    multiple of u raises ValueError. Both ends of level k go over their
-    least common denominator q.
+    multiple of u raises ValueError, as does a chain too long for the packed
+    keys. Both ends of level k go over their least common denominator q.
     """
+    if len(chain.bounds) > _MAX_VARS:
+        raise ValueError(f"chain {chain.label!r}: more than {_MAX_VARS} variables")
     full = [
         [e.coeffs + (Fraction(0),) * (k - len(e.coeffs)) for e in pair]
         for k, pair in enumerate(chain.bounds)
@@ -136,38 +143,55 @@ def integrate_chain(chain: BoundChain) -> Fraction:
     level. Integrating x_k turns a polynomial in (x0, x_k, S_{k+1}) into one
     in (x0, x_{k-1}, S_k), by substituting the bounds lo/q and hi/q and
     S_{k+1} = S_k + u_{k-1} x_{k-1}. With B the top power of x_k after
-    integration, each term is scaled to sit over D * lcm(1..B) * q^B, and
-    the numerators and that denominator are divided by their gcd once per
+    integration, the antiderivative sum_b H_b x_k^b / b is put over
+    D * lcm(1..B) * q^B, which scales H_b by lcm(1..B)/b * q^(B-b). It is
+    evaluated by Horner's rule twice over:
+
+    * each H_b, a polynomial in x0 and S_{k+1}, is folded over the powers
+      of S_{k+1}: multiply by the two-term carry, add the next coefficient;
+    * sum_b H_b h^b is folded over b the same way at h = hi and h = lo,
+      and the two results are subtracted.
+
+    Every product is by an affine polynomial of at most four terms, so a
+    level costs O(B*C) such products for C the top power of S_{k+1}. The
+    numerators and the denominator are divided by their gcd once per
     level. Fractions appear only in reading the bounds and in the final
     integral over x0.
     """
-    den, poly = 1, {(0, 0, 0): 1}
+    den, poly = 1, {0: 1}
     for q, lo, hi, carry in _integer_levels(chain):
-        top_b = 1 + max((b for _, b, _ in poly), default=0)
-        top_c = max((c for _, _, c in poly), default=0)
+        top_b = 1 + max((e % _X0 // _Y for e in poly), default=0)
         ladder = lcm(*range(1, top_b + 1))
-        lo_pw, hi_pw = _powers(lo, top_b), _powers(hi, top_b)
-        carry_pw = _powers(carry, top_c)
-        spans: dict[tuple[int, int], _Poly] = {}
-        out: _Poly = {}
-        for (a, b, c), v in poly.items():
-            b += 1  # x_k^(b-1) integrates to x_k^b / b
-            if (b, c) not in spans:  # (hi^b - lo^b) * S_{k+1}^c, scaled to the level
-                f = ladder // b * q ** (top_b - b)
-                diff = {e: f * w for e, w in hi_pw[b].items()}
-                for e, w in lo_pw[b].items():
-                    diff[e] = diff.get(e, 0) - f * w
-                spans[b, c] = _acc({}, diff, carry_pw[c])
-            _acc(out, {(a, 0, 0): v}, spans[b, c])
+        scales = [0] + [ladder // b * q ** (top_b - b) for b in range(1, top_b + 1)]
+        # groups[b][c] is the x0 polynomial multiplying x_k^b S_{k+1}^c
+        groups: list[dict[int, _Poly]] = [{} for _ in range(top_b + 1)]
+        for e, v in poly.items():
+            b = e % _X0 // _Y + 1  # x_k^(b-1) integrates to x_k^b / b
+            # poly's keys are distinct, so each (a, b, c) arrives once
+            groups[b].setdefault(e % _Y, {})[e - e % _X0] = v * scales[b]
+        h_by_b = []
+        for by_c in groups:
+            h_b: _Poly = {}
+            for c in range(max(by_c, default=-1), -1, -1):
+                h_b = _mul_add(h_b, carry, by_c.get(c, {}))
+            h_by_b.append(h_b)
+        at_hi: _Poly = {}
+        at_lo: _Poly = {}
+        for h_b in reversed(h_by_b):
+            at_hi = _mul_add(at_hi, hi, h_b)
+            at_lo = _mul_add(at_lo, lo, h_b)
+        for e, v in at_lo.items():
+            at_hi[e] = at_hi.get(e, 0) - v
         den *= ladder * q**top_b
-        g = gcd(den, *out.values())
+        g = gcd(den, *at_hi.values())
         den //= g
-        poly = {e: v // g for e, v in out.items() if v}
+        poly = {e: v // g for e, v in at_hi.items() if v}
     lo0, hi0 = (e.const for e in chain.bounds[0])
-    value = sum(
-        (Fraction(v, a + 1) * (hi0 ** (a + 1) - lo0 ** (a + 1)) for (a, _, _), v in poly.items()),
-        Fraction(0),
-    ) / den
+    value = Fraction(0)
+    for e, v in poly.items():
+        a = e // _X0 + 1
+        value += Fraction(v, a) * (hi0**a - lo0**a)
+    value /= den
     if value < 0:
         raise ChamberInconsistency(chain.label, value)
     return value

@@ -56,6 +56,17 @@ def test_duplicate_basis_fails_verification():
     assert report.pair_deviations[(0, 1)] > 0.5
 
 
+def test_unbiased_family_of_non_bases_fails_verification():
+    """A "basis" made of one vector three times is unbiased to the other
+    two bases, but it is not orthonormal, so the family is not a MUB set."""
+    b0, b1, b2 = build_weyl_mubs(3).bases[:3]
+    broken = MubSet(3, (b0, np.repeat(b1[:1], 3, axis=0), b2))
+    report = verify_unbiased(broken)
+    assert report.max_cross_deviation < 1e-12
+    assert report.max_orthonormality_deviation == pytest.approx(1.0)
+    assert not report.passed
+
+
 @pytest.mark.parametrize("tol", (float("nan"), float("inf"), -1.0, 0.0))
 def test_tolerance_must_be_finite_and_positive(tol):
     # nan would fail every family and inf would pass any

@@ -3,10 +3,12 @@
 import json
 from collections import defaultdict
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pauli_volumes import volume
 from pauli_volumes.geometry import SurdValue, vp_volume
@@ -117,21 +119,17 @@ def test_inconsistent_chain_raises_with_label():
         integrate_chain(bad)
 
 
-def test_every_chain_matches_its_golden_volume():
-    """tests/data/chain_volumes.json holds [d, N, class, label, "p/q"] for
-    every chain of chambers(d, N, class) at d = 2..8, 3 <= N <= d+1, as the
-    earlier Fraction-coefficient integrator computed them. The labels pin
-    the slot names, mid{k} included at 4 <= N < d. Each class sum is also
-    checked against its closed form: with n coordinates (N+1, or d+1 when
-    N = d+1) and W the left-out weight d+1-N (1 when N = d+1),
-    eb = 1/(n! W), g = (d+1) eb and cp = d (d/(d-1))^n eb."""
-    rows = json.loads((Path(__file__).parent / "data" / "chain_volumes.json").read_text())
+def _replay_chain_goldens(name, dims):
+    """Integrate every chain that ``tests/data/<name>`` pins, as rows
+    [d, N, class, label, "p/q"], and check each class sum against its closed
+    form: with n coordinates (N+1, or d+1 when N = d+1) and W the left-out
+    weight d+1-N (1 when N = d+1), eb = 1/(n! W), g = (d+1) eb and
+    cp = d (d/(d-1))^n eb. ``dims`` lists the (d, N) the file must cover."""
+    rows = json.loads((Path(__file__).parent / "data" / name).read_text())
     golden = defaultdict(list)
     for d, N, cls, label, value in rows:
         golden[d, N, cls].append((label, Fraction(value)))
-    assert sorted(golden) == sorted(
-        (d, N, cls) for d in range(2, 9) for N in range(3, d + 2) for cls in ("cp", "g", "eb")
-    )
+    assert sorted(golden) == sorted((d, N, cls) for d, N in dims for cls in ("cp", "g", "eb"))
     for (d, N, cls), expected in golden.items():
         region = chambers(d, N, cls)
         got = [(ch.label, integrate_chain(ch)) for ch in region.chains]
@@ -140,6 +138,65 @@ def test_every_chain_matches_its_golden_volume():
         eb = Fraction(1, factorial(n) * W)
         closed = {"eb": eb, "g": (d + 1) * eb, "cp": d * Fraction(d, d - 1) ** n * eb}[cls]
         assert sum(v for _, v in got) * region.symmetry_factor == closed, (d, N, cls)
+
+
+def test_every_chain_matches_its_golden_volume():
+    """chain_volumes.json pins every chain of chambers(d, N, class) at
+    d = 2..8, 3 <= N <= d+1, as the earlier Fraction-coefficient integrator
+    computed them. The labels pin the slot names, mid{k} included at
+    4 <= N < d."""
+    _replay_chain_goldens(
+        "chain_volumes.json", [(d, N) for d in range(2, 9) for N in range(3, d + 2)]
+    )
+
+
+def test_every_chain_at_d_9_to_12_matches_its_golden_volume():
+    """chain_volumes_9_12.json pins every chain at d = 9..12 for each
+    supported N (3, d and d+1), as the product-table integrator computed them
+    before the Horner substitution replaced it."""
+    _replay_chain_goldens(
+        "chain_volumes_9_12.json", [(d, N) for d in range(9, 13) for N in (3, d, d + 1)]
+    )
+
+
+def _weighted_simplex(weights, c, shift, sign):
+    """{sign * (x_i - shift_i) >= 0, sum_i w_i * sign * (x_i - shift_i) <= c}
+    as a bound chain: level k runs from shift_k to
+    shift_k + (sign * c + sum_{j<k} w_j (shift_j - x_j)) / w_k, in that
+    order for sign = 1 and reversed for sign = -1."""
+    bounds = []
+    for k, w in enumerate(weights):
+        const = shift[k] + (sign * c + sum(wj * sj for wj, sj in zip(weights, shift[:k]))) / w
+        moving = AffineExpr(const, tuple(Fraction(-wj, w) for wj in weights[:k]))
+        fixed = AffineExpr(shift[k], (Fraction(0),) * k)
+        bounds.append((fixed, moving) if sign == 1 else (moving, fixed))
+    return _chain(bounds, label="simplex")
+
+
+shifts = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    weights=st.lists(st.integers(1, 6), min_size=2, max_size=7),
+    c=st.fractions(min_value=Fraction(1, 12), max_value=4, max_denominator=12),
+    shift=st.lists(shifts, min_size=7, max_size=7),
+    sign=st.sampled_from((1, -1)),
+)
+def test_weighted_simplex_volume(weights, c, shift, sign):
+    """Independent oracle: a weighted simplex of n coordinates has volume
+    c^n / (n! prod w), wherever it is shifted to and whichever corner it
+    points from. The level bounds divide by w_k and reach x_1..x_{k-2}
+    through the running sum, so they test the u scaling and the carry."""
+    n = len(weights)
+    chain = _weighted_simplex(weights, c, shift[:n], sign)
+    assert integrate_chain(chain) == c**n / (factorial(n) * prod(weights))
+
+
+def test_chain_too_long_for_packed_keys_raises():
+    box = _chain([(_const(0), _const(1))] * 64, label="long")
+    with pytest.raises(ValueError, match="long"):
+        integrate_chain(box)
 
 
 # --------------------------------------------------------------------------
