@@ -51,6 +51,15 @@ from .geometry import weights
 CLASS_TAGS = ("p", "cp", "g", "eb")
 
 
+def _exact(v) -> Fraction:
+    """v as a Fraction: a Fraction is kept as it is, and a float is refused."""
+    if type(v) is Fraction:
+        return v
+    if isinstance(v, float):
+        raise TypeError("floating-point bound rejected; pass exact values")
+    return Fraction(v)
+
+
 @dataclass(frozen=True)
 class AffineExpr:
     """const + sum_j coeffs[j] * x_j, referencing variables 0..len(coeffs)-1."""
@@ -59,8 +68,8 @@ class AffineExpr:
     coeffs: tuple[Fraction, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "const", Fraction(self.const))
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        object.__setattr__(self, "const", _exact(self.const))
+        object.__setattr__(self, "coeffs", tuple(map(_exact, self.coeffs)))
 
 
 @dataclass(frozen=True)
@@ -73,6 +82,8 @@ class BoundChain:
     nplus1_slot: int | None = None
 
     def __post_init__(self) -> None:
+        if not self.bounds:
+            raise ValueError(f"{self.label}: a chain needs at least one variable")
         for i, (lo, hi) in enumerate(self.bounds):
             if len(lo.coeffs) > i or len(hi.coeffs) > i:
                 raise ValueError(

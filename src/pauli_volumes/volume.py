@@ -8,7 +8,11 @@ is a polynomial in three variables throughout. Each level substitutes its
 bounds into the antiderivative by Horner's rule, first over the powers of
 the running sum and then over the powers of x_k, so every product is by an
 affine polynomial of at most four terms; monomials are keyed by one packed
-int, so multiplying two of them is one integer addition.
+int, so multiplying two of them is one integer addition. The bounds are
+read into integers once, with the running-sum check done by integer
+cross-multiplication, and the last integral, over x0, is evaluated by
+Horner's rule on integer numerators too: one Fraction is built per chain,
+for its volume.
 Every chamber qualifies: its bounds are constants, the ordering bound
 x_{k-1}, or level bounds whose x_1..x_{k-2} coefficients are the chain's
 weights -w_j over the level's denominator. Any other chain raises
@@ -49,9 +53,9 @@ _MC_MAX_SAMPLES = 10**8
 
 # Largest dimension the exact engine attempts. Cost model, measured cold on
 # a 2-core host: check_conjectures([d]) in the "max" or "d" mode takes about
-# 0.02 s at d = 8, and each step in d costs about 1.5x (0.03 s at d = 9,
-# 0.05 s at d = 10, 0.07 s at d = 11, 0.11 s at d = 12); the "3" mode takes
-# about 0.01 s at any d.
+# 0.017 s at d = 8, and each step in d costs about 1.5x (0.03 s at d = 9,
+# 0.04 s at d = 10, 0.06 s at d = 11, 0.10 s at d = 12); the "3" mode takes
+# about 0.005 s at any d.
 _MAX_D = 12
 
 
@@ -100,36 +104,54 @@ def _mul_add(p: _Poly, f: _Poly, add: _Poly) -> _Poly:
 
 def _integer_levels(chain: BoundChain) -> list[tuple[int, _Poly, _Poly, _Poly]]:
     """Read levels n-1..1 of a chain as (q, q*lo, q*hi, carry), all integer
-    affine polynomials over packed keys.
+    affine polynomials over packed keys, with no Fraction arithmetic.
 
-    u is read from the chain's longest non-zero middle coefficients (those
-    of x_1..x_{k-2} at level k) and scaled to integers, so the running sum
+    u is read from the highest level whose middle coefficients (those of
+    x_1..x_{k-2} at level k, an omitted one being zero) are not all zero,
+    lower end first, and scaled to integers, so the running sum
     S_k = sum u_j x_j and the carry S_{k+1} = S_k + u_{k-1} x_{k-1} have
-    integer coefficients. A bound whose middle coefficients are not a
-    multiple of u raises ValueError, as does a chain too long for the packed
-    keys. Both ends of level k go over their least common denominator q.
+    integer coefficients. Each end's middle coefficients m must be t*u for
+    one rational t, which is checked by cross-multiplying integers against
+    the first non-zero u_j0; a bound that fails raises ValueError, as does
+    a chain too long for the packed keys. Both ends of level k go over the
+    least common denominator q of their constants, x0 and x_{k-1}
+    coefficients and t.
     """
-    if len(chain.bounds) > _MAX_VARS:
+    bounds = chain.bounds
+    if len(bounds) > _MAX_VARS:
         raise ValueError(f"chain {chain.label!r}: more than {_MAX_VARS} variables")
-    full = [
-        [e.coeffs + (Fraction(0),) * (k - len(e.coeffs)) for e in pair]
-        for k, pair in enumerate(chain.bounds)
-    ]
-    u = max((c[1:-1] for pair in full for c in pair if any(c[1:-1])), key=len, default=())
-    scale = lcm(*(w.denominator for w in u))
-    u = tuple(int(w * scale) for w in u)
+    u: tuple[int, ...] = ()
+    for k in range(len(bounds) - 1, 2, -1):
+        mid = next(filter(any, (e.coeffs[1 : k - 1] for e in bounds[k])), ())
+        if mid:
+            scale = lcm(*(w.denominator for w in mid))
+            u = tuple(w.numerator * (scale // w.denominator) for w in mid)
+            u += (0,) * (k - 2 - len(u))
+            break
+    # past every middle when u is all zero
+    j0 = next((j for j, w in enumerate(u) if w), len(bounds))
     levels = []
-    for k in range(len(chain.bounds) - 1, 0, -1):
+    for k in range(len(bounds) - 1, 0, -1):
         ends = []
-        for expr, c in zip(chain.bounds[k], full[k]):
-            t = next((m / w for m, w in zip(c[1:-1], u) if w), Fraction(0))
-            if any(m != t * w for m, w in zip(c[1:-1], u)):
+        for expr in bounds[k]:
+            c = expr.coeffs + (0,) * (k - len(expr.coeffs))
+            mid = c[1:-1]
+            if j0 < len(mid):
+                # with m_j = n_j/d_j: t = p/r = m_j0/u_j0, and m_j = t*u_j
+                # iff n_j*r == p*d_j*u_j
+                p, r = mid[j0].numerator, mid[j0].denominator * u[j0]
+                bad = any(m.numerator * r != p * m.denominator * w for m, w in zip(mid, u))
+            else:
+                p, r, bad = 0, 1, any(mid)
+            if bad:
                 msg = f"the x_{k} bound is not affine in x0, x_{k - 1} and one running sum"
                 raise ValueError(f"chain {chain.label!r}: {msg}")
+            g = gcd(p, r)
             # at k = 1, x_{k-1} is x0 itself
-            ends.append((expr.const, c[0], c[-1] if k > 1 else Fraction(0), t))
-        q = lcm(*(v.denominator for end in ends for v in end))
-        lo, hi = (_affine(*(v.numerator * (q // v.denominator) for v in end)) for end in ends)
+            vals = (expr.const, c[0], c[-1] if k > 1 else 0)
+            ends.append([(v.numerator, v.denominator) for v in vals] + [(p // g, r // g)])
+        q = lcm(*(den for end in ends for _, den in end))
+        lo, hi = (_affine(*(num * (q // den) for num, den in end)) for end in ends)
         # S_{k+1} in terms of x_{k-1} and S_k; S_1 = S_2 = 0
         carry = _affine(0, 0, u[k - 2] if 2 <= k <= len(u) + 1 else 0, int(k >= 3))
         levels.append((q, lo, hi, carry))
@@ -155,8 +177,14 @@ def integrate_chain(chain: BoundChain) -> Fraction:
     Every product is by an affine polynomial of at most four terms, so a
     level costs O(B*C) such products for C the top power of S_{k+1}. The
     numerators and the denominator are divided by their gcd once per
-    level. Fractions appear only in reading the bounds and in the final
-    integral over x0.
+    level.
+
+    What is left is a polynomial sum_a v_a x0^(a-1) over D. With the outer
+    ends l/q0 and h/q0 over one denominator and A the top power, its
+    integral sum_a v_a (h^a - l^a) / (a q0^a) is put over
+    D * lcm(1..A) * q0^A and folded over a by Horner's rule at h and at l.
+    No Fraction arithmetic runs here or in :func:`_integer_levels`: the
+    only Fraction built is the returned volume.
     """
     den, poly = 1, {0: 1}
     for q, lo, hi, carry in _integer_levels(chain):
@@ -187,11 +215,21 @@ def integrate_chain(chain: BoundChain) -> Fraction:
         den //= g
         poly = {e: v // g for e, v in at_hi.items() if v}
     lo0, hi0 = (e.const for e in chain.bounds[0])
-    value = Fraction(0)
+    q0 = lcm(lo0.denominator, hi0.denominator)
+    l, h = (v.numerator * (q0 // v.denominator) for v in (lo0, hi0))
+    top_a = 1 + max((e // _X0 for e in poly), default=-1)
+    ladder = lcm(*range(1, top_a + 1))
+    by_a = [0] * (top_a + 1)
     for e, v in poly.items():
-        a = e // _X0 + 1
-        value += Fraction(v, a) * (hi0**a - lo0**a)
-    value /= den
+        by_a[e // _X0 + 1] = v
+    at_h = at_l = 0
+    q0_pow = 1  # q0^(A-a)
+    for a in range(top_a, 0, -1):
+        v = by_a[a] * (ladder // a) * q0_pow
+        at_h = (at_h + v) * h
+        at_l = (at_l + v) * l
+        q0_pow *= q0
+    value = Fraction(at_h - at_l, den * ladder * q0_pow)
     if value < 0:
         raise ChamberInconsistency(chain.label, value)
     return value

@@ -46,6 +46,23 @@ def test_bound_chain_rejects_forward_references():
         BoundChain(((AffineExpr(Fraction(0)), future),) * 2, label="bad")
 
 
+def test_bound_chain_rejects_an_empty_chain():
+    with pytest.raises(ValueError, match="empty"):
+        BoundChain((), label="empty")
+
+
+def test_affine_expr_keeps_exact_values_and_refuses_floats():
+    third = Fraction(1, 3)
+    expr = AffineExpr(third, [1, Fraction(-1, 2)])
+    assert expr.const is third
+    assert expr.coeffs == (Fraction(1), Fraction(-1, 2)) and type(expr.coeffs) is tuple
+    assert all(type(c) is Fraction for c in expr.coeffs)
+    with pytest.raises(TypeError, match="floating-point"):
+        AffineExpr(0.1)
+    with pytest.raises(TypeError, match="floating-point"):
+        AffineExpr(Fraction(0), (Fraction(1), 0.5))
+
+
 def test_p_box_coordinate_counts():
     assert p_box(2, 3).n_vars == 3
     assert p_box(3, 4).n_vars == 4

@@ -113,6 +113,48 @@ def test_non_proportional_running_sum_raises():
         integrate_chain(bad)
 
 
+def test_running_sum_with_leading_zero():
+    """The top middle coefficients (of x1, x2 at level 4) are (0, 1), so
+    u = (0, 1) and S_4 = x2: a level-3 bound may then not reach x1."""
+    box = (_const(0), _const(1))
+    x3 = AffineExpr(Fraction(0), (Fraction(0), Fraction(0), Fraction(0), Fraction(1)))
+    upper4 = AffineExpr(Fraction(2), (Fraction(0), Fraction(0), Fraction(1), Fraction(0)))
+
+    def chain(x1_coeff, label):
+        upper3 = AffineExpr(Fraction(1), (Fraction(1), x1_coeff, Fraction(0)))
+        return _chain([box, box, box, (_const(0), upper3), (x3, upper4)], label=label)
+
+    with pytest.raises(ValueError, match="reaches-x1"):
+        integrate_chain(chain(Fraction(1), "reaches-x1"))
+    # x0, x1, x2 in [0, 1], x3 in [0, 1 + x0], x4 in [x3, 2 + x2]: integrating
+    # 2 + x2 - x3 gives int_0^1 (5/2 (1 + x0) - (1 + x0)^2 / 2) dx0 = 15/4 - 7/6
+    assert integrate_chain(chain(Fraction(0), "ok")) == Fraction(31, 12)
+
+
+def test_running_sum_reads_omitted_coefficients_as_zero():
+    """The level-5 bound lists only x0 and x1, so its x2, x3 coefficients are
+    zero and u = (1, 0, 0): a level-4 bound on x1 + x2 is not a multiple."""
+    box = (_const(0), _const(1))
+    upper4 = AffineExpr(Fraction(1), (Fraction(0), Fraction(1), Fraction(1)))
+    upper5 = AffineExpr(Fraction(2), (Fraction(0), Fraction(1)))
+    bad = _chain([box] * 4 + [(_const(0), upper4), (_const(0), upper5)], label="short")
+    with pytest.raises(ValueError, match="short"):
+        integrate_chain(bad)
+
+
+def test_outer_integral_over_signed_rational_ends():
+    """The x0 integral puts both outer ends over one denominator: coprime
+    denominators and a negative lower end must still give the exact value."""
+    one = _chain([(_const(Fraction(-1, 3)), _const(Fraction(1, 2)))])
+    assert integrate_chain(one) == Fraction(5, 6)
+    # x1 in [x0, 1 - x0] over x0 in [-2/5, 3/7]: the integral of 1 - 2 x0 is
+    # (3/7 - 9/49) - (-2/5 - 4/25) = 12/49 + 14/25
+    x0 = AffineExpr(Fraction(0), (Fraction(1),))
+    fold = AffineExpr(Fraction(1), (Fraction(-1),))
+    two = _chain([(_const(Fraction(-2, 5)), _const(Fraction(3, 7))), (x0, fold)])
+    assert integrate_chain(two) == Fraction(986, 1225)
+
+
 def test_inconsistent_chain_raises_with_label():
     bad = _chain([(_const(1), _const(0))], label="upside-down")
     with pytest.raises(ChamberInconsistency, match="upside-down"):
