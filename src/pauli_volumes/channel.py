@@ -39,14 +39,12 @@ Class membership, writing S = sum_{alpha<=N} lambda_alpha + (d+1-N) lambda_{N+1}
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .geometry import check_dims
+from .geometry import check_dims, read_only
 
 
-@dataclass(frozen=True)
 class ChannelSpec:
     """Exact description of a generalized Pauli channel.
 
@@ -55,23 +53,41 @@ class ChannelSpec:
     eigenvalue carries no freedom).
     """
 
+    __slots__ = ("d", "N", "lambdas")
     d: int
     N: int
     lambdas: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        check_dims(self.d, self.N)
-        if any(isinstance(x, float) for x in self.lambdas):
+    def __init__(self, d: int, N: int, lambdas: Sequence[Fraction | int | str]) -> None:
+        check_dims(d, N)
+        if any(isinstance(x, float) for x in lambdas):
             raise TypeError(
                 "floating-point eigenvalues are rejected; pass Fraction, int, or 'p/q'"
             )
-        object.__setattr__(self, "lambdas", tuple(Fraction(x) for x in self.lambdas))
-        if len(self.lambdas) != self.N + 1:
-            raise ValueError(
-                f"need N+1={self.N + 1} eigenvalues (got {len(self.lambdas)})"
-            )
-        if self.N == self.d + 1 and self.lambdas[-1] != 0:
+        lambdas = tuple(Fraction(x) for x in lambdas)
+        if len(lambdas) != N + 1:
+            raise ValueError(f"need N+1={N + 1} eigenvalues (got {len(lambdas)})")
+        if N == d + 1 and lambdas[-1] != 0:
             raise ValueError("lambda_{N+1} must be 0 when N = d+1")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "lambdas", lambdas)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not ChannelSpec:
+            return NotImplemented
+        return (self.d, self.N, self.lambdas) == (other.d, other.N, other.lambdas)
+
+    def __hash__(self) -> int:
+        return hash((self.d, self.N, self.lambdas))
+
+    def __repr__(self) -> str:
+        return f"ChannelSpec(d={self.d!r}, N={self.N!r}, lambdas={self.lambdas!r})"
+
+    def __reduce__(self):
+        return ChannelSpec, (self.d, self.N, self.lambdas)
 
     @classmethod
     def make(cls, d: int, N: int, values: Iterable[Fraction | int | str]) -> "ChannelSpec":

@@ -26,8 +26,6 @@ coeff * sqrt(radicand); decimals carry 20 significant digits.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -84,12 +82,17 @@ def _validated_range(text: str, n_mode: str) -> range:
 def _one_dimension(args) -> tuple[int, int]:
     """(d, N) for a subcommand that takes a single dimension."""
     ds = _parse_d_range(args.d)
-    if len(ds) != 1:
+    # not len(ds), which overflows on a range wider than sys.maxsize
+    if ds.start != ds.stop - 1:
         raise ValueError(f"{args.command} needs a single dimension, not a range")
     return ds[0], n_for_mode(ds[0], args.n_mode)
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
+    # imported here: only --format csv needs them
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -13,7 +13,6 @@ exact quadratic surd. :class:`SurdValue` keeps such numbers exact end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
@@ -37,7 +36,12 @@ def _square_free_split(n: int) -> tuple[int, int]:
     return s, r * n
 
 
-@dataclass(frozen=True)
+def read_only(self, name: str, *value) -> None:
+    """``__setattr__`` and ``__delattr__`` of the package's immutable value
+    classes, which set their slots once, in ``__init__``."""
+    raise AttributeError(f"{type(self).__name__} is immutable; cannot set or delete {name!r}")
+
+
 class SurdValue:
     """An exact number coeff * sqrt(radicand), kept canonical.
 
@@ -47,19 +51,36 @@ class SurdValue:
     not and is deliberately unsupported.
     """
 
+    __slots__ = ("coeff", "radicand")
     coeff: Fraction
-    radicand: int = 1
+    radicand: int
 
-    def __post_init__(self) -> None:
-        if isinstance(self.coeff, float) or not isinstance(self.radicand, int):
+    def __init__(self, coeff: Fraction, radicand: int = 1) -> None:
+        if isinstance(coeff, float) or not isinstance(radicand, int):
             raise TypeError("floating-point coefficient or non-integer radicand rejected")
-        coeff = Fraction(self.coeff)
-        s, r = _square_free_split(self.radicand)
+        coeff = Fraction(coeff)
+        s, r = _square_free_split(radicand)
         coeff *= s
         if r == 0 or coeff == 0:
             coeff, r = Fraction(0), 1
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "radicand", r)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not SurdValue:
+            return NotImplemented
+        return self.coeff == other.coeff and self.radicand == other.radicand
+
+    def __hash__(self) -> int:
+        return hash((self.coeff, self.radicand))
+
+    def __repr__(self) -> str:
+        return f"SurdValue(coeff={self.coeff!r}, radicand={self.radicand!r})"
+
+    def __reduce__(self):
+        return SurdValue, (self.coeff, self.radicand)
 
     @classmethod
     def sqrt(cls, q: Fraction | int) -> "SurdValue":

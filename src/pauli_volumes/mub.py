@@ -26,12 +26,12 @@ never depend on these matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .channel import ChannelSpec, mixing_weights
-from .geometry import is_int
+from .geometry import is_int, read_only
 
 DEFAULT_TOL = 1e-10
 
@@ -51,7 +51,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class MubSet:
     """A family of orthonormal bases of C^d, stored as row-vector matrices.
 
@@ -61,19 +60,37 @@ class MubSet:
     represented and reported on.
     """
 
+    __slots__ = ("d", "bases")
     d: int
     bases: tuple[np.ndarray, ...]
 
-    def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError(f"dimension must be >= 2 (got {self.d})")
-        if not 3 <= len(self.bases) <= self.d + 1:
-            raise ValueError(
-                f"need between 3 and d+1={self.d + 1} bases (got {len(self.bases)})"
-            )
-        for b in self.bases:
-            if b.shape != (self.d, self.d):
-                raise ValueError(f"basis matrix shape {b.shape} != ({self.d}, {self.d})")
+    def __init__(self, d: int, bases: tuple[np.ndarray, ...]) -> None:
+        if d < 2:
+            raise ValueError(f"dimension must be >= 2 (got {d})")
+        if not 3 <= len(bases) <= d + 1:
+            raise ValueError(f"need between 3 and d+1={d + 1} bases (got {len(bases)})")
+        for b in bases:
+            if b.shape != (d, d):
+                raise ValueError(f"basis matrix shape {b.shape} != ({d}, {d})")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "bases", bases)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not MubSet:
+            return NotImplemented
+        return self.d == other.d and len(self.bases) == len(other.bases) and all(
+            np.array_equal(a, b) for a, b in zip(self.bases, other.bases)
+        )
+
+    __hash__ = None  # the bases are numpy arrays, which do not hash
+
+    def __repr__(self) -> str:
+        return f"MubSet(d={self.d!r}, bases={self.bases!r})"
+
+    def __reduce__(self):
+        return MubSet, (self.d, self.bases)
 
     @property
     def n_bases(self) -> int:
@@ -85,8 +102,7 @@ class MubSet:
         return np.einsum("ki,kj->kij", b, b.conj())
 
 
-@dataclass(frozen=True)
-class MubReport:
+class MubReport(NamedTuple):
     """Outcome of an unbiasedness check."""
 
     d: int

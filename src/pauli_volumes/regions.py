@@ -41,12 +41,11 @@ Construction is pure and everything here is exact and immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .geometry import weights
+from .geometry import read_only, weights
 
 CLASS_TAGS = ("p", "cp", "g", "eb")
 
@@ -60,39 +59,81 @@ def _exact(v) -> Fraction:
     return Fraction(v)
 
 
-@dataclass(frozen=True)
 class AffineExpr:
     """const + sum_j coeffs[j] * x_j, referencing variables 0..len(coeffs)-1."""
 
+    __slots__ = ("const", "coeffs")
     const: Fraction
-    coeffs: tuple[Fraction, ...] = ()
+    coeffs: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "const", _exact(self.const))
-        object.__setattr__(self, "coeffs", tuple(map(_exact, self.coeffs)))
+    def __init__(self, const: Fraction, coeffs: Sequence[Fraction] = ()) -> None:
+        object.__setattr__(self, "const", _exact(const))
+        object.__setattr__(self, "coeffs", tuple(map(_exact, coeffs)))
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not AffineExpr:
+            return NotImplemented
+        return self.const == other.const and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.const, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"AffineExpr(const={self.const!r}, coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return AffineExpr, (self.const, self.coeffs)
 
 
-@dataclass(frozen=True)
 class BoundChain:
     """An iterated-integral region; ``bounds[i]`` is the (lower, upper) pair
     for variable i and may reference variables 0..i-1 only."""
 
+    __slots__ = ("bounds", "label", "nplus1_slot")
     bounds: tuple[tuple[AffineExpr, AffineExpr], ...]
     label: str
-    nplus1_slot: int | None = None
+    nplus1_slot: int | None
 
-    def __post_init__(self) -> None:
-        if not self.bounds:
-            raise ValueError(f"{self.label}: a chain needs at least one variable")
-        for i, (lo, hi) in enumerate(self.bounds):
+    def __init__(
+        self,
+        bounds: tuple[tuple[AffineExpr, AffineExpr], ...],
+        label: str,
+        nplus1_slot: int | None = None,
+    ) -> None:
+        if not bounds:
+            raise ValueError(f"{label}: a chain needs at least one variable")
+        for i, (lo, hi) in enumerate(bounds):
             if len(lo.coeffs) > i or len(hi.coeffs) > i:
-                raise ValueError(
-                    f"{self.label}: bound {i} references later variables"
-                )
+                raise ValueError(f"{label}: bound {i} references later variables")
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "nplus1_slot", nplus1_slot)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not BoundChain:
+            return NotImplemented
+        return (self.bounds, self.label, self.nplus1_slot) == (
+            other.bounds, other.label, other.nplus1_slot
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.bounds, self.label, self.nplus1_slot))
+
+    def __repr__(self) -> str:
+        return (
+            f"BoundChain(bounds={self.bounds!r}, label={self.label!r}, "
+            f"nplus1_slot={self.nplus1_slot!r})"
+        )
+
+    def __reduce__(self):
+        return BoundChain, (self.bounds, self.label, self.nplus1_slot)
 
 
-@dataclass(frozen=True)
-class ChamberSet:
+class ChamberSet(NamedTuple):
     """A class region: chains, the symmetry factor relating their summed
     volume to the full eigenvalue-space volume, and identifying metadata."""
 

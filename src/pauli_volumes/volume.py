@@ -33,7 +33,6 @@ it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm, sqrt
 from typing import Iterable, NamedTuple
@@ -240,8 +239,7 @@ def integrate_chain(chain: BoundChain) -> Fraction:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VolumeResult:
+class VolumeResult(NamedTuple):
     """Exact volume of one class at one (d, N), with its chamber breakdown."""
 
     class_tag: str
@@ -368,8 +366,7 @@ def _ratios(vols: dict[str, VolumeResult]) -> dict[str, Fraction]:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConjectureEntry:
+class ConjectureEntry(NamedTuple):
     d: int
     N: int
     name: str
@@ -382,8 +379,7 @@ class ConjectureEntry:
         return self.computed == self.formula
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     entries: tuple[ConjectureEntry, ...]
 
     @property

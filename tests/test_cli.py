@@ -1,7 +1,6 @@
 """Command line behavior: output formats, determinism, exit codes."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import subprocess
@@ -164,6 +163,24 @@ def test_dimension_range_is_checked_before_any_work(capsys, monkeypatch):
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--lambdas=0,0,0,0"),
+        ("mub-verify",),
+        ("volume", "--class", "cp"),
+        ("mc", "--class", "cp"),
+        ("dump-regions", "--class", "cp"),
+    ],
+)
+def test_single_dimension_subcommand_rejects_a_huge_range(capsys, argv):
+    """A range wider than sys.maxsize is a usage error like any other range,
+    not an OverflowError from taking its length."""
+    code, out, err = run_cli(capsys, *argv, "--d", "1..100000000000000000000")
+    assert (code, out) == (2, "")
+    assert err == f"error: {argv[0]} needs a single dimension, not a range\n"
 
 
 def test_classify_rejects_a_huge_exponent(capsys):
@@ -492,7 +509,7 @@ def test_failed_consistency_check_is_exit_one(capsys, monkeypatch):
         result = true_volume(d, N, tag)
         if tag != "cp":
             return result
-        return dataclasses.replace(result, hs_volume=result.hs_volume * 2)
+        return result._replace(hs_volume=result.hs_volume * 2)
 
     monkeypatch.setattr(volume, "class_volume", doubled_cp)
     code, out, err = run_cli(capsys, "ratios", "--d", "3")

@@ -128,3 +128,15 @@ def test_family_requires_at_least_three_bases(mub_cache):
         MubSet(1, (np.eye(1),) * 3)
     with pytest.raises(ValueError, match="shape"):
         MubSet(5, mub_cache(5).bases[:3] + (np.eye(4),))
+
+
+def test_family_is_an_immutable_value():
+    """Families compare by their basis entries, which numpy cannot hash, and
+    no field can be assigned."""
+    m = build_weyl_mubs(3)
+    assert m == build_weyl_mubs(3)
+    assert m != MubSet(3, (m.bases[0], m.bases[0], m.bases[1]))
+    with pytest.raises(TypeError):
+        hash(m)
+    with pytest.raises(AttributeError):
+        m.d = 5

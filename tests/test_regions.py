@@ -2,6 +2,8 @@
 
 import ast
 import json
+import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,8 +14,17 @@ import numpy as np
 import pytest
 
 import pauli_volumes
+from pauli_volumes.channel import ChannelSpec
+from pauli_volumes.geometry import SurdValue
 from pauli_volumes.regions import AffineExpr, BoundChain, chambers, p_box
-from pauli_volumes.volume import _class_mask, _row_sum, region_for, supported_n_values
+from pauli_volumes.volume import (
+    _class_mask,
+    _row_sum,
+    check_conjectures,
+    class_volume,
+    region_for,
+    supported_n_values,
+)
 
 
 def _chain_counts(chains, pts, margin=1e-9):
@@ -61,6 +72,34 @@ def test_affine_expr_keeps_exact_values_and_refuses_floats():
         AffineExpr(0.1)
     with pytest.raises(TypeError, match="floating-point"):
         AffineExpr(Fraction(0), (Fraction(1), 0.5))
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        pytest.param(lambda: SurdValue(Fraction(1), 8), "coeff", id="SurdValue"),
+        pytest.param(lambda: AffineExpr(Fraction(1, 2), [1, Fraction(-1, 3)]), "const",
+                     id="AffineExpr"),
+        pytest.param(lambda: chambers(3, 4, "cp").chains[1], "label", id="BoundChain"),
+        pytest.param(lambda: ChannelSpec.make(3, 4, ["1/2", 0, "-1/4", 0]), "lambdas",
+                     id="ChannelSpec"),
+        pytest.param(lambda: class_volume(3, 4, "g"), "hs_volume", id="VolumeResult"),
+        pytest.param(lambda: chambers(3, 4, "eb"), "chains", id="ChamberSet"),
+        pytest.param(lambda: check_conjectures([3]).entries[0], "computed",
+                     id="ConjectureEntry"),
+    ],
+)
+def test_value_classes_are_immutable_values(make, field):
+    """Two separately built equal values compare and hash equal and survive
+    a pickle round trip; no field can be assigned or deleted."""
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert pickle.loads(pickle.dumps(a)) == a
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert a == b
 
 
 def test_p_box_coordinate_counts():
@@ -267,16 +306,16 @@ def test_row_sum_matches_numpy_bitwise(n):
     pts = np.random.default_rng(n).random((4096, n)) * 1.5 - 0.5
     assert np.array_equal(_row_sum(pts.T), pts.sum(axis=1))
 
-def _banned_imports(nodes, package_banned):
-    """The names among ``nodes`` that import numpy, or one of the package's
-    own modules in ``package_banned``."""
+def _banned_imports(nodes, package_banned, outside_banned=frozenset({"numpy"})):
+    """The names among ``nodes`` that import one of ``outside_banned`` (numpy
+    by default), or one of the package's own modules in ``package_banned``."""
     found = set()
     for node in nodes:
         if isinstance(node, ast.Import):
-            names, banned = [alias.name for alias in node.names], {"numpy"}
+            names, banned = [alias.name for alias in node.names], outside_banned
         elif isinstance(node, ast.ImportFrom):
             names = [node.module] if node.module else [alias.name for alias in node.names]
-            banned = package_banned if node.level else {"numpy"}
+            banned = package_banned if node.level else outside_banned
         else:
             continue
         found |= banned & {name.split(".")[0] for name in names}
@@ -313,6 +352,14 @@ def test_float_routes_import_numpy_only_when_called(module):
     assert not found, f"{module}.py imports {sorted(found)} at import time"
 
 
+def test_no_module_imports_dataclasses():
+    """dataclasses loads inspect, ast, dis and tokenize, about 10 ms of every
+    process start; the value classes are NamedTuples and slotted classes."""
+    for path in sorted(Path(pauli_volumes.__file__).parent.glob("*.py")):
+        found = _banned_imports(ast.walk(ast.parse(path.read_text())), set(), {"dataclasses"})
+        assert not found, f"{path.name} imports dataclasses"
+
+
 def test_no_module_reads_the_environment():
     """The package has no settings: no module reads os.environ or os.getenv."""
     env_names = {"environ", "environb", "getenv", "getenvb"}
@@ -346,14 +393,15 @@ _EXACT_ARGVS = [
 ]
 
 # prints, after the imports and after each call, its exit code and which of
-# numpy and pauli_volumes.mub are loaded
+# the start-up-costly modules are loaded
 _PROBE = """
 import contextlib, io, json, sys
 import pauli_volumes
 from pauli_volumes import cli
 
 def loaded():
-    return [m for m in ("numpy", "pauli_volumes.mub") if m in sys.modules]
+    watched = ("numpy", "pauli_volumes.mub", "dataclasses", "inspect", "csv")
+    return [m for m in watched if m in sys.modules]
 
 print(json.dumps([None, loaded()]))
 for argv in json.loads(sys.argv[1]):
@@ -364,15 +412,20 @@ for argv in json.loads(sys.argv[1]):
 
 
 def test_exact_subcommands_leave_numpy_unloaded():
-    """A fresh process that imports the package and runs every exact
-    subcommand never loads numpy or mub; the mc call at the end does load
-    numpy, which shows the probe can see it."""
+    """A fresh process that imports the package and runs every exact JSON
+    subcommand never loads numpy, mub, dataclasses, inspect or csv. The CSV
+    call after them loads csv alone, and the mc call at the end loads numpy,
+    which shows the probe can see them."""
     src = Path(pauli_volumes.__file__).parents[1]
-    argvs = _EXACT_ARGVS + [["mc", "--d", "3", "--class", "eb", "--samples", "10000"]]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    csv_call = ["ratios", "--d", "2", "--format", "csv"]
+    argvs = _EXACT_ARGVS + [csv_call, ["mc", "--d", "3", "--class", "eb", "--samples", "10000"]]
     out = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(argvs)], env={"PYTHONPATH": str(src)},
+        [sys.executable, "-B", "-c", _PROBE, json.dumps(argvs)], env=env,
         capture_output=True, text=True, check=True,
     ).stdout
     steps = [json.loads(line) for line in out.splitlines()]
     assert steps[: len(_EXACT_ARGVS) + 1] == [[None, []]] + [[0, []]] * len(_EXACT_ARGVS)
+    assert steps[-2] == [0, ["csv"]]
     assert steps[-1][0] == 0 and "numpy" in steps[-1][1]
