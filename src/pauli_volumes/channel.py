@@ -42,10 +42,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .geometry import check_dims, read_only
+from .geometry import Frozen, check_dims
 
 
-class ChannelSpec:
+class ChannelSpec(Frozen):
     """Exact description of a generalized Pauli channel.
 
     ``lambdas`` holds (lambda_1, ..., lambda_N, lambda_{N+1}); the last entry
@@ -72,22 +72,6 @@ class ChannelSpec:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "lambdas", lambdas)
-
-    __setattr__ = __delattr__ = read_only
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not ChannelSpec:
-            return NotImplemented
-        return (self.d, self.N, self.lambdas) == (other.d, other.N, other.lambdas)
-
-    def __hash__(self) -> int:
-        return hash((self.d, self.N, self.lambdas))
-
-    def __repr__(self) -> str:
-        return f"ChannelSpec(d={self.d!r}, N={self.N!r}, lambdas={self.lambdas!r})"
-
-    def __reduce__(self):
-        return ChannelSpec, (self.d, self.N, self.lambdas)
 
     @classmethod
     def make(cls, d: int, N: int, values: Iterable[Fraction | int | str]) -> "ChannelSpec":

@@ -12,7 +12,7 @@ Subcommands:
 
 Exit codes: 0 on success, 1 when a verification fails (conjecture
 mismatch, Monte Carlo off by more than three standard errors, basis check
-failing its tolerance, inconsistent chamber or ratio), 2 on bad usage,
+failing its tolerance, inconsistent chamber), 2 on bad usage,
 unsupported parameters or an --out file that cannot be written. Only this
 module shapes output: each subcommand builds its document from exact values,
 and main renders it, writes it and maps errors to exit codes.
@@ -47,7 +47,6 @@ from .volume import (
     N_MODES,
     RATIO_NAMES,
     ChamberInconsistency,
-    RatioMismatch,
     _validate_combo,
     check_conjectures,
     class_volume,
@@ -191,6 +190,8 @@ def _parse_lambdas(text: str) -> list[Fraction]:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"bad JSON array: {exc}")
+        except RecursionError:
+            raise ValueError("bad JSON array: nested too deeply") from None
         except ValueError:  # the only other one: an integer too long to convert
             raise ValueError(f"a JSON integer has over {digit_limit()} digits") from None
         return [_rational_from_json(v) for v in data]
@@ -447,7 +448,7 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ChamberInconsistency, RatioMismatch) as exc:
+    except ChamberInconsistency as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code

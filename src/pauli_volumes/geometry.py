@@ -9,6 +9,9 @@ and for N = d+1 (all bases used, lambda_{N+1} pinned to zero) it is
 ((d-1)/d^2) times the identity on the d+1 remaining coordinates. Volumes in
 lambda-space therefore pick up the constant factor sqrt(det g), which is an
 exact quadratic surd. :class:`SurdValue` keeps such numbers exact end to end.
+
+:class:`Frozen` is the one home of the value protocol (immutability,
+equality, hash, repr and pickling) that the package's value classes share.
 """
 
 from __future__ import annotations
@@ -36,19 +39,49 @@ def _square_free_split(n: int) -> tuple[int, int]:
     return s, r * n
 
 
-def read_only(self, name: str, *value) -> None:
-    """``__setattr__`` and ``__delattr__`` of the package's immutable value
-    classes, which set their slots once, in ``__init__``."""
-    raise AttributeError(f"{type(self).__name__} is immutable; cannot set or delete {name!r}")
+class Frozen:
+    """Base of the package's immutable value classes: the one home of their
+    value protocol.
+
+    A subclass names its fields in ``__slots__``, in ``__init__`` parameter
+    order, and sets each one once in ``__init__`` with ``object.__setattr__``.
+    Frozen then refuses any later set or delete, compares type-strictly and
+    hashes, prints and pickles by those fields.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
-class SurdValue:
+class SurdValue(Frozen):
     """An exact number coeff * sqrt(radicand), kept canonical.
 
     Canonical means the radicand is a square-free positive integer (so a
     rational value always has radicand 1) and zero is (0, 1). Multiplication
-    and division stay inside the representation; mixed-radicand addition does
-    not and is deliberately unsupported.
+    stays inside the representation; mixed-radicand addition does not and is
+    deliberately unsupported.
     """
 
     __slots__ = ("coeff", "radicand")
@@ -65,22 +98,6 @@ class SurdValue:
             coeff, r = Fraction(0), 1
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "radicand", r)
-
-    __setattr__ = __delattr__ = read_only
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not SurdValue:
-            return NotImplemented
-        return self.coeff == other.coeff and self.radicand == other.radicand
-
-    def __hash__(self) -> int:
-        return hash((self.coeff, self.radicand))
-
-    def __repr__(self) -> str:
-        return f"SurdValue(coeff={self.coeff!r}, radicand={self.radicand!r})"
-
-    def __reduce__(self):
-        return SurdValue, (self.coeff, self.radicand)
 
     @classmethod
     def sqrt(cls, q: Fraction | int) -> "SurdValue":
@@ -109,14 +126,6 @@ class SurdValue:
         return SurdValue(self.coeff * Fraction(other), self.radicand)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: "SurdValue | Fraction | int") -> "SurdValue":
-        if isinstance(other, SurdValue):
-            if other.coeff == 0:
-                raise ZeroDivisionError("division by zero surd")
-            inverse = SurdValue(Fraction(1, other.coeff * other.radicand), other.radicand)
-            return self * inverse
-        return SurdValue(self.coeff / Fraction(other), self.radicand)
 
     def __float__(self) -> float:
         return float(self.coeff) * float(self.radicand) ** 0.5

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import ChannelSpec, mixing_weights
-from .geometry import is_int, read_only
+from .geometry import Frozen, is_int
 
 DEFAULT_TOL = 1e-10
 
@@ -51,7 +51,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class MubSet:
+class MubSet(Frozen):
     """A family of orthonormal bases of C^d, stored as row-vector matrices.
 
     ``bases[alpha][k]`` is the k-th vector of basis ``alpha``. Structural
@@ -75,8 +75,6 @@ class MubSet:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "bases", bases)
 
-    __setattr__ = __delattr__ = read_only
-
     def __eq__(self, other) -> bool:
         if type(other) is not MubSet:
             return NotImplemented
@@ -85,12 +83,6 @@ class MubSet:
         )
 
     __hash__ = None  # the bases are numpy arrays, which do not hash
-
-    def __repr__(self) -> str:
-        return f"MubSet(d={self.d!r}, bases={self.bases!r})"
-
-    def __reduce__(self):
-        return MubSet, (self.d, self.bases)
 
     @property
     def n_bases(self) -> int:

@@ -45,7 +45,7 @@ from fractions import Fraction
 from math import factorial
 from typing import NamedTuple, Sequence
 
-from .geometry import read_only, weights
+from .geometry import Frozen, weights
 
 CLASS_TAGS = ("p", "cp", "g", "eb")
 
@@ -59,7 +59,7 @@ def _exact(v) -> Fraction:
     return Fraction(v)
 
 
-class AffineExpr:
+class AffineExpr(Frozen):
     """const + sum_j coeffs[j] * x_j, referencing variables 0..len(coeffs)-1."""
 
     __slots__ = ("const", "coeffs")
@@ -70,24 +70,8 @@ class AffineExpr:
         object.__setattr__(self, "const", _exact(const))
         object.__setattr__(self, "coeffs", tuple(map(_exact, coeffs)))
 
-    __setattr__ = __delattr__ = read_only
 
-    def __eq__(self, other) -> bool:
-        if type(other) is not AffineExpr:
-            return NotImplemented
-        return self.const == other.const and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.const, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"AffineExpr(const={self.const!r}, coeffs={self.coeffs!r})"
-
-    def __reduce__(self):
-        return AffineExpr, (self.const, self.coeffs)
-
-
-class BoundChain:
+class BoundChain(Frozen):
     """An iterated-integral region; ``bounds[i]`` is the (lower, upper) pair
     for variable i and may reference variables 0..i-1 only."""
 
@@ -110,27 +94,6 @@ class BoundChain:
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "nplus1_slot", nplus1_slot)
-
-    __setattr__ = __delattr__ = read_only
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not BoundChain:
-            return NotImplemented
-        return (self.bounds, self.label, self.nplus1_slot) == (
-            other.bounds, other.label, other.nplus1_slot
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.bounds, self.label, self.nplus1_slot))
-
-    def __repr__(self) -> str:
-        return (
-            f"BoundChain(bounds={self.bounds!r}, label={self.label!r}, "
-            f"nplus1_slot={self.nplus1_slot!r})"
-        )
-
-    def __reduce__(self):
-        return BoundChain, (self.bounds, self.label, self.nplus1_slot)
 
 
 class ChamberSet(NamedTuple):

@@ -1,5 +1,7 @@
 """Basis construction: unbiasedness, operator groups, channel building blocks."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -131,10 +133,11 @@ def test_family_requires_at_least_three_bases(mub_cache):
 
 
 def test_family_is_an_immutable_value():
-    """Families compare by their basis entries, which numpy cannot hash, and
-    no field can be assigned."""
+    """Families compare by their basis entries, which numpy cannot hash,
+    survive a pickle round trip, and no field can be assigned."""
     m = build_weyl_mubs(3)
     assert m == build_weyl_mubs(3)
+    assert pickle.loads(pickle.dumps(m)) == m
     assert m != MubSet(3, (m.bases[0], m.bases[0], m.bases[1]))
     with pytest.raises(TypeError):
         hash(m)

@@ -15,7 +15,7 @@ import pytest
 
 import pauli_volumes
 from pauli_volumes.channel import ChannelSpec
-from pauli_volumes.geometry import SurdValue
+from pauli_volumes.geometry import Frozen, SurdValue
 from pauli_volumes.regions import AffineExpr, BoundChain, chambers, p_box
 from pauli_volumes.volume import (
     _class_mask,
@@ -74,15 +74,20 @@ def test_affine_expr_keeps_exact_values_and_refuses_floats():
         AffineExpr(Fraction(0), (Fraction(1), 0.5))
 
 
+_FROZEN_VALUES = [
+    pytest.param(lambda: SurdValue(Fraction(1), 8), "coeff", id="SurdValue"),
+    pytest.param(lambda: AffineExpr(Fraction(1, 2), [1, Fraction(-1, 3)]), "const",
+                 id="AffineExpr"),
+    pytest.param(lambda: chambers(3, 4, "cp").chains[1], "label", id="BoundChain"),
+    pytest.param(lambda: ChannelSpec.make(3, 4, ["1/2", 0, "-1/4", 0]), "lambdas",
+                 id="ChannelSpec"),
+]
+
+
 @pytest.mark.parametrize(
     "make, field",
     [
-        pytest.param(lambda: SurdValue(Fraction(1), 8), "coeff", id="SurdValue"),
-        pytest.param(lambda: AffineExpr(Fraction(1, 2), [1, Fraction(-1, 3)]), "const",
-                     id="AffineExpr"),
-        pytest.param(lambda: chambers(3, 4, "cp").chains[1], "label", id="BoundChain"),
-        pytest.param(lambda: ChannelSpec.make(3, 4, ["1/2", 0, "-1/4", 0]), "lambdas",
-                     id="ChannelSpec"),
+        *_FROZEN_VALUES,
         pytest.param(lambda: class_volume(3, 4, "g"), "hs_volume", id="VolumeResult"),
         pytest.param(lambda: chambers(3, 4, "eb"), "chains", id="ChamberSet"),
         pytest.param(lambda: check_conjectures([3]).entries[0], "computed",
@@ -100,6 +105,26 @@ def test_value_classes_are_immutable_values(make, field):
     with pytest.raises(AttributeError):
         delattr(a, field)
     assert a == b
+
+
+@pytest.mark.parametrize("make, field", _FROZEN_VALUES)
+def test_frozen_values_are_type_strict_and_print_their_fields(make, field):
+    """A Frozen value equals only a value of its own class, not the tuple of
+    its fields nor another Frozen class with the same fields, and its repr
+    is Name(field=value, ...) in slot order, which rebuilds an equal value."""
+    a = make()
+    cls = type(a)
+    fields = tuple(getattr(a, name) for name in cls.__slots__)
+    assert a != fields and fields != a
+    twin = object.__new__(type("Twin", (Frozen,), {"__slots__": cls.__slots__}))
+    for name, value in zip(cls.__slots__, fields):
+        object.__setattr__(twin, name, value)
+    assert a != twin and twin != a
+    text = repr(a)
+    body = ", ".join(f"{name}={value!r}" for name, value in zip(cls.__slots__, fields))
+    assert text == f"{cls.__name__}({body})"
+    names = {"Fraction": Fraction, "AffineExpr": AffineExpr, cls.__name__: cls}
+    assert eval(text, names) == a
 
 
 def test_p_box_coordinate_counts():

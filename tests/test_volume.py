@@ -356,8 +356,8 @@ def test_dimension_cap_is_fixed():
 
 
 def test_volume_ratio_cross_route():
-    # irrational prefactors cancel: the ratio route through metric volumes
-    # must agree with the plain eigenvalue-volume ratio
+    # the metric prefactor is irrational at (4, 3) and cancels: each ratio is
+    # the plain eigenvalue-volume ratio
     table = ratio_table(4, 3)
     assert table["cp/p"] == Fraction(1, 12)
     assert table["eb/g"] == Fraction(1, 5)
