@@ -34,7 +34,8 @@ Class membership, writing S = sum_{alpha<=N} lambda_alpha + (d+1-N) lambda_{N+1}
   The qubit point lambda = (1/2, 1/2, 1/10) is in G, but its integrated
   rates are about (0.58, 0.58, -0.23).
 * entanglement breaking, necessary condition (EB): S <= 1; known sufficient
-  when N is d or d+1 and all eigenvalues are non-negative.
+  when all eigenvalues are non-negative at the (d, N) that
+  :func:`eb_criterion_exact` names.
 """
 
 from __future__ import annotations
@@ -145,7 +146,14 @@ def is_eb_necessary(c: ChannelSpec) -> bool:
     return c.eigenvalue_sum() <= 1
 
 
+def eb_criterion_exact(d: int, N: int) -> bool:
+    """Whether S <= 1 with every eigenvalue non-negative is known to be the
+    whole entanglement-breaking condition at (d, N): when at most one basis
+    is left out, so N is d or d+1. The one statement of this rule."""
+    return N >= d
+
+
 def eb_known_sufficient(c: ChannelSpec) -> bool:
-    """Whether S <= 1 is known to be sufficient too: N in {d, d+1} and
-    every eigenvalue non-negative."""
-    return c.N in (c.d, c.d + 1) and all(lam >= 0 for lam in c.lambdas)
+    """Whether S <= 1 is known to be sufficient too: the criterion is exact
+    at (d, N) and every eigenvalue is non-negative."""
+    return eb_criterion_exact(c.d, c.N) and is_generator_achievable(c)

@@ -40,8 +40,15 @@ from .channel import (
     is_positive_necessary,
     min_output_overlap,
 )
-from .geometry import SurdValue
-from .rationals import decimal_str, digit_limit, parse_rational, rational_str, surd_decimal_str
+from .geometry import SurdValue, is_int
+from .rationals import (
+    _quoted,
+    decimal_str,
+    digit_limit,
+    parse_rational,
+    rational_str,
+    surd_decimal_str,
+)
 from .regions import CLASS_TAGS
 from .volume import (
     N_MODES,
@@ -170,9 +177,7 @@ def _cmd_volume(args) -> _Result:
 
 
 def _rational_from_json(value) -> Fraction:
-    if isinstance(value, bool):
-        raise ValueError(f"not an eigenvalue: {value!r}")
-    if isinstance(value, int):
+    if is_int(value):
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
@@ -180,7 +185,7 @@ def _rational_from_json(value) -> Fraction:
         raise ValueError(
             f"float {value!r} rejected; pass exact values as strings like \"1/3\""
         )
-    raise ValueError(f"not an eigenvalue: {value!r}")
+    raise ValueError(f"not an eigenvalue: {_quoted(value)}")
 
 
 def _parse_lambdas(text: str) -> list[Fraction]:

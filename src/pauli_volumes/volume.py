@@ -37,6 +37,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm, sqrt
 from typing import Iterable, NamedTuple
 
+from .channel import eb_criterion_exact
 from .geometry import SurdValue, check_dims, is_int, volume_prefactor, vp_volume, weights
 from .regions import CLASS_TAGS, BoundChain, ChamberSet, chambers, p_box
 
@@ -259,16 +260,13 @@ def n_for_mode(d: int, n_mode: str) -> int:
 
 
 def supported_n_values(d: int) -> tuple[int, ...]:
-    """The basis counts this package can integrate exactly at dimension d."""
+    """The basis counts this package can integrate exactly at dimension d,
+    in increasing order: the counts the n-modes pick (d+1, d and 3) that are
+    valid there, 3 <= N <= d+1; none below d = 2."""
     if not is_int(d):
         raise ValueError(f"d must be an integer (got {d!r})")
-    if d < 2:
-        return ()
-    if d == 2:
-        return (3,)
-    if d == 3:
-        return (3, 4)
-    return (3, d, d + 1)
+    counts = {n_for_mode(d, m) for m in N_MODES}
+    return tuple(sorted(N for N in counts if 3 <= N <= d + 1))
 
 
 def _validate_combo(d: int, N: int, class_tag: str) -> None:
@@ -293,23 +291,17 @@ def _sufficiency(d: int, N: int, class_tag: str) -> str:
     """Whether the computed number is the class volume or an upper bound.
 
     The box only captures a necessary positivity condition, and the
-    entanglement-breaking criterion used here is only known to be
-    sufficient when at most one basis is left out.
+    entanglement-breaking criterion used here is exact only where
+    :func:`..channel.eb_criterion_exact` says so.
     """
-    if class_tag == "p":
+    if class_tag == "p" or (class_tag == "eb" and not eb_criterion_exact(d, N)):
         return "upper-bound"
-    if class_tag == "eb":
-        return "known-exact" if N >= d else "upper-bound"
     return "known-exact"
 
 
 def class_volume(d: int, N: int, class_tag: str) -> VolumeResult:
-    """Exact volume of one channel class.
-
-    Supported basis counts: N = d+1 and N = d (all or all-but-one bases,
-    d >= 3 for the latter), and N = 3 in any dimension d >= 3.
-    The d = 2 case only admits N = 3.
-    """
+    """Exact volume of one channel class, at a basis count that
+    :func:`supported_n_values` lists for d."""
     chambers = region_for(d, N, class_tag)
     raw = tuple(integrate_chain(ch) for ch in chambers.chains)
     lam = sum(raw, Fraction(0)) * chambers.symmetry_factor
@@ -416,7 +408,7 @@ def check_conjectures(d_values: Iterable[int], n_mode: str = "max") -> Conjectur
     sqrt(d-2)/(d-1)^2 from :func:`..geometry.vp_volume`.
     """
     if n_mode not in N_MODES:
-        raise ValueError(f"n_mode must be 'max', 'd' or '3' (got {n_mode!r})")
+        raise ValueError(f"n_mode must be one of {N_MODES} (got {n_mode!r})")
     entries: list[ConjectureEntry] = []
     for d in d_values:
         N = n_for_mode(d, n_mode)
@@ -453,6 +445,8 @@ def _class_mask(pts, d: int, N: int, class_tag: str):
 
     Works column by column: a reduction along rows of 3-13 elements runs one
     short numpy loop per row, while each column operation runs one long loop.
+    The weighted sum S adds the columns left to right, and that order, with
+    the draws, fixes which class a row within an ulp of a facet falls in.
     """
     import numpy as np
 
@@ -465,7 +459,9 @@ def _class_mask(pts, d: int, N: int, class_tag: str):
         for col in cols[2:]:
             np.maximum(high, col, out=high)
         return (low >= -1.0 / (d - 1)) & (high <= 1.0)
-    s = _row_sum(cols[:N])
+    s = cols[0] + cols[1]
+    for col in cols[2:N]:
+        s += col
     if N <= d:
         s += (d + 1 - N) * cols[N]
     if class_tag == "cp":
@@ -473,22 +469,6 @@ def _class_mask(pts, d: int, N: int, class_tag: str):
     if class_tag == "g":
         return (low >= 0.0) & (s <= 1.0 + d * low)
     return (low >= 0.0) & (s <= 1.0)  # eb
-
-
-def _row_sum(cols):
-    """The row sums of the columns ``cols``, added in the order numpy's
-    ``sum(axis=1)`` uses, so every bit matches it: left to right below eight
-    terms; from eight on, the first eight pairwise and the rest left to right."""
-    if len(cols) < 8:
-        s = cols[0] + cols[1]
-        rest = cols[2:]
-    else:
-        s = (cols[0] + cols[1]) + (cols[2] + cols[3])
-        s += (cols[4] + cols[5]) + (cols[6] + cols[7])
-        rest = cols[8:]
-    for col in rest:
-        s += col
-    return s
 
 
 def mc_volume(

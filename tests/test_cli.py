@@ -252,6 +252,19 @@ def test_classify_error_does_not_echo_a_long_literal(capsys, literal):
 
 
 @pytest.mark.parametrize(
+    "element",
+    [str(list(range(20_000))), "[" * 900 + "]" * 900, json.dumps({"a": "x" * 5000})],
+    ids=["long-list", "deep-list", "long-string-in-dict"],
+)
+def test_classify_error_does_not_echo_a_long_json_element(capsys, element):
+    """A JSON element that is not an eigenvalue is quoted only in part."""
+    code, out, err = run_cli(capsys, "classify", "--d", "2", "--lambdas", f"[{element}, 0, 0]")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: not an eigenvalue: ") and err.count("\n") == 1
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize(
     "lambdas, named",
     [
         ("9e4299,9e4299,0,0", "eigenvalue_sum"),  # 18e4299 has 4301 digits

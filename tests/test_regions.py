@@ -19,7 +19,6 @@ from pauli_volumes.geometry import Frozen, SurdValue
 from pauli_volumes.regions import AffineExpr, BoundChain, chambers, p_box
 from pauli_volumes.volume import (
     _class_mask,
-    _row_sum,
     check_conjectures,
     class_volume,
     region_for,
@@ -296,6 +295,24 @@ _FACET_ROWS_D5_N3 = [
     (0.0, 0.0, 0.0, 1.125),  # past 1
     (-0.3125, 0.0, 0.0, 0.0),  # past lo
 ]
+# d = 9, N = 10 (lo = -1/8): ten coordinates of weight 1, so S adds ten
+# columns; every partial sum is exact, whatever the order of addition.
+_FACET_ROWS_D9_N10 = [
+    (0.0,) * 10,
+    (0.125,) * 8 + (0.0, 0.0),  # s = 1, low = 0
+    (0.125,) * 8 + (0.0625, 0.0),  # s = 17/16
+    (0.0625,) * 9 + (1.0,),  # s = 1 + d*low = 25/16, low > 0
+    (0.0625,) * 8 + (0.125, 1.0),  # s = 13/8 > 1 + d*low
+    (-0.0625, 0.5) + (0.0,) * 8,  # s = 1 + d*low = 7/16
+    (-0.0625, 0.5, 0.0625) + (0.0,) * 7,  # s = 1/2 > 1 + d*low
+    (-0.125,) + (0.0,) * 9,  # a coordinate at lo, s = -1/(d-1) = 1 + d*low
+    (-0.0625, -0.0625) + (0.0,) * 8,  # s = -1/(d-1)
+    (-0.0625,) * 3 + (0.0,) * 7,  # s = -3/16
+    (1.0,) + (0.0,) * 9,  # a coordinate at 1, s = 1, low = 0
+    (1.0, -0.125) * 5,  # a corner of the box
+    (1.125,) + (0.0,) * 9,  # past 1
+    (-0.1875,) + (0.0,) * 9,  # past lo
+]
 
 
 def _class_by_rows(row, d, N, tag):
@@ -313,7 +330,13 @@ def _class_by_rows(row, d, N, tag):
 
 
 @pytest.mark.parametrize(
-    "d,N,rows", [(3, 4, _FACET_ROWS_D3), (3, 3, _FACET_ROWS_D3), (5, 3, _FACET_ROWS_D5_N3)]
+    "d,N,rows",
+    [
+        (3, 4, _FACET_ROWS_D3),
+        (3, 3, _FACET_ROWS_D3),
+        (5, 3, _FACET_ROWS_D5_N3),
+        (9, 10, _FACET_ROWS_D9_N10),
+    ],
 )
 @pytest.mark.parametrize("tag", ["p", "cp", "g", "eb"])
 def test_class_mask_on_facets(d, N, rows, tag):
@@ -323,13 +346,6 @@ def test_class_mask_on_facets(d, N, rows, tag):
     assert True in expected and False in expected
     assert _class_mask(np.array(rows), d, N, tag).tolist() == expected
 
-
-@pytest.mark.parametrize("n", range(3, 14))
-def test_row_sum_matches_numpy_bitwise(n):
-    """The column-wise sum inside _class_mask keeps numpy's row-sum order,
-    so the mask compares the same floats as pts.sum(axis=1) would."""
-    pts = np.random.default_rng(n).random((4096, n)) * 1.5 - 0.5
-    assert np.array_equal(_row_sum(pts.T), pts.sum(axis=1))
 
 def _banned_imports(nodes, package_banned, outside_banned=frozenset({"numpy"})):
     """The names among ``nodes`` that import one of ``outside_banned`` (numpy

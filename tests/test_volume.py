@@ -432,8 +432,9 @@ def test_conjectures_all_but_one_mode():
 
 
 def test_conjectures_bad_mode():
-    with pytest.raises(ValueError, match="n_mode"):
+    with pytest.raises(ValueError, match="n_mode") as info:
         check_conjectures([2], "all")
+    assert all(repr(mode) in str(info.value) for mode in N_MODES)
     with pytest.raises(ValueError, match="d must be"):
         check_conjectures([0], "max")
 
@@ -472,6 +473,9 @@ _MC_HITS_SEED_11 = {
     (4, 3, 70_001): {"p": 70_001, "cp": 5_801, "g": 2_205, "eb": 433},
     (3, 4, 300_001): {"cp": 37_271, "g": 9_752, "eb": 2_361},
     (5, 3, 300_001): {"cp": 20_826, "g": 10_176, "eb": 1_761},
+    # eight or more columns in the weighted sum
+    (7, 8, 1_000_001): {"cp": 175, "g": 65, "eb": 8},
+    (8, 8, 1_000_001): {"cp": 18, "g": 7},
 }
 
 
