@@ -12,7 +12,13 @@ int, so multiplying two of them is one integer addition. The bounds are
 read into integers once, with the running-sum check done by integer
 cross-multiplication, and the last integral, over x0, is evaluated by
 Horner's rule on integer numerators too: one Fraction is built per chain,
-for its volume.
+for its volume. The partial integral after the inner levels n-1..k depends
+on those levels alone, so the chains of one call share a table of them,
+keyed on the integer levels: each distinct stack of inner levels is
+integrated once per (d, N), across the classes where a call computes
+several (the g chain has the levels of cp:sys3, and each cp chain the
+inner levels of those with a smaller switch level). The table is dropped
+when the call returns.
 Every chamber qualifies: its bounds are constants, the ordering bound
 x_{k-1}, or level bounds whose x_1..x_{k-2} coefficients are the chain's
 weights -w_j over the level's denominator. Any other chain raises
@@ -51,11 +57,12 @@ _MC_MIN_SAMPLES = 10_000
 _MC_MAX_SAMPLES = 10**8
 
 
-# Largest dimension the exact engine attempts. Cost model, measured cold on
-# a 2-core host: check_conjectures([d]) in the "max" or "d" mode takes about
-# 0.017 s at d = 8, and each step in d costs about 1.5x (0.03 s at d = 9,
-# 0.04 s at d = 10, 0.06 s at d = 11, 0.10 s at d = 12); the "3" mode takes
-# about 0.005 s at any d.
+# Largest dimension the exact engine attempts. Cost model, best of 36 calls
+# on a 2-core host, each call building and integrating from scratch:
+# check_conjectures([d]) in the "max" or "d" mode takes about 0.010 s at
+# d = 8, and each step in d costs about 1.5x (0.016 s at d = 9, 0.025 s at
+# d = 10, 0.04 s at d = 11, 0.06 s at d = 12); the "3" mode takes about
+# 0.005 s at any d.
 _MAX_D = 12
 
 
@@ -82,23 +89,33 @@ _X0, _Y, _S = 1 << 12, 1 << 6, 1
 _MAX_VARS = 63
 
 
-def _affine(const, x0, y, s) -> _Poly:
-    terms = {0: const, _X0: x0, _Y: y, _S: s}
-    return {e: v for e, v in terms.items() if v}
+# an affine polynomial as (key, numerator) pairs: a tuple, so that a level
+# can key the table of shared partial integrals
+_Affine = tuple[tuple[int, int], ...]
+# one level of a chain, (q, q*lo, q*hi, carry)
+_Level = tuple[int, _Affine, _Affine, _Affine]
+# {(node, level): (child node, den, poly)}: the partial integral after one
+# more level, where node 0 is the empty stack and node i the state stored
+# with id i, so each node stands for one stack of inner levels
+_Table = dict[tuple[int, _Level], tuple[int, int, _Poly]]
 
 
-def _mul_add(p: _Poly, f: _Poly, add: _Poly) -> _Poly:
+def _affine(const, x0, y, s) -> _Affine:
+    return tuple((e, v) for e, v in ((0, const), (_X0, x0), (_Y, y), (_S, s)) if v)
+
+
+def _mul_add(p: _Poly, f: _Affine, add: _Poly) -> _Poly:
     """p*f + add, for an affine f of at most four terms."""
     out = dict(add)
     get = out.get
-    for e2, v2 in f.items():
+    for e2, v2 in f:
         for e1, v1 in p.items():
             e = e1 + e2
             out[e] = get(e, 0) + v1 * v2
     return out
 
 
-def _integer_levels(chain: BoundChain) -> list[tuple[int, _Poly, _Poly, _Poly]]:
+def _integer_levels(chain: BoundChain) -> list[_Level]:
     """Read levels n-1..1 of a chain as (q, q*lo, q*hi, carry), all integer
     affine polynomials over packed keys, with no Fraction arithmetic.
 
@@ -154,15 +171,14 @@ def _integer_levels(chain: BoundChain) -> list[tuple[int, _Poly, _Poly, _Poly]]:
     return levels
 
 
-def integrate_chain(chain: BoundChain) -> Fraction:
-    """Exact volume of one bound chain, innermost variable first.
+def _integrate_level(den: int, poly: _Poly, level: _Level) -> tuple[int, _Poly]:
+    """Integrate x_k out of the integrand poly/den, as a new (den, poly).
 
-    The integrand is held as integer numerators over one denominator D per
-    level. Integrating x_k turns a polynomial in (x0, x_k, S_{k+1}) into one
-    in (x0, x_{k-1}, S_k), by substituting the bounds lo/q and hi/q and
+    poly, a polynomial in (x0, x_k, S_{k+1}), becomes one in
+    (x0, x_{k-1}, S_k), by substituting the bounds lo/q and hi/q and
     S_{k+1} = S_k + u_{k-1} x_{k-1}. With B the top power of x_k after
     integration, the antiderivative sum_b H_b x_k^b / b is put over
-    D * lcm(1..B) * q^B, which scales H_b by lcm(1..B)/b * q^(B-b). It is
+    den * lcm(1..B) * q^B, which scales H_b by lcm(1..B)/b * q^(B-b). It is
     evaluated by Horner's rule twice over:
 
     * each H_b, a polynomial in x0 and S_{k+1}, is folded over the powers
@@ -172,44 +188,69 @@ def integrate_chain(chain: BoundChain) -> Fraction:
 
     Every product is by an affine polynomial of at most four terms, so a
     level costs O(B*C) such products for C the top power of S_{k+1}. The
-    numerators and the denominator are divided by their gcd once per
-    level.
+    numerators and the denominator are divided by their gcd once. poly is
+    only read, so a state kept in a table stays valid.
+    """
+    q, lo, hi, carry = level
+    top_b = 1 + max((e % _X0 // _Y for e in poly), default=0)
+    ladder = lcm(*range(1, top_b + 1))
+    scales = [0] + [ladder // b * q ** (top_b - b) for b in range(1, top_b + 1)]
+    # groups[b][c] is the x0 polynomial multiplying x_k^b S_{k+1}^c
+    groups: list[dict[int, _Poly]] = [{} for _ in range(top_b + 1)]
+    for e, v in poly.items():
+        b = e % _X0 // _Y + 1  # x_k^(b-1) integrates to x_k^b / b
+        # poly's keys are distinct, so each (a, b, c) arrives once
+        groups[b].setdefault(e % _Y, {})[e - e % _X0] = v * scales[b]
+    h_by_b = []
+    for by_c in groups:
+        h_b: _Poly = {}
+        for c in range(max(by_c, default=-1), -1, -1):
+            h_b = _mul_add(h_b, carry, by_c.get(c, {}))
+        h_by_b.append(h_b)
+    at_hi: _Poly = {}
+    at_lo: _Poly = {}
+    for h_b in reversed(h_by_b):
+        at_hi = _mul_add(at_hi, hi, h_b)
+        at_lo = _mul_add(at_lo, lo, h_b)
+    for e, v in at_lo.items():
+        at_hi[e] = at_hi.get(e, 0) - v
+    den *= ladder * q**top_b
+    g = gcd(den, *at_hi.values())
+    return den // g, {e: v // g for e, v in at_hi.items() if v}
 
-    What is left is a polynomial sum_a v_a x0^(a-1) over D. With the outer
-    ends l/q0 and h/q0 over one denominator and A the top power, its
-    integral sum_a v_a (h^a - l^a) / (a q0^a) is put over
-    D * lcm(1..A) * q0^A and folded over a by Horner's rule at h and at l.
+
+def integrate_chain(chain: BoundChain, table: _Table | None = None) -> Fraction:
+    """Exact volume of one bound chain, innermost variable first.
+
+    The integrand is held as integer numerators over one denominator per
+    level, and :func:`_integrate_level` integrates out one level at a time.
+    The state after the levels n-1..k depends on nothing but those levels,
+    read into integers by :func:`_integer_levels`, so ``table`` keeps each
+    state keyed on the stack of integer levels that produced it. A chain
+    whose inner levels match a stack in the table picks up its state and
+    integrates only the levels it does not share: the g chain shares all of
+    its levels with cp:sys3, and each cp chain shares levels m..n-1 with
+    every cp chain of a smaller switch level m. Equal keys give equal
+    states, so sharing leaves every volume exactly as it is. Callers pass
+    one table for the chains of one (d, N) and drop it afterwards; with no
+    table, the chain is integrated in a fresh one.
+
+    After level 1 the integrand is a polynomial sum_a v_a x0^(a-1) over one
+    denominator D. With the outer ends l/q0 and h/q0 over one denominator
+    and A the top power, its integral sum_a v_a (h^a - l^a) / (a q0^a) is
+    put over D * lcm(1..A) * q0^A and folded over a by Horner's rule at h
+    and at l.
     No Fraction arithmetic runs here or in :func:`_integer_levels`: the
     only Fraction built is the returned volume.
     """
-    den, poly = 1, {0: 1}
-    for q, lo, hi, carry in _integer_levels(chain):
-        top_b = 1 + max((e % _X0 // _Y for e in poly), default=0)
-        ladder = lcm(*range(1, top_b + 1))
-        scales = [0] + [ladder // b * q ** (top_b - b) for b in range(1, top_b + 1)]
-        # groups[b][c] is the x0 polynomial multiplying x_k^b S_{k+1}^c
-        groups: list[dict[int, _Poly]] = [{} for _ in range(top_b + 1)]
-        for e, v in poly.items():
-            b = e % _X0 // _Y + 1  # x_k^(b-1) integrates to x_k^b / b
-            # poly's keys are distinct, so each (a, b, c) arrives once
-            groups[b].setdefault(e % _Y, {})[e - e % _X0] = v * scales[b]
-        h_by_b = []
-        for by_c in groups:
-            h_b: _Poly = {}
-            for c in range(max(by_c, default=-1), -1, -1):
-                h_b = _mul_add(h_b, carry, by_c.get(c, {}))
-            h_by_b.append(h_b)
-        at_hi: _Poly = {}
-        at_lo: _Poly = {}
-        for h_b in reversed(h_by_b):
-            at_hi = _mul_add(at_hi, hi, h_b)
-            at_lo = _mul_add(at_lo, lo, h_b)
-        for e, v in at_lo.items():
-            at_hi[e] = at_hi.get(e, 0) - v
-        den *= ladder * q**top_b
-        g = gcd(den, *at_hi.values())
-        den //= g
-        poly = {e: v // g for e, v in at_hi.items() if v}
+    if table is None:
+        table = {}
+    node, den, poly = 0, 1, {0: 1}
+    for level in _integer_levels(chain):
+        state = table.get((node, level))
+        if state is None:
+            state = table[node, level] = (len(table) + 1, *_integrate_level(den, poly, level))
+        node, den, poly = state
     lo0, hi0 = (e.const for e in chain.bounds[0])
     q0 = lcm(lo0.denominator, hi0.denominator)
     l, h = (v.numerator * (q0 // v.denominator) for v in (lo0, hi0))
@@ -301,22 +342,33 @@ def _sufficiency(d: int, N: int, class_tag: str) -> str:
 
 def class_volume(d: int, N: int, class_tag: str) -> VolumeResult:
     """Exact volume of one channel class, at a basis count that
-    :func:`supported_n_values` lists for d."""
-    chambers = region_for(d, N, class_tag)
-    raw = tuple(integrate_chain(ch) for ch in chambers.chains)
-    lam = sum(raw, Fraction(0)) * chambers.symmetry_factor
-    hs = volume_prefactor(d, N) * lam
-    return VolumeResult(
-        class_tag=class_tag,
-        d=d,
-        N=N,
-        chain_labels=tuple(ch.label for ch in chambers.chains),
-        chain_volumes=raw,
-        symmetry_factor=chambers.symmetry_factor,
-        lambda_volume=lam,
-        hs_volume=hs,
-        sufficiency=_sufficiency(d, N, class_tag),
-    )
+    :func:`supported_n_values` lists for d. Its chains share one table of
+    inner levels, dropped on return."""
+    return _class_volumes(d, N, (class_tag,))[class_tag]
+
+
+def _class_volumes(d: int, N: int, tags: tuple[str, ...] = CLASS_TAGS) -> dict[str, VolumeResult]:
+    """The volumes of the classes ``tags`` at one (d, N), integrated over
+    one table, so a stack of inner levels common to two chains of any of
+    them is integrated once."""
+    table: _Table = {}
+    vols = {}
+    for tag in tags:
+        chambers = region_for(d, N, tag)
+        raw = tuple(integrate_chain(ch, table) for ch in chambers.chains)
+        lam = sum(raw, Fraction(0)) * chambers.symmetry_factor
+        vols[tag] = VolumeResult(
+            class_tag=tag,
+            d=d,
+            N=N,
+            chain_labels=tuple(ch.label for ch in chambers.chains),
+            chain_volumes=raw,
+            symmetry_factor=chambers.symmetry_factor,
+            lambda_volume=lam,
+            hs_volume=volume_prefactor(d, N) * lam,
+            sufficiency=_sufficiency(d, N, tag),
+        )
+    return vols
 
 
 _RATIO_TAGS = {"cp/p": ("cp", "p"), "g/cp": ("g", "cp"), "eb/g": ("eb", "g")}
@@ -324,8 +376,9 @@ RATIO_NAMES = tuple(_RATIO_TAGS)
 
 
 def ratio_table(d: int, N: int) -> dict[str, Fraction]:
-    """The three nested-class ratios at one (d, N), each class integrated once."""
-    return _ratios({tag: class_volume(d, N, tag) for tag in CLASS_TAGS})
+    """The three nested-class ratios at one (d, N), each class integrated
+    once and the inner levels they share integrated once."""
+    return _ratios(_class_volumes(d, N))
 
 
 def _ratios(vols: dict[str, VolumeResult]) -> dict[str, Fraction]:
@@ -412,8 +465,8 @@ def check_conjectures(d_values: Iterable[int], n_mode: str = "max") -> Conjectur
     entries: list[ConjectureEntry] = []
     for d in d_values:
         N = n_for_mode(d, n_mode)
-        # class_volume validates (d, N) before the closed forms divide by d
-        vols = {tag: class_volume(d, N, tag) for tag in CLASS_TAGS}
+        # region_for validates (d, N) before the closed forms divide by d
+        vols = _class_volumes(d, N)
         computed = _ratios(vols)
         forms = closed_form_ratios(d, N)
         extrapolated = n_mode in ("max", "d") and d not in _CONFIRMED_FULL_D

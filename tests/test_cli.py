@@ -527,7 +527,7 @@ def test_failed_consistency_check_is_exit_one(capsys, monkeypatch):
     """A chamber with negative volume is a failed verification: exit 1, one
     error line, no traceback."""
 
-    def negative(chain):
+    def negative(chain, table):
         raise volume.ChamberInconsistency(chain.label, Fraction(-1))
 
     monkeypatch.setattr(volume, "integrate_chain", negative)

@@ -166,16 +166,21 @@ def _replay_chain_goldens(name, dims):
     [d, N, class, label, "p/q"], and check each class sum against its closed
     form: with n coordinates (N+1, or d+1 when N = d+1) and W the left-out
     weight d+1-N (1 when N = d+1), eb = 1/(n! W), g = (d+1) eb and
-    cp = d (d/(d-1))^n eb. ``dims`` lists the (d, N) the file must cover."""
+    cp = d (d/(d-1))^n eb. ``dims`` lists the (d, N) the file must cover.
+    Each chain is integrated twice: alone, and with one table of shared
+    inner levels for all the cp, g and eb chains of its (d, N)."""
     rows = json.loads((Path(__file__).parent / "data" / name).read_text())
     golden = defaultdict(list)
     for d, N, cls, label, value in rows:
         golden[d, N, cls].append((label, Fraction(value)))
     assert sorted(golden) == sorted((d, N, cls) for d, N in dims for cls in ("cp", "g", "eb"))
+    tables = defaultdict(dict)
     for (d, N, cls), expected in golden.items():
         region = chambers(d, N, cls)
         got = [(ch.label, integrate_chain(ch)) for ch in region.chains]
         assert got == expected, (d, N, cls)
+        shared = [(ch.label, integrate_chain(ch, tables[d, N])) for ch in region.chains]
+        assert shared == expected, (d, N, cls)
         n, W = (d + 1, 1) if N == d + 1 else (N + 1, d + 1 - N)
         eb = Fraction(1, factorial(n) * W)
         closed = {"eb": eb, "g": (d + 1) * eb, "cp": d * Fraction(d, d - 1) ** n * eb}[cls]
@@ -199,6 +204,65 @@ def test_every_chain_at_d_9_to_12_matches_its_golden_volume():
     _replay_chain_goldens(
         "chain_volumes_9_12.json", [(d, N) for d in range(9, 13) for N in (3, d, d + 1)]
     )
+
+
+def _count_level_integrations(monkeypatch):
+    """Count the calls of volume._integrate_level from now on."""
+    calls = []
+    true_level = volume._integrate_level
+
+    def counted(*args):
+        calls.append(None)
+        return true_level(*args)
+
+    monkeypatch.setattr(volume, "_integrate_level", counted)
+    return calls
+
+
+def test_chains_of_one_table_share_their_inner_levels():
+    """The g chain has the levels of cp:sys3 and differs only in its x0
+    range, so once the cp chains are in a table, g integrates no level."""
+    table = {}
+    cp = [integrate_chain(ch, table) for ch in chambers(8, 9, "cp").chains]
+    levels = len(table)
+    assert levels < sum(len(ch.bounds) - 1 for ch in chambers(8, 9, "cp").chains)
+    g = [integrate_chain(ch, table) for ch in chambers(8, 9, "g").chains]
+    assert len(table) == levels
+    assert cp + g == [
+        integrate_chain(ch) for cls in ("cp", "g") for ch in chambers(8, 9, cls).chains
+    ]
+
+
+def test_sharing_stays_inside_one_call(monkeypatch):
+    """check_conjectures shares one table across the classes of a (d, N)
+    and class_volume one within its class; neither keeps it, so a second
+    call integrates as many levels as the first."""
+    calls = _count_level_integrations(monkeypatch)
+    counts = []
+    for call in (lambda: check_conjectures([8]), lambda: class_volume(8, 9, "cp")) * 2:
+        before = len(calls)
+        call()
+        counts.append(len(calls) - before)
+    assert counts[:2] == counts[2:]
+    assert 0 < counts[1] < sum(len(ch.bounds) - 1 for ch in chambers(8, 9, "cp").chains)
+
+
+def test_exact_cold_queries_integrate_each_level_stack_once(monkeypatch):
+    """The 18 check_conjectures calls of one perfbench exact-cold round
+    integrate 1,049 levels chain by chain, and 694 with the inner levels
+    shared within each (d, N)."""
+    queries = [(d, "max") for d in range(2, 9)]
+    queries += [(d, "d") for d in range(3, 9)] + [(d, "3") for d in range(4, 9)]
+    unshared = 0
+    for d, mode in queries:
+        N = volume.n_for_mode(d, mode)
+        for cls in ("p", "cp", "g", "eb"):
+            unshared += sum(len(ch.bounds) - 1 for ch in region_for(d, N, cls).chains)
+    assert unshared == 1049
+    calls = _count_level_integrations(monkeypatch)
+    for d, mode in queries:
+        assert check_conjectures([d], mode).all_match
+    assert len(calls) == 694
 
 
 def _weighted_simplex(weights, c, shift, sign):
@@ -417,10 +481,10 @@ def test_conjectures_integrate_the_box_once_per_dimension(monkeypatch):
     box_chains = []
     true_integrate = volume.integrate_chain
 
-    def counted(chain):
+    def counted(chain, table):
         if chain.label == "p-box":
             box_chains.append(chain)
-        return true_integrate(chain)
+        return true_integrate(chain, table)
 
     monkeypatch.setattr(volume, "integrate_chain", counted)
     assert check_conjectures([4, 5, 6], "3").all_match
