@@ -17,6 +17,10 @@ exact: eigenvalues are rationals and every comparison is in rational
 arithmetic. The numerical channel action and Choi matrix that cross-check
 them live in :mod:`.mub`, which imports this module and never the reverse.
 
+N = d is the complete family: the one left-out basis has lambda_{N+1} as
+its own eigenvalue, so these channels are those of N = d+1, written with d
+of the bases. Their class regions, chains and volumes are the same.
+
 Class membership, writing S = sum_{alpha<=N} lambda_alpha + (d+1-N) lambda_{N+1}:
 
 * completely positive (CP):

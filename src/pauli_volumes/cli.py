@@ -12,10 +12,10 @@ Subcommands:
 
 Exit codes: 0 on success, 1 when a verification fails (conjecture
 mismatch, Monte Carlo off by more than three standard errors, basis check
-failing its tolerance, inconsistent chamber), 2 on bad usage,
-unsupported parameters or an --out file that cannot be written. Only this
-module shapes output: each subcommand builds its document from exact values,
-and main renders it, writes it and maps errors to exit codes.
+failing its tolerance), 2 on bad usage, unsupported parameters or an --out
+file that cannot be written. Only this module shapes output: each
+subcommand builds its document from exact values, and main renders it,
+writes it and maps errors to exit codes.
 
 Output is JSON by default; ratios, volume, mc and check-conjectures also
 take --format csv with fixed headers. Rationals are printed as "p/q"
@@ -53,7 +53,6 @@ from .regions import CLASS_TAGS
 from .volume import (
     N_MODES,
     RATIO_NAMES,
-    ChamberInconsistency,
     _validate_combo,
     check_conjectures,
     class_volume,
@@ -453,9 +452,6 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ChamberInconsistency as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     return code
 
 

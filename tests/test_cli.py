@@ -6,13 +6,11 @@ import json
 import subprocess
 import sys
 import time
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pauli_volumes import volume
 from pauli_volumes.cli import main
 from pauli_volumes.mub import build_weyl_mubs
 
@@ -521,19 +519,6 @@ def test_dump_regions_structure(capsys):
     assert set(chain) == {"label", "nplus1_slot", "bounds"}
     assert len(chain["bounds"]) == 4
     assert chain["bounds"][0]["lower"]["coeffs"] == []
-
-
-def test_failed_consistency_check_is_exit_one(capsys, monkeypatch):
-    """A chamber with negative volume is a failed verification: exit 1, one
-    error line, no traceback."""
-
-    def negative(chain, table):
-        raise volume.ChamberInconsistency(chain.label, Fraction(-1))
-
-    monkeypatch.setattr(volume, "integrate_chain", negative)
-    code, out, err = run_cli(capsys, "volume", "--d", "3", "--class", "g")
-    assert (code, out) == (1, "")
-    assert err == "error: chain 'g' has negative volume -1\n"
 
 
 def test_mub_verify_passes_for_primes(capsys):

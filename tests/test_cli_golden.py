@@ -61,6 +61,13 @@ def test_cli_output_matches_the_golden_hashes(capsys):
     assert not wrong, f"{len(wrong)} outputs changed, first: {wrong[0]}"
 
 
+def test_golden_file_lists_what_its_generator_runs():
+    """The file's commands are those of _argvs(), in order, so the file and
+    the generator that rewrites it cannot drift apart."""
+    golden = json.loads(GOLDEN.read_text())
+    assert [shlex.join(argv) for argv in _argvs()] == list(golden)
+
+
 if __name__ == "__main__":
     import contextlib
     import io

@@ -4,6 +4,7 @@ import ast
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,7 +15,12 @@ import numpy as np
 import pytest
 
 import pauli_volumes
-from pauli_volumes.channel import ChannelSpec
+from pauli_volumes.channel import (
+    ChannelSpec,
+    is_cp,
+    is_eb_necessary,
+    is_generator_achievable,
+)
 from pauli_volumes.geometry import Frozen, SurdValue
 from pauli_volumes.regions import AffineExpr, BoundChain, chambers, p_box
 from pauli_volumes.volume import (
@@ -262,6 +268,119 @@ def test_chambers_agree_with_defining_inequalities(d, N):
         assert counts[ok].max(initial=0) <= 1  # chambers are disjoint
 
 
+# --------------------------------------------------------------------------
+# exact chamber certificate: every chamber set that `chambers` builds at
+# d <= 8, read against the class predicates of `channel` alone
+# --------------------------------------------------------------------------
+
+_IN_CLASS = {
+    "cp": is_cp,
+    "g": lambda c: is_cp(c) and is_generator_achievable(c),
+    "eb": lambda c: is_generator_achievable(c) and is_eb_necessary(c),
+}
+
+
+def _weights(d, N):
+    """Coordinate weights written out from (d, N): 1 for each used basis and
+    d+1-N for the left-out eigenvalue, which is dropped when N = d+1."""
+    return (1,) * (d + 1) if N == d + 1 else (1,) * N + (d + 1 - N,)
+
+
+def _at(expr, x):
+    return expr.const + sum(c * v for c, v in zip(expr.coeffs, x))
+
+
+def _spec(d, N, x, slot):
+    """The channel at sorted chamber coordinates x. With a slot, x[slot] is
+    lambda_{N+1} and the others are lambda_1..lambda_N in order; without
+    one, x is the eigenvalue vector, less the pinned zero at N = d+1."""
+    if slot is not None:
+        x = x[:slot] + x[slot + 1 :] + x[slot : slot + 1]
+    return ChannelSpec.make(d, N, x)
+
+
+def _corners(chain):
+    """Every corner of a chain: lo or hi at each level, walked outward in.
+    lo <= hi is checked at every corner of the levels below, so by
+    induction each partial chain is the convex hull of its corners."""
+    corners = {()}
+    for lo, hi in chain.bounds:
+        grown = set()
+        for x in corners:
+            a, b = _at(lo, x), _at(hi, x)
+            assert a <= b, f"{chain.label}: lower bound {a} above upper bound {b} at {x}"
+            grown |= {x + (a,), x + (b,)}
+        corners = grown
+    return corners
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_every_chamber_is_the_hull_of_sorted_corners_in_its_class(d):
+    """For every N in 3..d+1 and each of cp, g and eb, each chain is the
+    convex hull of its corners, which are sorted and lie in the class. The
+    bounds are affine and the classes convex, so no chain has a negatively
+    counted part and each lies inside its class and its ordered wedge."""
+    for N in range(3, d + 2):
+        for tag, in_class in _IN_CLASS.items():
+            for ch in chambers(d, N, tag).chains:
+                for x in _corners(ch):
+                    assert list(x) == sorted(x), f"{ch.label}: unsorted corner {x}"
+                    spec = _spec(d, N, list(x), ch.nplus1_slot)
+                    assert in_class(spec), f"{ch.label}: corner {x} outside {tag}"
+
+
+def _simplex_point(rng, vertices, grid=2**62):
+    """An exact point of the simplex on ``vertices``, uniform on a fine
+    grid: its barycentric weights are the uniform spacings of len-1 draws."""
+    cuts = sorted(rng.randrange(grid + 1) for _ in vertices[1:])
+    bary = [b - a for a, b in zip([0, *cuts], [*cuts, grid])]
+    return [sum(b * v for b, v in zip(bary, coord)) / grid for coord in zip(*vertices)]
+
+
+def _class_vertices(d, N, tag):
+    """The vertices of the cp simplex (all ones, and for each i
+    lambda_i = (d-w_i)/(w_i(d-1)) with the others at -1/(d-1)), or, for eb,
+    those of the eb simplex (0 and e_i/w_i)."""
+    w = _weights(d, N)
+    if tag == "eb":
+        first = base = [Fraction(0)] * len(w)
+        apexes = [Fraction(1, wi) for wi in w]
+    else:
+        first, base = [Fraction(1)] * len(w), [Fraction(-1, d - 1)] * len(w)
+        apexes = [Fraction(d - wi, wi * (d - 1)) for wi in w]
+    return [first] + [[*base[:i], t, *base[i + 1 :]] for i, t in enumerate(apexes)]
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_exact_class_points_lie_in_exactly_one_chamber(d):
+    """For every N in 3..d+1 and each of cp, g and eb, 20 exact random points
+    of the class, sorted with the left-out eigenvalue's rank as the slot,
+    each lie in exactly one chain of that slot. cp and eb points are drawn
+    uniformly from their simplices, and g points are cp points rejected
+    into g."""
+    rng = random.Random(d)
+    for N in range(3, d + 2):
+        for tag, in_class in _IN_CLASS.items():
+            chains = chambers(d, N, tag).chains
+            vertices = _class_vertices(d, N, "eb" if tag == "eb" else "cp")
+            kept = 0
+            while kept < 20:
+                lam = _simplex_point(rng, vertices)
+                if not in_class(ChannelSpec.make(d, N, lam)):
+                    assert tag == "g", f"{tag} point {lam} outside its class"
+                    continue
+                kept += 1
+                x = sorted(lam)
+                slot = None if chains[0].nplus1_slot is None else sum(v < lam[-1] for v in lam)
+                holding = [
+                    ch.label
+                    for ch in chains
+                    if ch.nplus1_slot == slot
+                    and all(_at(lo, x) <= v <= _at(hi, x) for v, (lo, hi) in zip(x, ch.bounds))
+                ]
+                assert len(holding) == 1, f"d={d}, N={N}, {tag} point {lam} in {holding}"
+
+
 
 # Dyadic rows on the facets of each class, and just past them, so that every
 # sum below is exact. At d = 3 (lo = -1/2) every coordinate has weight 1.
@@ -317,8 +436,7 @@ _FACET_ROWS_D9_N10 = [
 
 def _class_by_rows(row, d, N, tag):
     """The defining inequalities of each class, written out for one row."""
-    w = (1,) * (d + 1) if N == d + 1 else (1,) * N + (d + 1 - N,)
-    s = sum(wi * x for wi, x in zip(w, row))
+    s = sum(wi * x for wi, x in zip(_weights(d, N), row))
     low = min(row)
     if tag == "p":
         return all(-1 / (d - 1) <= x <= 1 for x in row)
