@@ -30,15 +30,19 @@ The Monte Carlo route samples the necessary-positivity box uniformly and
 counts membership with float predicates. It exists to cross-check the
 exact numbers, so it deliberately shares nothing with the chain
 integration: the predicates are the defining inequalities of each class,
-not the chamber decompositions. It draws each block's rows in chunks of
-cache size from the block's stream, the same draws as one whole-block call,
-and masks each chunk column by column. It is the only route that needs
-numpy, and its functions import it themselves, so exact callers never load
-it.
+not the chamber decompositions. Its blocks of 65,536 rows run on a pool
+of workers sized to the CPUs this process may use, the calling thread
+among them, so no thread is started when that is one; each block has its
+own stream, so the hits do not depend on the CPU count. Each worker draws
+its blocks' rows in chunks of cache size, the same draws as one
+whole-block call, and masks each chunk column by column. It is the only
+route that needs numpy, and its functions import it themselves, so exact
+callers never load it.
 """
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from math import factorial, gcd, lcm, sqrt
 from typing import Iterable, NamedTuple
@@ -48,21 +52,23 @@ from .geometry import SurdValue, check_dims, is_int, volume_prefactor, vp_volume
 from .regions import CLASS_TAGS, BoundChain, ChamberSet, chambers, p_box
 
 _MC_BLOCK = 1 << 16
-# rows per draw and mask: 0.4-1.7 MB of samples and 128 KB per column
-# temporary, small enough to stay in cache between the draw and the mask
+# rows per draw and mask, split evenly among the Monte Carlo workers:
+# 0.4-1.7 MB of samples and 128 KB per column temporary in all, small
+# enough to stay in cache between the draw and the mask
 _MC_CHUNK = 1 << 14
 _MC_MIN_SAMPLES = 10_000
-# about 20 s at d = 12, N = 13, the slowest case (4.6-5.3 M samples/s on a
-# 2-core host); a larger request is a usage error
+# about 8 s at d = 12, N = 13, the slowest case, on a 2-core host (12-18 M
+# samples/s; 14 s, at 8-10 M samples/s, with one usable CPU); a larger
+# request is a usage error
 _MC_MAX_SAMPLES = 10**8
 
 
 # Largest dimension the exact engine attempts. Cost model, best of 36 calls
 # on a 2-core host, each call building and integrating from scratch:
-# check_conjectures([d]) in the "max" or "d" mode takes about 0.010 s at
-# d = 8, and each step in d costs about 1.5x (0.016 s at d = 9, 0.025 s at
-# d = 10, 0.04 s at d = 11, 0.06 s at d = 12); the "3" mode takes about
-# 0.005 s at any d.
+# check_conjectures([d]) in the "max" or "d" mode takes about 0.007 s at
+# d = 8, and each step in d costs about 1.5x (0.010 s at d = 9, 0.015 s at
+# d = 10, 0.023 s at d = 11, 0.036 s at d = 12); the "3" mode takes about
+# 0.003 s at any d.
 _MAX_D = 12
 
 
@@ -536,25 +542,76 @@ def mc_volume(
     return McEstimate(estimate=p_hat * scale, stderr=stderr, hits=hits, samples=samples)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _mc_hits(d: int, N: int, class_tag: str, samples: int, seed: int) -> int:
-    """How many of the first ``samples`` box draws of stream ``seed`` lie in the class."""
+    """How many of the first ``samples`` box draws of stream ``seed`` lie in the class.
+
+    Blocks are shared round-robin among min(usable CPUs, blocks) workers:
+    the calling thread and one started thread per further worker, so no
+    thread is started when that is one. Each block's stream is keyed on
+    (seed, block), so which worker draws it, and in what chunks, changes no
+    row, and the hit count is an integer sum, so the block order cannot
+    change it either. Each worker's chunk is _MC_CHUNK over the worker
+    count, so all of them together hold the rows one worker would.
+    """
     import numpy as np
 
     lo = -1.0 / (d - 1)
     span = 1.0 - lo
-    buf = np.empty((_MC_CHUNK, len(weights(d, N))))
-    hits = 0
-    for block, start in enumerate(range(0, samples, _MC_BLOCK)):
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([seed, block], dtype=np.uint64))
-        )
-        # Philox output is a stream: drawing a block's rows chunk by chunk,
-        # and only the rows a partial last block uses, gives the rows one
-        # full-block draw would start with
-        end = min(start + _MC_BLOCK, samples)
-        for row in range(start, end, _MC_CHUNK):
-            pts = rng.random(out=buf[: min(_MC_CHUNK, end - row)])
-            pts *= span
-            pts += lo
-            hits += int(np.count_nonzero(_class_mask(pts, d, N, class_tag)))
-    return hits
+    width = len(weights(d, N))
+    blocks = range(-(-samples // _MC_BLOCK))
+    workers = min(_usable_cpus(), len(blocks))
+    chunk = _MC_CHUNK // workers
+
+    def count(my_blocks: range) -> int:
+        buf = np.empty((chunk, width))
+        hits = 0
+        for block in my_blocks:
+            rng = np.random.Generator(
+                np.random.Philox(key=np.array([seed, block], dtype=np.uint64))
+            )
+            # Philox output is a stream: drawing a block's rows chunk by
+            # chunk, and only the rows a partial last block uses, gives the
+            # rows one full-block draw would start with
+            start = block * _MC_BLOCK
+            end = min(start + _MC_BLOCK, samples)
+            for row in range(start, end, chunk):
+                pts = rng.random(out=buf[: min(chunk, end - row)])
+                pts *= span
+                pts += lo
+                hits += int(np.count_nonzero(_class_mask(pts, d, N, class_tag)))
+        return hits
+
+    if workers == 1:
+        return count(blocks)
+    import threading
+
+    # Generator.random and the mask's column operations release the GIL on
+    # arrays this large. The calling thread counts share 0 and one thread
+    # each other share; an exception is kept and raised here once every
+    # share has stopped, so a failed share never passes for zero hits.
+    counts = [0] * workers
+    errors: list[BaseException] = []
+
+    def run(w: int) -> None:
+        try:
+            counts[w] = count(blocks[w::workers])
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    for t in threads:
+        t.start()
+    run(0)
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    return sum(counts)

@@ -1,6 +1,9 @@
 """Exact integration, class volumes, closed-form checks, Monte Carlo."""
 
+import itertools
 import json
+import sys
+import threading
 from collections import defaultdict
 from fractions import Fraction
 from math import factorial, prod
@@ -552,6 +555,59 @@ _MC_HITS_SEED_11 = {
 )
 def test_mc_hits_are_pinned(d, N, samples, tag, hits):
     assert mc_volume(d, N, tag, samples, seed=11).hits == hits
+
+
+# (5, 3) and (6, 4) weight the left-out column by 3; 10,000 samples is one
+# block, 2**18 four, and 8 workers outnumber the blocks at every count
+@pytest.mark.parametrize("d, N", [(3, 4), (5, 3), (6, 4), (6, 6)])
+@pytest.mark.parametrize("tag", ["p", "cp", "g", "eb"])
+def test_mc_hits_do_not_depend_on_the_worker_count(monkeypatch, d, N, tag):
+    # a short switch interval interleaves the workers' Python steps finely,
+    # so a lost update to the shared counts would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for samples in (10_000, 65_536, 150_001, 1 << 18):
+            counts = []
+            for cpus in (1, 2, 3, 8):
+                monkeypatch.setattr(volume, "_usable_cpus", lambda: cpus)
+                counts.append(volume._mc_hits(d, N, tag, samples, 5))
+            assert counts == [counts[0]] * 4, (samples, counts)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cpus, where", [(1, "caller"), (2, "caller"), (2, "thread"), (3, "thread")])
+def test_a_failing_mask_reaches_the_caller(monkeypatch, cpus, where):
+    """One mask call raises, on the calling thread or on a started one:
+    mc_volume raises that error rather than return the other workers'
+    count, and no thread leaves it unhandled (pytest's unhandled-thread
+    warning is an error under filterwarnings)."""
+    real = volume._class_mask
+    calls = itertools.count()
+
+    def failing(*args):
+        started = threading.current_thread() is not threading.main_thread()
+        if started == (where == "thread") and next(calls) == 1:
+            raise RuntimeError("mask failed")
+        return real(*args)
+
+    monkeypatch.setattr(volume, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(volume, "_class_mask", failing)
+    with pytest.raises(RuntimeError, match="mask failed"):
+        mc_volume(3, 4, "cp", 1 << 18, seed=1)
+
+
+def test_one_worker_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    monkeypatch.setattr(volume, "_usable_cpus", lambda: 1)
+    assert mc_volume(3, 4, "cp", 1 << 18, seed=7).samples == 1 << 18
+    # one block: one worker, however many CPUs
+    monkeypatch.setattr(volume, "_usable_cpus", lambda: 8)
+    assert mc_volume(3, 4, "cp", 65_536, seed=7).samples == 65_536
 
 
 def test_mc_p_class_reproduces_exact_volume_bitwise():
