@@ -31,13 +31,13 @@ counts membership with float predicates. It exists to cross-check the
 exact numbers, so it deliberately shares nothing with the chain
 integration: the predicates are the defining inequalities of each class,
 not the chamber decompositions. Its blocks of 65,536 rows run on a pool
-of workers sized to the CPUs this process may use, the calling thread
-among them, so no thread is started when that is one; each block has its
-own stream, so the hits do not depend on the CPU count. Each worker draws
-its blocks' rows in chunks of cache size, the same draws as one
-whole-block call, and masks each chunk column by column. It is the only
-route that needs numpy, and its functions import it themselves, so exact
-callers never load it.
+of workers sized to the CPUs this process may use, at most two, the
+calling thread among them, so no thread is started when that is one; each
+block has its own stream, so the hits do not depend on the CPU count.
+Each worker draws its blocks' rows in chunks of cache size, the same
+draws as one whole-block call, and masks each chunk column by column. It
+is the only route that needs numpy, and its functions import it
+themselves, so exact callers never load it.
 """
 
 from __future__ import annotations
@@ -56,6 +56,11 @@ _MC_BLOCK = 1 << 16
 # 0.4-1.7 MB of samples and 128 KB per column temporary in all, small
 # enough to stay in cache between the draw and the mask
 _MC_CHUNK = 1 << 14
+# most Monte Carlo workers, whatever the CPU count: the largest pool
+# measured (1.5x the throughput of one worker on a 2-core host, with hits
+# unchanged); a larger pool splits the chunk below what was measured and
+# waits for a benchmark on a host with more CPUs
+_MC_MAX_WORKERS = 2
 _MC_MIN_SAMPLES = 10_000
 # about 8 s at d = 12, N = 13, the slowest case, on a 2-core host (12-18 M
 # samples/s; 14 s, at 8-10 M samples/s, with one usable CPU); a larger
@@ -553,21 +558,23 @@ def _usable_cpus() -> int:
 def _mc_hits(d: int, N: int, class_tag: str, samples: int, seed: int) -> int:
     """How many of the first ``samples`` box draws of stream ``seed`` lie in the class.
 
-    Blocks are shared round-robin among min(usable CPUs, blocks) workers:
-    the calling thread and one started thread per further worker, so no
-    thread is started when that is one. Each block's stream is keyed on
-    (seed, block), so which worker draws it, and in what chunks, changes no
-    row, and the hit count is an integer sum, so the block order cannot
-    change it either. Each worker's chunk is _MC_CHUNK over the worker
+    Blocks are shared round-robin among min(usable CPUs, _MC_MAX_WORKERS,
+    blocks) workers: the calling thread and one started thread per further
+    worker, so no thread is started when that is one. Each block's stream
+    is keyed on (seed, block), so which worker draws it, and in what
+    chunks, changes no row, and the hit count is an integer sum, so the
+    block order cannot change it either. Each worker's chunk is _MC_CHUNK over the worker
     count, so all of them together hold the rows one worker would.
     """
+    import threading
+
     import numpy as np
 
     lo = -1.0 / (d - 1)
     span = 1.0 - lo
     width = len(weights(d, N))
     blocks = range(-(-samples // _MC_BLOCK))
-    workers = min(_usable_cpus(), len(blocks))
+    workers = min(_usable_cpus(), _MC_MAX_WORKERS, len(blocks))
     chunk = _MC_CHUNK // workers
 
     def count(my_blocks: range) -> int:
@@ -589,24 +596,24 @@ def _mc_hits(d: int, N: int, class_tag: str, samples: int, seed: int) -> int:
                 hits += int(np.count_nonzero(_class_mask(pts, d, N, class_tag)))
         return hits
 
-    if workers == 1:
-        return count(blocks)
-    import threading
-
     # Generator.random and the mask's column operations release the GIL on
     # arrays this large. The calling thread counts share 0 and one thread
     # each other share; an exception is kept and raised here once every
-    # share has stopped, so a failed share never passes for zero hits.
+    # share has stopped, so a failed share never passes for zero hits. An
+    # interrupt is not caught: it leaves at once, and the daemon threads do
+    # not hold up the exit.
     counts = [0] * workers
-    errors: list[BaseException] = []
+    errors: list[Exception] = []
 
     def run(w: int) -> None:
         try:
             counts[w] = count(blocks[w::workers])
-        except BaseException as exc:
+        except Exception as exc:
             errors.append(exc)
 
-    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    threads = [
+        threading.Thread(target=run, args=(w,), daemon=True) for w in range(1, workers)
+    ]
     for t in threads:
         t.start()
     run(0)

@@ -558,10 +558,13 @@ def test_mc_hits_are_pinned(d, N, samples, tag, hits):
 
 
 # (5, 3) and (6, 4) weight the left-out column by 3; 10,000 samples is one
-# block, 2**18 four, and 8 workers outnumber the blocks at every count
+# block, 2**18 four, and 8 workers outnumber the blocks at every count. The
+# worker cap is lifted, so that pools larger than the measured one keep the
+# hits too.
 @pytest.mark.parametrize("d, N", [(3, 4), (5, 3), (6, 4), (6, 6)])
 @pytest.mark.parametrize("tag", ["p", "cp", "g", "eb"])
 def test_mc_hits_do_not_depend_on_the_worker_count(monkeypatch, d, N, tag):
+    monkeypatch.setattr(volume, "_MC_MAX_WORKERS", 8)
     # a short switch interval interleaves the workers' Python steps finely,
     # so a lost update to the shared counts would show
     interval = sys.getswitchinterval()
@@ -592,22 +595,61 @@ def test_a_failing_mask_reaches_the_caller(monkeypatch, cpus, where):
             raise RuntimeError("mask failed")
         return real(*args)
 
+    monkeypatch.setattr(volume, "_MC_MAX_WORKERS", 8)
     monkeypatch.setattr(volume, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(volume, "_class_mask", failing)
     with pytest.raises(RuntimeError, match="mask failed"):
         mc_volume(3, 4, "cp", 1 << 18, seed=1)
 
 
-def test_one_worker_starts_no_thread(monkeypatch):
-    def no_thread(*args, **kwargs):
-        raise AssertionError("a thread was started")
+def _record_threads(monkeypatch) -> list:
+    """Patch threading.Thread to list every thread made."""
+    real, made = threading.Thread, []
 
-    monkeypatch.setattr(threading, "Thread", no_thread)
-    monkeypatch.setattr(volume, "_usable_cpus", lambda: 1)
-    assert mc_volume(3, 4, "cp", 1 << 18, seed=7).samples == 1 << 18
-    # one block: one worker, however many CPUs
-    monkeypatch.setattr(volume, "_usable_cpus", lambda: 8)
-    assert mc_volume(3, 4, "cp", 65_536, seed=7).samples == 65_536
+    def thread(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(threading, "Thread", thread)
+    return made
+
+
+def test_an_interrupt_does_not_wait_for_the_other_workers(monkeypatch):
+    """A KeyboardInterrupt on the calling thread leaves _mc_hits while the
+    started thread is still held in its mask call."""
+    real = volume._class_mask
+    release = threading.Event()
+    waited = []
+
+    def mask(*args):
+        if threading.current_thread() is threading.main_thread():
+            raise KeyboardInterrupt
+        if not waited:
+            waited.append(release.wait(10))
+        return real(*args)
+
+    started = _record_threads(monkeypatch)
+    monkeypatch.setattr(volume, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(volume, "_class_mask", mask)
+    with pytest.raises(KeyboardInterrupt):
+        volume._mc_hits(3, 4, "cp", 1 << 18, 1)
+    # the started thread has not yet come back from its first wait
+    assert waited == []
+    release.set()
+    started[0].join()
+
+
+# one usable CPU or one block starts no thread; 8 CPUs and 4 blocks start
+# one fewer than the cap, all daemons
+@pytest.mark.parametrize(
+    "cpus, samples, threads",
+    [(1, 1 << 18, 0), (8, 65_536, 0), (8, 1 << 18, volume._MC_MAX_WORKERS - 1)],
+)
+def test_threads_started(monkeypatch, cpus, samples, threads):
+    started = _record_threads(monkeypatch)
+    monkeypatch.setattr(volume, "_usable_cpus", lambda: cpus)
+    assert mc_volume(3, 4, "cp", samples, seed=7).samples == samples
+    assert [t.daemon for t in started] == [True] * threads
 
 
 def test_mc_p_class_reproduces_exact_volume_bitwise():
