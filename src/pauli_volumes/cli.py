@@ -29,7 +29,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .channel import (
     ChannelSpec,
@@ -446,7 +445,8 @@ def main(argv=None) -> int:
         else:
             text = json.dumps(doc, indent=2) + "\n"
         if args.out:
-            Path(args.out).write_text(text)
+            with open(args.out, "w") as f:
+                f.write(text)
         else:
             sys.stdout.write(text)
     except (ValueError, TypeError, OSError) as exc:

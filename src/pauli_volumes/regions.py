@@ -5,8 +5,11 @@ Every class volume in this package is an integral over a finite list of
 
     lo_0 <= x_0 <= hi_0,  lo_1(x_0) <= x_1 <= hi_1(x_0),  ...
 
-whose bounds are affine in the earlier variables only. Chains come in two
-flavors:
+whose bounds are affine in the earlier variables only. Each end of the
+bound on x_k is stored in the form the integrator reads, a
+:class:`LevelBound` const + x0 x_0 + t S_k + last x_{k-1} over the chain's
+running sum S_k = sum_{1<=j<=k-2} u_j x_j; ``BoundChain.bounds`` derives
+the same bounds as :class:`AffineExpr` tuples. Chains come in two flavors:
 
 * the necessary-positivity box, a single chain of constant bounds; and
 * chamber decompositions of the ordered-eigenvalue wedge
@@ -45,9 +48,10 @@ from fractions import Fraction
 from math import factorial
 from typing import NamedTuple, Sequence
 
-from .geometry import Frozen, weights
+from .geometry import Frozen, is_int, weights
 
 CLASS_TAGS = ("p", "cp", "g", "eb")
+_ZERO = Fraction(0)
 
 
 def _exact(v) -> Fraction:
@@ -71,29 +75,62 @@ class AffineExpr(Frozen):
         object.__setattr__(self, "coeffs", tuple(map(_exact, coeffs)))
 
 
-class BoundChain(Frozen):
-    """An iterated-integral region; ``bounds[i]`` is the (lower, upper) pair
-    for variable i and may reference variables 0..i-1 only."""
+class LevelBound(Frozen):
+    """One end of the bound on x_k: const + x0 x_0 + t S_k + last x_{k-1},
+    where S_k = sum_{1<=j<=k-2} u_j x_j is the running sum of its chain."""
 
-    __slots__ = ("bounds", "label", "nplus1_slot")
-    bounds: tuple[tuple[AffineExpr, AffineExpr], ...]
+    __slots__ = ("const", "x0", "t", "last")
+    const: Fraction
+    x0: Fraction
+    t: Fraction
+    last: Fraction
+
+    def __init__(self, const: Fraction, x0=_ZERO, t=_ZERO, last=_ZERO) -> None:
+        for name, value in zip(self.__slots__, (const, x0, t, last)):
+            object.__setattr__(self, name, _exact(value))
+
+    def affine(self, k: int, u: tuple[int, ...]) -> AffineExpr:
+        if not (self.x0 or self.t or self.last):
+            return AffineExpr(self.const)
+        mid = [self.t * w for w in u[: k - 2]] if self.t else [_ZERO] * (k - 2)
+        return AffineExpr(self.const, (self.x0, *mid, self.last)[:k])
+
+
+class BoundChain(Frozen):
+    """An iterated-integral region: ``levels[k]`` bounds x_k, over running
+    sums of the integer weights ``u``. Level 0 is constant, level 1 reads
+    x_0 alone, and from level 3 on a level may hold S_k, which u must cover."""
+
+    __slots__ = ("levels", "u", "label", "nplus1_slot")
+    levels: tuple[tuple[LevelBound, LevelBound], ...]
+    u: tuple[int, ...]
     label: str
     nplus1_slot: int | None
 
-    def __init__(
-        self,
-        bounds: tuple[tuple[AffineExpr, AffineExpr], ...],
-        label: str,
-        nplus1_slot: int | None = None,
-    ) -> None:
-        if not bounds:
+    def __init__(self, levels, u: Sequence[int], label: str, nplus1_slot: int | None = None):
+        if not levels:
             raise ValueError(f"{label}: a chain needs at least one variable")
-        for i, (lo, hi) in enumerate(bounds):
-            if len(lo.coeffs) > i or len(hi.coeffs) > i:
-                raise ValueError(f"{label}: bound {i} references later variables")
-        object.__setattr__(self, "bounds", bounds)
+        if not all(map(is_int, u)):
+            raise ValueError(f"{label}: the running-sum weights u must be integers")
+        for k, pair in enumerate(levels[:3]):
+            for name in ("x0", "last", "t")[k:]:
+                if any(getattr(end, name) for end in pair):
+                    raise ValueError(f"{label}: level {k} cannot hold a {name} term")
+        for k, pair in enumerate(levels[len(u) + 3 :], len(u) + 3):
+            if any(end.t for end in pair):
+                raise ValueError(f"{label}: u does not cover S_{k}")
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "u", tuple(u))
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "nplus1_slot", nplus1_slot)
+
+    @property
+    def bounds(self) -> tuple[tuple[AffineExpr, AffineExpr], ...]:
+        """The levels as (lower, upper) AffineExprs: each end at level k
+        lists all k coefficients, or none when it has no variable term."""
+        return tuple(
+            tuple(end.affine(k, self.u) for end in pair) for k, pair in enumerate(self.levels)
+        )
 
 
 class ChamberSet(NamedTuple):
@@ -108,7 +145,7 @@ class ChamberSet(NamedTuple):
 
     @property
     def n_vars(self) -> int:
-        return len(self.chains[0].bounds)
+        return len(self.chains[0].levels)
 
     @property
     def ordered(self) -> bool:
@@ -121,16 +158,10 @@ class ChamberSet(NamedTuple):
 # --------------------------------------------------------------------------
 
 
-def _prev_var(i: int) -> AffineExpr:
-    """The ordering bound x_{i-1} <= x_i."""
-    return AffineExpr(Fraction(0), (Fraction(0),) * (i - 1) + (Fraction(1),))
-
-
 def p_box(d: int, N: int) -> ChamberSet:
     """The necessary-positivity box: every coordinate in [-1/(d-1), 1]."""
-    n = len(weights(d, N))
-    lo, hi = AffineExpr(Fraction(-1, d - 1)), AffineExpr(1)
-    chain = BoundChain(((lo, hi),) * n, label="p-box")
+    ends = (LevelBound(Fraction(-1, d - 1)), LevelBound(1))
+    chain = BoundChain((ends,) * len(weights(d, N)), (), label="p-box")
     return ChamberSet((chain,), 1, "p", d, N)
 
 
@@ -143,7 +174,9 @@ def chambers(d: int, N: int, class_tag: str) -> ChamberSet:
 
         negative branch  -(1/(d-1) + sum_{j<i} w_j x_j) / den_i,
         positive branch  (1 + (d-w_0) x_0 - sum_{1<=j<i} w_j x_j) / den_i,
-        eb budget        (1 - sum_{j<i} w_j x_j) / den_i.
+        eb budget        (1 - sum_{j<i} w_j x_j) / den_i,
+
+    stored with u = w_1..w_{n-3} and t = -1/den_i from level 3 on.
 
     When the left-out weight is 1 (N in {d, d+1}) the coordinates are
     exchangeable: no slot is enumerated and the symmetry factor is n!.
@@ -166,30 +199,34 @@ def chambers(d: int, N: int, class_tag: str) -> ChamberSet:
         cp_levels = [(m, f"cp-n{N}:sys{k}") for k, m in enumerate((1, *range(n, 1, -1)), 1)]
         single_label = f"{class_tag}-n{N}"
     slot_names = ("min", *(f"mid{k}" for k in range(1, n - 1)), "max")
-    floor = AffineExpr(Fraction(-1, d - 1) if class_tag == "cp" else 0)
-    below = [floor] + [_prev_var(i) for i in range(1, n)]
+    floor = LevelBound(Fraction(-1, d - 1) if class_tag == "cp" else 0)
+    # the ordering bounds x_{k-1} <= x_k, with x_0 read as x0 at level 1
+    below = [floor, LevelBound(0, x0=1)] + [LevelBound(0, last=1)] * (n - 2)
     chains: list[BoundChain] = []
     for slot in slots:
         w = [w_out if j == slot else 1 for j in range(n)]
+        u = w[1 : n - 2]
         neg, pos, eb = [], [], []
         for i in range(n):
             den = sum(w[i:])
-            tail = tuple(Fraction(-w[j], den) for j in range(i))
-            neg.append(AffineExpr(Fraction(-1, (d - 1) * den), tail))
-            eb.append(AffineExpr(Fraction(1, den), tail))
-            head = (Fraction(d - w[0], den),) + tail[1:]
-            pos.append(AffineExpr(Fraction(1, den), head) if i else AffineExpr(1))
+            x0 = Fraction(-w[0], den) if i else _ZERO
+            t = Fraction(-1, den) if i >= 3 else _ZERO
+            last = Fraction(-w[i - 1], den) if i >= 2 else _ZERO
+            neg.append(LevelBound(Fraction(-1, (d - 1) * den), x0, t, last))
+            eb.append(LevelBound(Fraction(1, den), x0, t, last))
+            head = Fraction(d - w[0], den)
+            pos.append(LevelBound(Fraction(1, den), head, t, last) if i else LevelBound(1))
         at = "" if slot is None else f":slot={slot_names[slot]}"
         if class_tag == "cp":
             for m, label in cp_levels:
-                bounds = tuple(
+                levels = tuple(
                     (below[i], neg[i]) if i + 1 < m
                     else (neg[i], pos[i]) if i + 1 == m
                     else (below[i], pos[i])
                     for i in range(n)
                 )
-                chains.append(BoundChain(bounds, label + at, slot))
+                chains.append(BoundChain(levels, u, label + at, slot))
         else:
             upper = pos if class_tag == "g" else eb
-            chains.append(BoundChain(tuple(zip(below, upper)), single_label + at, slot))
+            chains.append(BoundChain(tuple(zip(below, upper)), u, single_label + at, slot))
     return ChamberSet(tuple(chains), factorial(n if w_out == 1 else N), class_tag, d, N)

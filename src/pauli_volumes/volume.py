@@ -2,29 +2,26 @@
 
 The exact route integrates each bound chain symbolically, innermost
 variable first, with integer numerators over one denominator per level.
-Each bound on x_k is affine in x0, x_{k-1} and one running sum
-S_k = sum_{1<=j<=k-2} u_j x_j, with u fixed for the chain, so the integrand
-is a polynomial in three variables throughout. Each level substitutes its
-bounds into the antiderivative by Horner's rule, first over the powers of
-the running sum and then over the powers of x_k, so every product is by an
-affine polynomial of at most four terms; monomials are keyed by one packed
-int, so multiplying two of them is one integer addition. The bounds are
-read into integers once, with the running-sum check done by integer
-cross-multiplication, and the last integral, over x0, is evaluated by
-Horner's rule on integer numerators too: one Fraction is built per chain,
-for its volume. The partial integral after the inner levels n-1..k depends
-on those levels alone, so the chains of one call share a table of them,
+Each chain stores the bound on x_k as affine in x0, x_{k-1} and one running
+sum S_k = sum_{1<=j<=k-2} u_j x_j, with u fixed for the chain (see
+:mod:`.regions`), so the integrand is a polynomial in three variables
+throughout. Each level substitutes its bounds into the antiderivative by
+Horner's rule, first over the powers of the running sum and then over the
+powers of x_k, so every product is by an affine polynomial of at most four
+terms; monomials are keyed by one packed int, so multiplying two of them
+is one integer addition. Each level's stored Fractions are put over one
+denominator once, and the last integral, over x0, is evaluated by Horner's
+rule on integer numerators too: one Fraction is built per chain, for its
+volume. The partial integral after the inner levels n-1..k depends on
+those levels alone, so the chains of one call share a table of them,
 keyed on the integer levels: each distinct stack of inner levels is
 integrated once per (d, N), across the classes where a call computes
 several (the g chain has the levels of cp:sys3, and each cp chain the
 inner levels of those with a smaller switch level). The table is dropped
-when the call returns.
-Every chamber qualifies: its bounds are constants, the ordering bound
-x_{k-1}, or level bounds whose x_1..x_{k-2} coefficients are the chain's
-weights -w_j over the level's denominator. Any other chain raises
-ValueError. The measure is Lebesgue in eigenvalue coordinates times the
-constant metric prefactor from :func:`..geometry.volume_prefactor`, which
-turns eigenvalue-space volumes into channel-manifold volumes.
+when the call returns. The measure is Lebesgue in eigenvalue coordinates
+times the constant metric prefactor from
+:func:`..geometry.volume_prefactor`, which turns eigenvalue-space volumes
+into channel-manifold volumes.
 
 The Monte Carlo route samples the necessary-positivity box uniformly and
 counts membership with float predicates. It exists to cross-check the
@@ -118,59 +115,22 @@ def _mul_add(p: _Poly, f: _Affine, add: _Poly) -> _Poly:
 
 
 def _integer_levels(chain: BoundChain) -> list[_Level]:
-    """Read levels n-1..1 of a chain as (q, q*lo, q*hi, carry), all integer
-    affine polynomials over packed keys, with no Fraction arithmetic.
-
-    u is read from the highest level whose middle coefficients (those of
-    x_1..x_{k-2} at level k, an omitted one being zero) are not all zero,
-    lower end first, and scaled to integers, so the running sum
-    S_k = sum u_j x_j and the carry S_{k+1} = S_k + u_{k-1} x_{k-1} have
-    integer coefficients. Each end's middle coefficients m must be t*u for
-    one rational t, which is checked by cross-multiplying integers against
-    the first non-zero u_j0; a bound that fails raises ValueError, as does
-    a chain too long for the packed keys. Both ends of level k go over the
-    least common denominator q of their constants, x0 and x_{k-1}
-    coefficients and t.
-    """
-    bounds = chain.bounds
-    if len(bounds) > _MAX_VARS:
+    """Read levels n-1..1 of a chain as (q, q*lo, q*hi, carry), integer
+    affine polynomials over packed keys, each level's stored Fractions over
+    their least common denominator q. A chain too long for the packed keys
+    raises ValueError."""
+    levels, u = chain.levels, chain.u
+    if len(levels) > _MAX_VARS:
         raise ValueError(f"chain {chain.label!r}: more than {_MAX_VARS} variables")
-    u: tuple[int, ...] = ()
-    for k in range(len(bounds) - 1, 2, -1):
-        mid = next(filter(any, (e.coeffs[1 : k - 1] for e in bounds[k])), ())
-        if mid:
-            scale = lcm(*(w.denominator for w in mid))
-            u = tuple(w.numerator * (scale // w.denominator) for w in mid)
-            u += (0,) * (k - 2 - len(u))
-            break
-    # past every middle when u is all zero
-    j0 = next((j for j, w in enumerate(u) if w), len(bounds))
-    levels = []
-    for k in range(len(bounds) - 1, 0, -1):
-        ends = []
-        for expr in bounds[k]:
-            c = expr.coeffs + (0,) * (k - len(expr.coeffs))
-            mid = c[1:-1]
-            if j0 < len(mid):
-                # with m_j = n_j/d_j: t = p/r = m_j0/u_j0, and m_j = t*u_j
-                # iff n_j*r == p*d_j*u_j
-                p, r = mid[j0].numerator, mid[j0].denominator * u[j0]
-                bad = any(m.numerator * r != p * m.denominator * w for m, w in zip(mid, u))
-            else:
-                p, r, bad = 0, 1, any(mid)
-            if bad:
-                msg = f"the x_{k} bound is not affine in x0, x_{k - 1} and one running sum"
-                raise ValueError(f"chain {chain.label!r}: {msg}")
-            g = gcd(p, r)
-            # at k = 1, x_{k-1} is x0 itself
-            vals = (expr.const, c[0], c[-1] if k > 1 else 0)
-            ends.append([(v.numerator, v.denominator) for v in vals] + [(p // g, r // g)])
-        q = lcm(*(den for end in ends for _, den in end))
-        lo, hi = (_affine(*(num * (q // den) for num, den in end)) for end in ends)
-        # S_{k+1} in terms of x_{k-1} and S_k; S_1 = S_2 = 0
+    out = []
+    for k in range(len(levels) - 1, 0, -1):
+        ends = [(e.const, e.x0, e.last, e.t) for e in levels[k]]
+        q = lcm(*(v.denominator for end in ends for v in end))
+        lo, hi = (_affine(*(v.numerator * (q // v.denominator) for v in end)) for end in ends)
+        # S_{k+1} = S_k + u_{k-1} x_{k-1}; S_1 = S_2 = 0, and past u no sum is left
         carry = _affine(0, 0, u[k - 2] if 2 <= k <= len(u) + 1 else 0, int(k >= 3))
-        levels.append((q, lo, hi, carry))
-    return levels
+        out.append((q, lo, hi, carry))
+    return out
 
 
 def _integrate_level(den: int, poly: _Poly, level: _Level) -> tuple[int, _Poly]:
@@ -226,11 +186,12 @@ def integrate_chain(chain: BoundChain, table: _Table | None = None) -> Fraction:
     iterated integral, so a part where an upper bound lies below its lower
     bound counts negatively. No chamber has such a part.
 
-    The integrand is held as integer numerators over one denominator per
-    level, and :func:`_integrate_level` integrates out one level at a time.
-    The state after the levels n-1..k depends on nothing but those levels,
-    read into integers by :func:`_integer_levels`, so ``table`` keeps each
-    state keyed on the stack of integer levels that produced it. A chain
+    Each level is stored in the integrand's variables, x0, x_{k-1} and the
+    running sum, and :func:`_integer_levels` puts it over one denominator.
+    :func:`_integrate_level` then integrates out one level at a time, on
+    integer numerators over one denominator per level. The state after the
+    levels n-1..k depends on nothing but those integer levels, so ``table``
+    keeps each state keyed on the stack of levels that produced it. A chain
     whose inner levels match a stack in the table picks up its state and
     integrates only the levels it does not share: the g chain shares all of
     its levels with cp:sys3, and each cp chain shares levels m..n-1 with
@@ -243,9 +204,8 @@ def integrate_chain(chain: BoundChain, table: _Table | None = None) -> Fraction:
     denominator D. With the outer ends l/q0 and h/q0 over one denominator
     and A the top power, its integral sum_a v_a (h^a - l^a) / (a q0^a) is
     put over D * lcm(1..A) * q0^A and folded over a by Horner's rule at h
-    and at l.
-    No Fraction arithmetic runs here or in :func:`_integer_levels`: the
-    only Fraction built is the returned volume.
+    and at l. No Fraction arithmetic runs here or in
+    :func:`_integer_levels`: the only Fraction built is the returned volume.
     """
     if table is None:
         table = {}
@@ -255,7 +215,7 @@ def integrate_chain(chain: BoundChain, table: _Table | None = None) -> Fraction:
         if state is None:
             state = table[node, level] = (len(table) + 1, *_integrate_level(den, poly, level))
         node, den, poly = state
-    lo0, hi0 = (e.const for e in chain.bounds[0])
+    lo0, hi0 = (e.const for e in chain.levels[0])
     q0 = lcm(lo0.denominator, hi0.denominator)
     l, h = (v.numerator * (q0 // v.denominator) for v in (lo0, hi0))
     top_a = 1 + max((e // _X0 for e in poly), default=-1)

@@ -22,11 +22,12 @@ from pauli_volumes.channel import (
     is_generator_achievable,
 )
 from pauli_volumes.geometry import Frozen, SurdValue
-from pauli_volumes.regions import AffineExpr, BoundChain, chambers, p_box
+from pauli_volumes.regions import AffineExpr, BoundChain, LevelBound, chambers, p_box
 from pauli_volumes.volume import (
     _class_mask,
     check_conjectures,
     class_volume,
+    integrate_chain,
     region_for,
     supported_n_values,
 )
@@ -56,15 +57,32 @@ def _chain_counts(chains, pts, margin=1e-9):
     return counts, near
 
 
-def test_bound_chain_rejects_forward_references():
-    future = AffineExpr(Fraction(0), (Fraction(1),))  # mentions x_0
-    with pytest.raises(ValueError, match="later"):
-        BoundChain(((AffineExpr(Fraction(0)), future),) * 2, label="bad")
+def test_bound_chain_rejects_terms_a_level_cannot_hold():
+    """Level 0 is constant, level 1 reads x_0 alone, a running sum starts at
+    level 3, and u must have a weight for every x_j in S_k."""
+    box = (LevelBound(0), LevelBound(1))
+    bad_levels = [
+        ((LevelBound(0), LevelBound(0, x0=1)),),
+        (box, (LevelBound(0), LevelBound(0, last=1))),
+        (box, box, (LevelBound(0), LevelBound(0, t=1))),
+    ]
+    for levels, term in zip(bad_levels, ("x0", "last", "t")):
+        with pytest.raises(ValueError, match=f"level {len(levels) - 1} cannot hold a {term} term"):
+            BoundChain(levels, (1, 1), label="bad")
+    deep = (box, box, box, box, (LevelBound(0), LevelBound(1, t=-1)))
+    with pytest.raises(ValueError, match="u does not cover S_4"):
+        BoundChain(deep, (1,), label="short")
+    for u in ((1, Fraction(1, 2)), (1, True)):
+        with pytest.raises(ValueError, match="integers"):
+            BoundChain(deep, u, label="rational")
+    assert BoundChain(deep, (1, 2), label="ok").bounds[4][1] == AffineExpr(1, (0, -1, -2, 0))
+    # the box states no running sum: its levels have none to cover
+    assert BoundChain((box,) * 5, (), label="box").u == ()
 
 
 def test_bound_chain_rejects_an_empty_chain():
     with pytest.raises(ValueError, match="empty"):
-        BoundChain((), label="empty")
+        BoundChain((), (), label="empty")
 
 
 def test_affine_expr_keeps_exact_values_and_refuses_floats():
@@ -77,12 +95,16 @@ def test_affine_expr_keeps_exact_values_and_refuses_floats():
         AffineExpr(0.1)
     with pytest.raises(TypeError, match="floating-point"):
         AffineExpr(Fraction(0), (Fraction(1), 0.5))
+    with pytest.raises(TypeError, match="floating-point"):
+        LevelBound(Fraction(0), t=0.5)
 
 
 _FROZEN_VALUES = [
     pytest.param(lambda: SurdValue(Fraction(1), 8), "coeff", id="SurdValue"),
     pytest.param(lambda: AffineExpr(Fraction(1, 2), [1, Fraction(-1, 3)]), "const",
                  id="AffineExpr"),
+    pytest.param(lambda: LevelBound(Fraction(1, 2), 1, Fraction(-1, 3), 2), "t",
+                 id="LevelBound"),
     pytest.param(lambda: chambers(3, 4, "cp").chains[1], "label", id="BoundChain"),
     pytest.param(lambda: ChannelSpec.make(3, 4, ["1/2", 0, "-1/4", 0]), "lambdas",
                  id="ChannelSpec"),
@@ -128,7 +150,8 @@ def test_frozen_values_are_type_strict_and_print_their_fields(make, field):
     text = repr(a)
     body = ", ".join(f"{name}={value!r}" for name, value in zip(cls.__slots__, fields))
     assert text == f"{cls.__name__}({body})"
-    names = {"Fraction": Fraction, "AffineExpr": AffineExpr, cls.__name__: cls}
+    names = {"Fraction": Fraction, "AffineExpr": AffineExpr, "LevelBound": LevelBound}
+    names[cls.__name__] = cls
     assert eval(text, names) == a
 
 
@@ -327,6 +350,44 @@ def test_every_chamber_is_the_hull_of_sorted_corners_in_its_class(d):
                     assert list(x) == sorted(x), f"{ch.label}: unsorted corner {x}"
                     spec = _spec(d, N, list(x), ch.nplus1_slot)
                     assert in_class(spec), f"{ch.label}: corner {x} outside {tag}"
+
+
+def _at_end(end, k, u, x):
+    """A stored end read from its definition, const + x0 x_0 + t S_k +
+    last x_{k-1} with S_k = sum_{1<=j<=k-2} u_j x_j, at the point x."""
+    s = sum(w * v for w, v in zip(u, x[1 : k - 1]))
+    return end.const + end.x0 * x[0] + end.t * s + end.last * x[k - 1]
+
+
+_CHAIN_VOLUMES = {
+    (d, N, tag, label): Fraction(value)
+    for d, N, tag, label, value in json.loads(
+        (Path(__file__).parent / "data" / "chain_volumes.json").read_text()
+    )
+}
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_stored_levels_agree_with_their_bounds_view(d):
+    """For every N in 3..d+1 and each of cp, g and eb, each level's
+    AffineExpr view and its stored ends agree at three exact points, and
+    each chain integrates to its pinned volume. The certificate above reads
+    the view and the integrator reads the ends, so this ties the two
+    together, at 4 <= N < d too, where no CLI golden reaches."""
+    rng = random.Random(d)
+    for N in range(3, d + 2):
+        for tag in ("cp", "g", "eb"):
+            for ch in chambers(d, N, tag).chains:
+                points = [
+                    [Fraction(rng.randint(-60, 60), rng.randint(1, 12)) for _ in ch.levels]
+                    for _ in range(3)
+                ]
+                for k, (pair, view) in enumerate(zip(ch.levels, ch.bounds)):
+                    for end, expr in zip(pair, view):
+                        assert len(expr.coeffs) in (0, k), (ch.label, k)
+                        for x in points:
+                            assert _at(expr, x) == _at_end(end, k, ch.u, x), (ch.label, k, x)
+                assert integrate_chain(ch) == _CHAIN_VOLUMES[d, N, tag, ch.label]
 
 
 def _simplex_point(rng, vertices, grid=2**62):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from pauli_volumes import volume
 from pauli_volumes.geometry import SurdValue, vp_volume
-from pauli_volumes.regions import AffineExpr, BoundChain, chambers
+from pauli_volumes.regions import BoundChain, LevelBound, chambers
 from pauli_volumes.volume import (
     N_MODES,
     McEstimate,
@@ -31,11 +31,11 @@ from pauli_volumes.volume import (
 
 
 def _const(v):
-    return AffineExpr(Fraction(v))
+    return LevelBound(Fraction(v))
 
 
-def _chain(bounds, label="t"):
-    return BoundChain(tuple(bounds), label=label)
+def _chain(levels, u=(), label="t"):
+    return BoundChain(tuple(levels), u, label=label)
 
 
 # --------------------------------------------------------------------------
@@ -50,15 +50,15 @@ def test_unit_box_volume(n):
 
 
 def test_triangle_and_simplex_volumes():
-    x_below = AffineExpr(Fraction(0), (Fraction(1),))
+    x_below = LevelBound(0, x0=1)
     triangle = _chain([(_const(0), _const(1)), (_const(0), x_below)])
     assert integrate_chain(triangle) == Fraction(1, 2)
     # standard simplex x,y,z >= 0, x+y+z <= 1
     simplex = _chain(
         [
             (_const(0), _const(1)),
-            (_const(0), AffineExpr(Fraction(1), (Fraction(-1),))),
-            (_const(0), AffineExpr(Fraction(1), (Fraction(-1), Fraction(-1)))),
+            (_const(0), LevelBound(1, x0=-1)),
+            (_const(0), LevelBound(1, x0=-1, last=-1)),
         ]
     )
     assert integrate_chain(simplex) == Fraction(1, 6)
@@ -66,23 +66,24 @@ def test_triangle_and_simplex_volumes():
     simplex4 = _chain(
         [
             (_const(0), _const(1)),
-            (_const(0), AffineExpr(Fraction(1), (Fraction(-1),))),
-            (_const(0), AffineExpr(Fraction(1), (Fraction(-1), Fraction(-1)))),
-            (_const(0), AffineExpr(Fraction(1), (Fraction(-1),) * 3)),
-        ]
+            (_const(0), LevelBound(1, x0=-1)),
+            (_const(0), LevelBound(1, x0=-1, last=-1)),
+            (_const(0), LevelBound(1, x0=-1, t=-1, last=-1)),
+        ],
+        u=(1,),
     )
     assert integrate_chain(simplex4) == Fraction(1, 24)
     # a zero-width innermost level leaves nothing to integrate further out
-    x1 = AffineExpr(Fraction(0), (Fraction(0), Fraction(1)))
+    x1 = LevelBound(0, last=1)
     flat = _chain([(_const(0), _const(1)), (_const(0), _const(1)), (x1, x1)])
     assert integrate_chain(flat) == 0
 
 
 def test_integrator_against_midpoint_riemann_sum():
     """Independent numeric oracle for a region with sloped bounds on both sides."""
-    lo_expr = AffineExpr(Fraction(-1, 2), (Fraction(1, 4),))
-    hi_expr = AffineExpr(Fraction(1), (Fraction(1, 2),))
-    ch = _chain([(_const(0), _const(2)), (lo_expr, hi_expr)])
+    lo_end = LevelBound(Fraction(-1, 2), x0=Fraction(1, 4))
+    hi_end = LevelBound(1, x0=Fraction(1, 2))
+    ch = _chain([(_const(0), _const(2)), (lo_end, hi_end)])
     exact = integrate_chain(ch)
     steps = 2000
     total = 0.0
@@ -99,49 +100,22 @@ def test_scaling_law():
     its slopes, so the volume scales by s^n."""
     ch = chambers(2, 3, "g").chains[0]
     s = Fraction(3, 2)
-    dilated = _chain([[AffineExpr(e.const * s, e.coeffs) for e in pair] for pair in ch.bounds])
+    dilated = _chain(
+        [tuple(LevelBound(e.const * s, e.x0, e.t, e.last) for e in pair) for pair in ch.levels],
+        ch.u,
+    )
     assert integrate_chain(dilated) == integrate_chain(ch) * s ** 3
 
 
-def test_non_proportional_running_sum_raises():
-    """Level-4 bounds whose x1, x2 coefficients are not one multiple of u:
-    no three-variable form exists, so no number may come back."""
-    box = (_const(0), _const(1))
-    upper3 = AffineExpr(Fraction(1), (Fraction(0), Fraction(1), Fraction(0)))
-    lower4 = AffineExpr(Fraction(0), (Fraction(0), Fraction(1), Fraction(1), Fraction(0)))
-    upper4 = AffineExpr(Fraction(2), (Fraction(0), Fraction(1), Fraction(2), Fraction(0)))
-    bad = _chain([box, box, box, (_const(0), upper3), (lower4, upper4)], label="skew")
-    with pytest.raises(ValueError, match="skew"):
-        integrate_chain(bad)
-
-
 def test_running_sum_with_leading_zero():
-    """The top middle coefficients (of x1, x2 at level 4) are (0, 1), so
-    u = (0, 1) and S_4 = x2: a level-3 bound may then not reach x1."""
+    """u = (0, 1), so S_4 = x2: x0, x1, x2 in [0, 1], x3 in [0, 1 + x0] and
+    x4 in [x3, 2 + S_4]. Integrating 2 + x2 - x3 gives
+    int_0^1 (5/2 (1 + x0) - (1 + x0)^2 / 2) dx0 = 15/4 - 7/6."""
     box = (_const(0), _const(1))
-    x3 = AffineExpr(Fraction(0), (Fraction(0), Fraction(0), Fraction(0), Fraction(1)))
-    upper4 = AffineExpr(Fraction(2), (Fraction(0), Fraction(0), Fraction(1), Fraction(0)))
-
-    def chain(x1_coeff, label):
-        upper3 = AffineExpr(Fraction(1), (Fraction(1), x1_coeff, Fraction(0)))
-        return _chain([box, box, box, (_const(0), upper3), (x3, upper4)], label=label)
-
-    with pytest.raises(ValueError, match="reaches-x1"):
-        integrate_chain(chain(Fraction(1), "reaches-x1"))
-    # x0, x1, x2 in [0, 1], x3 in [0, 1 + x0], x4 in [x3, 2 + x2]: integrating
-    # 2 + x2 - x3 gives int_0^1 (5/2 (1 + x0) - (1 + x0)^2 / 2) dx0 = 15/4 - 7/6
-    assert integrate_chain(chain(Fraction(0), "ok")) == Fraction(31, 12)
-
-
-def test_running_sum_reads_omitted_coefficients_as_zero():
-    """The level-5 bound lists only x0 and x1, so its x2, x3 coefficients are
-    zero and u = (1, 0, 0): a level-4 bound on x1 + x2 is not a multiple."""
-    box = (_const(0), _const(1))
-    upper4 = AffineExpr(Fraction(1), (Fraction(0), Fraction(1), Fraction(1)))
-    upper5 = AffineExpr(Fraction(2), (Fraction(0), Fraction(1)))
-    bad = _chain([box] * 4 + [(_const(0), upper4), (_const(0), upper5)], label="short")
-    with pytest.raises(ValueError, match="short"):
-        integrate_chain(bad)
+    level3 = (_const(0), LevelBound(1, x0=1))
+    level4 = (LevelBound(0, last=1), LevelBound(2, t=1))
+    chain = _chain([box, box, box, level3, level4], u=(0, 1))
+    assert integrate_chain(chain) == Fraction(31, 12)
 
 
 def test_outer_integral_over_signed_rational_ends():
@@ -151,8 +125,8 @@ def test_outer_integral_over_signed_rational_ends():
     assert integrate_chain(one) == Fraction(5, 6)
     # x1 in [x0, 1 - x0] over x0 in [-2/5, 3/7]: the integral of 1 - 2 x0 is
     # (3/7 - 9/49) - (-2/5 - 4/25) = 12/49 + 14/25
-    x0 = AffineExpr(Fraction(0), (Fraction(1),))
-    fold = AffineExpr(Fraction(1), (Fraction(-1),))
+    x0 = LevelBound(0, x0=1)
+    fold = LevelBound(1, x0=-1)
     two = _chain([(_const(Fraction(-2, 5)), _const(Fraction(3, 7))), (x0, fold)])
     assert integrate_chain(two) == Fraction(986, 1225)
 
@@ -271,14 +245,21 @@ def _weighted_simplex(weights, c, shift, sign):
     """{sign * (x_i - shift_i) >= 0, sum_i w_i * sign * (x_i - shift_i) <= c}
     as a bound chain: level k runs from shift_k to
     shift_k + (sign * c + sum_{j<k} w_j (shift_j - x_j)) / w_k, in that
-    order for sign = 1 and reversed for sign = -1."""
+    order for sign = 1 and reversed for sign = -1. The running sum has the
+    weights as u, and level k has t = -1/w_k."""
     bounds = []
     for k, w in enumerate(weights):
         const = shift[k] + (sign * c + sum(wj * sj for wj, sj in zip(weights, shift[:k]))) / w
-        moving = AffineExpr(const, tuple(Fraction(-wj, w) for wj in weights[:k]))
-        fixed = AffineExpr(shift[k], (Fraction(0),) * k)
+        slope = Fraction(-1, w)
+        moving = LevelBound(
+            const,
+            x0=slope * weights[0] if k >= 1 else 0,
+            t=slope if k >= 3 else 0,
+            last=slope * weights[k - 1] if k >= 2 else 0,
+        )
+        fixed = LevelBound(shift[k])
         bounds.append((fixed, moving) if sign == 1 else (moving, fixed))
-    return _chain(bounds, label="simplex")
+    return _chain(bounds, u=weights[1:-2], label="simplex")
 
 
 shifts = st.fractions(min_value=-3, max_value=3, max_denominator=12)
@@ -295,7 +276,7 @@ def test_weighted_simplex_volume(weights, c, shift, sign):
     """Independent oracle: a weighted simplex of n coordinates has volume
     c^n / (n! prod w), wherever it is shifted to and whichever corner it
     points from. The level bounds divide by w_k and reach x_1..x_{k-2}
-    through the running sum, so they test the u scaling and the carry."""
+    through the running sum, so they test t and the carry."""
     n = len(weights)
     chain = _weighted_simplex(weights, c, shift[:n], sign)
     assert integrate_chain(chain) == c**n / (factorial(n) * prod(weights))
@@ -475,11 +456,12 @@ def test_conjectures_beyond_default_cap(monkeypatch):
 
 
 def test_conjectures_three_basis_mode():
-    report = check_conjectures([3, 4, 5, 6], "3")
+    """d = 3..8; test_conjectures_up_to_the_cap takes d = 9..12."""
+    report = check_conjectures(range(3, 9), "3")
     assert report.all_match
     assert all(not e.extrapolated for e in report.entries)
     p_entries = [e for e in report.entries if e.name == "p"]
-    assert len(p_entries) == 4
+    assert len(p_entries) == 6
     assert p_entries[1].computed == SurdValue(Fraction(1, 9), 2)
 
 
