@@ -61,6 +61,7 @@ from .volume import (
     region_for,
 )
 
+
 def _parse_d_range(text: str) -> range:
     """A single dimension "4" or an inclusive range "2..5"."""
     try:

@@ -7,9 +7,12 @@ Every class volume in this package is an integral over a finite list of
 
 whose bounds are affine in the earlier variables only. Each end of the
 bound on x_k is stored in the form the integrator reads, a
-:class:`LevelBound` const + x0 x_0 + t S_k + last x_{k-1} over the chain's
-running sum S_k = sum_{1<=j<=k-2} u_j x_j; ``BoundChain.bounds`` derives
-the same bounds as :class:`AffineExpr` tuples. Chains come in two flavors:
+:class:`LevelBound` (const + x0 x_0 + t S_k + last x_{k-1}) / q over the
+chain's running sum S_k = sum_{1<=j<=k-2} u_j x_j: four integer
+numerators over one positive integer denominator q, in lowest terms, so
+equal ends have equal fields. ``BoundChain.bounds`` derives the same
+bounds as :class:`AffineExpr` tuples of Fractions, the form the region
+dump prints; the integrator never builds it. Chains come in two flavors:
 
 * the necessary-positivity box, a single chain of constant bounds; and
 * chamber decompositions of the ordered-eigenvalue wedge
@@ -45,7 +48,7 @@ Construction is pure and everything here is exact and immutable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import NamedTuple, Sequence
 
 from .geometry import Frozen, is_int, weights
@@ -55,11 +58,13 @@ _ZERO = Fraction(0)
 
 
 def _exact(v) -> Fraction:
-    """v as a Fraction: a Fraction is kept as it is, and a float is refused."""
+    """v as a Fraction: a Fraction is kept as it is, and a float or bool is refused."""
     if type(v) is Fraction:
         return v
     if isinstance(v, float):
         raise TypeError("floating-point bound rejected; pass exact values")
+    if isinstance(v, bool):
+        raise TypeError("bool bound rejected; pass exact values")
     return Fraction(v)
 
 
@@ -76,24 +81,44 @@ class AffineExpr(Frozen):
 
 
 class LevelBound(Frozen):
-    """One end of the bound on x_k: const + x0 x_0 + t S_k + last x_{k-1},
-    where S_k = sum_{1<=j<=k-2} u_j x_j is the running sum of its chain."""
+    """One end of the bound on x_k, (const + x0 x_0 + t S_k + last x_{k-1}) / q,
+    where S_k = sum_{1<=j<=k-2} u_j x_j is the running sum of its chain.
 
-    __slots__ = ("const", "x0", "t", "last")
-    const: Fraction
-    x0: Fraction
-    t: Fraction
-    last: Fraction
+    The four numerators and the denominator q > 0 are ints in lowest terms,
+    so equal ends have equal fields. Exact rationals, or a q that is not a
+    positive int, are put over one such denominator; floats and bools are
+    refused."""
 
-    def __init__(self, const: Fraction, x0=_ZERO, t=_ZERO, last=_ZERO) -> None:
-        for name, value in zip(self.__slots__, (const, x0, t, last)):
-            object.__setattr__(self, name, _exact(value))
+    __slots__ = ("const", "x0", "t", "last", "q")
+    const: int
+    x0: int
+    t: int
+    last: int
+    q: int
+
+    def __init__(self, const, x0=0, t=0, last=0, q=1) -> None:
+        if not (type(const) is type(x0) is type(t) is type(last) is type(q) is int and q > 0):
+            values = [_exact(v) / _exact(q) for v in (const, x0, t, last)]
+            q = lcm(*(v.denominator for v in values))
+            const, x0, t, last = (v.numerator * (q // v.denominator) for v in values)
+        g = gcd(const, x0, t, last, q)
+        if g != 1:
+            const, x0, t, last, q = const // g, x0 // g, t // g, last // g, q // g
+        # set field by field, unrolled: the chamber builders make hundreds per call
+        set_field = object.__setattr__
+        set_field(self, "const", const)
+        set_field(self, "x0", x0)
+        set_field(self, "t", t)
+        set_field(self, "last", last)
+        set_field(self, "q", q)
 
     def affine(self, k: int, u: tuple[int, ...]) -> AffineExpr:
+        q = self.q
         if not (self.x0 or self.t or self.last):
-            return AffineExpr(self.const)
-        mid = [self.t * w for w in u[: k - 2]] if self.t else [_ZERO] * (k - 2)
-        return AffineExpr(self.const, (self.x0, *mid, self.last)[:k])
+            return AffineExpr(Fraction(self.const, q))
+        mid = [Fraction(self.t * w, q) for w in u[: k - 2]] if self.t else [_ZERO] * (k - 2)
+        coeffs = (Fraction(self.x0, q), *mid, Fraction(self.last, q))
+        return AffineExpr(Fraction(self.const, q), coeffs[:k])
 
 
 class BoundChain(Frozen):
@@ -114,8 +139,9 @@ class BoundChain(Frozen):
             raise ValueError(f"{label}: the running-sum weights u must be integers")
         for k, pair in enumerate(levels[:3]):
             for name in ("x0", "last", "t")[k:]:
-                if any(getattr(end, name) for end in pair):
-                    raise ValueError(f"{label}: level {k} cannot hold a {name} term")
+                for end in pair:
+                    if getattr(end, name):
+                        raise ValueError(f"{label}: level {k} cannot hold a {name} term")
         for k, pair in enumerate(levels[len(u) + 3 :], len(u) + 3):
             if any(end.t for end in pair):
                 raise ValueError(f"{label}: u does not cover S_{k}")
@@ -160,7 +186,7 @@ class ChamberSet(NamedTuple):
 
 def p_box(d: int, N: int) -> ChamberSet:
     """The necessary-positivity box: every coordinate in [-1/(d-1), 1]."""
-    ends = (LevelBound(Fraction(-1, d - 1)), LevelBound(1))
+    ends = (LevelBound(-1, q=d - 1), LevelBound(1))
     chain = BoundChain((ends,) * len(weights(d, N)), (), label="p-box")
     return ChamberSet((chain,), 1, "p", d, N)
 
@@ -176,7 +202,14 @@ def chambers(d: int, N: int, class_tag: str) -> ChamberSet:
         positive branch  (1 + (d-w_0) x_0 - sum_{1<=j<i} w_j x_j) / den_i,
         eb budget        (1 - sum_{j<i} w_j x_j) / den_i,
 
-    stored with u = w_1..w_{n-3} and t = -1/den_i from level 3 on.
+    stored with u = w_1..w_{n-3}, so that from level 3 on the sum reads
+    -(w_0 x_0 + S_i + w_{i-1} x_{i-1}). Each end is filled as integers
+    straight from the weights, already in lowest terms, since its constant
+    is 1 or -1: the budget is (1, -w_0, -1, -w_{i-1}) / den_i, the negative
+    branch (-1, -w_0 (d-1), -(d-1), -w_{i-1} (d-1)) / ((d-1) den_i) and the
+    positive branch (1, d-w_0, -1, -w_{i-1}) / den_i, less the terms a level
+    cannot hold. A class builds only the ends it reads: cp the two branches,
+    g the positive one and eb the budget.
 
     When the left-out weight is 1 (N in {d, d+1}) the coordinates are
     exchangeable: no slot is enumerated and the symmetry factor is n!.
@@ -199,34 +232,39 @@ def chambers(d: int, N: int, class_tag: str) -> ChamberSet:
         cp_levels = [(m, f"cp-n{N}:sys{k}") for k, m in enumerate((1, *range(n, 1, -1)), 1)]
         single_label = f"{class_tag}-n{N}"
     slot_names = ("min", *(f"mid{k}" for k in range(1, n - 1)), "max")
-    floor = LevelBound(Fraction(-1, d - 1) if class_tag == "cp" else 0)
+    floor = LevelBound(-1, q=d - 1) if class_tag == "cp" else LevelBound(0)
     # the ordering bounds x_{k-1} <= x_k, with x_0 read as x0 at level 1
     below = [floor, LevelBound(0, x0=1)] + [LevelBound(0, last=1)] * (n - 2)
     chains: list[BoundChain] = []
     for slot in slots:
         w = [w_out if j == slot else 1 for j in range(n)]
         u = w[1 : n - 2]
-        neg, pos, eb = [], [], []
+        # the negative branch, and the positive branch or for eb the budget
+        neg, upper = [], []
         for i in range(n):
             den = sum(w[i:])
-            x0 = Fraction(-w[0], den) if i else _ZERO
-            t = Fraction(-1, den) if i >= 3 else _ZERO
-            last = Fraction(-w[i - 1], den) if i >= 2 else _ZERO
-            neg.append(LevelBound(Fraction(-1, (d - 1) * den), x0, t, last))
-            eb.append(LevelBound(Fraction(1, den), x0, t, last))
-            head = Fraction(d - w[0], den)
-            pos.append(LevelBound(Fraction(1, den), head, t, last) if i else LevelBound(1))
+            # the budget's numerators: -sum_{j<i} w_j x_j as x0, t and last
+            x0 = -w[0] if i else 0
+            t = -1 if i >= 3 else 0
+            last = -w[i - 1] if i >= 2 else 0
+            if class_tag == "eb":
+                upper.append(LevelBound(1, x0, t, last, den))
+            else:
+                upper.append(LevelBound(1, d + x0, t, last, den) if i else LevelBound(1))
+            if class_tag == "cp":
+                # -(1/(d-1) + sum_{j<i} w_j x_j) / den_i, over (d-1) den_i
+                c = d - 1
+                neg.append(LevelBound(-1, c * x0, c * t, c * last, c * den))
         at = "" if slot is None else f":slot={slot_names[slot]}"
         if class_tag == "cp":
             for m, label in cp_levels:
                 levels = tuple(
                     (below[i], neg[i]) if i + 1 < m
-                    else (neg[i], pos[i]) if i + 1 == m
-                    else (below[i], pos[i])
+                    else (neg[i], upper[i]) if i + 1 == m
+                    else (below[i], upper[i])
                     for i in range(n)
                 )
                 chains.append(BoundChain(levels, u, label + at, slot))
         else:
-            upper = pos if class_tag == "g" else eb
             chains.append(BoundChain(tuple(zip(below, upper)), u, single_label + at, slot))
     return ChamberSet(tuple(chains), factorial(n if w_out == 1 else N), class_tag, d, N)

@@ -9,12 +9,14 @@ throughout. Each level substitutes its bounds into the antiderivative by
 Horner's rule, first over the powers of the running sum and then over the
 powers of x_k, so every product is by an affine polynomial of at most four
 terms; monomials are keyed by one packed int, so multiplying two of them
-is one integer addition. Each level's stored Fractions are put over one
-denominator once, and the last integral, over x0, is evaluated by Horner's
-rule on integer numerators too: one Fraction is built per chain, for its
-volume. The partial integral after the inner levels n-1..k depends on
-those levels alone, so the chains of one call share a table of them,
-keyed on the integer levels: each distinct stack of inner levels is
+is one integer addition. Each end is stored as integer numerators over
+one positive denominator, in lowest terms; a level's two ends are put
+over one denominator only when it is integrated, and the last integral,
+over x0, is evaluated by Horner's rule on integer numerators too: one
+Fraction is built per chain, for its volume. The partial integral after
+the inner levels n-1..k depends on those levels alone, so the chains of
+one call share a table of them, keyed on the stored ends, which are
+equal exactly when the ends are: each distinct stack of inner levels is
 integrated once per (d, N), across the classes where a call computes
 several (the g chain has the levels of cp:sys3, and each cp chain the
 inner levels of those with a smaller switch level). The table is dropped
@@ -42,6 +44,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from math import factorial, gcd, lcm, sqrt
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from .channel import eb_criterion_exact
@@ -67,10 +70,10 @@ _MC_MAX_SAMPLES = 10**8
 
 # Largest dimension the exact engine attempts. Cost model, best of 36 calls
 # on a 2-core host, each call building and integrating from scratch:
-# check_conjectures([d]) in the "max" or "d" mode takes about 0.007 s at
-# d = 8, and each step in d costs about 1.5x (0.010 s at d = 9, 0.015 s at
-# d = 10, 0.023 s at d = 11, 0.036 s at d = 12); the "3" mode takes about
-# 0.003 s at any d.
+# check_conjectures([d]) in the "max" or "d" mode takes about 0.005 s at
+# d = 8, and each step in d costs about 1.6x (0.008 s at d = 9, 0.013 s at
+# d = 10, 0.021 s at d = 11, 0.033 s at d = 12); the "3" mode takes about
+# 0.002 s at any d.
 _MAX_D = 12
 
 
@@ -88,19 +91,22 @@ _X0, _Y, _S = 1 << 12, 1 << 6, 1
 _MAX_VARS = 63
 
 
-# an affine polynomial as (key, numerator) pairs: a tuple, so that a level
-# can key the table of shared partial integrals
+# an affine polynomial as (key, numerator) pairs
 _Affine = tuple[tuple[int, int], ...]
 # one level of a chain, (q, q*lo, q*hi, carry)
 _Level = tuple[int, _Affine, _Affine, _Affine]
-# {(node, level): (child node, den, poly)}: the partial integral after one
-# more level, where node 0 is the empty stack and node i the state stored
-# with id i, so each node stands for one stack of inner levels
-_Table = dict[tuple[int, _Level], tuple[int, int, _Poly]]
+# a stored end's fields, (const, x0, t, last, q)
+_End = tuple[int, int, int, int, int]
+_end_fields = attrgetter("const", "x0", "t", "last", "q")
+# {(node, lo, hi, carry): (child node, den, poly)}: the partial integral
+# after one more level, keyed on that level's stored ends and the (y, s)
+# numerators of its carry, where node 0 is the empty stack and node i the
+# state stored with id i, so each node stands for one stack of inner levels
+_Table = dict[tuple[int, _End, _End, tuple[int, int]], tuple[int, int, _Poly]]
 
 
 def _affine(const, x0, y, s) -> _Affine:
-    return tuple((e, v) for e, v in ((0, const), (_X0, x0), (_Y, y), (_S, s)) if v)
+    return tuple([(e, v) for e, v in ((0, const), (_X0, x0), (_Y, y), (_S, s)) if v])
 
 
 def _mul_add(p: _Poly, f: _Affine, add: _Poly) -> _Poly:
@@ -114,23 +120,19 @@ def _mul_add(p: _Poly, f: _Affine, add: _Poly) -> _Poly:
     return out
 
 
-def _integer_levels(chain: BoundChain) -> list[_Level]:
-    """Read levels n-1..1 of a chain as (q, q*lo, q*hi, carry), integer
-    affine polynomials over packed keys, each level's stored Fractions over
-    their least common denominator q. A chain too long for the packed keys
-    raises ValueError."""
-    levels, u = chain.levels, chain.u
-    if len(levels) > _MAX_VARS:
-        raise ValueError(f"chain {chain.label!r}: more than {_MAX_VARS} variables")
-    out = []
-    for k in range(len(levels) - 1, 0, -1):
-        ends = [(e.const, e.x0, e.last, e.t) for e in levels[k]]
-        q = lcm(*(v.denominator for end in ends for v in end))
-        lo, hi = (_affine(*(v.numerator * (q // v.denominator) for v in end)) for end in ends)
-        # S_{k+1} = S_k + u_{k-1} x_{k-1}; S_1 = S_2 = 0, and past u no sum is left
-        carry = _affine(0, 0, u[k - 2] if 2 <= k <= len(u) + 1 else 0, int(k >= 3))
-        out.append((q, lo, hi, carry))
-    return out
+def _integer_level(lo: _End, hi: _End, carry: tuple[int, int]) -> _Level:
+    """One level as (q, q*lo, q*hi, carry), integer affine polynomials over
+    packed keys: the two stored ends, each (const, x0, t, last) over its
+    own denominator, are put over their least common denominator q, and
+    the carry's (y, s) numerators are packed as they are."""
+    q = lcm(lo[4], hi[4])
+
+    def scaled(end: _End) -> _Affine:
+        const, x0, t, last, end_q = end
+        a = q // end_q
+        return _affine(const * a, x0 * a, last * a, t * a)
+
+    return q, scaled(lo), scaled(hi), _affine(0, 0, *carry)
 
 
 def _integrate_level(den: int, poly: _Poly, level: _Level) -> tuple[int, _Poly]:
@@ -187,37 +189,49 @@ def integrate_chain(chain: BoundChain, table: _Table | None = None) -> Fraction:
     bound counts negatively. No chamber has such a part.
 
     Each level is stored in the integrand's variables, x0, x_{k-1} and the
-    running sum, and :func:`_integer_levels` puts it over one denominator.
-    :func:`_integrate_level` then integrates out one level at a time, on
-    integer numerators over one denominator per level. The state after the
-    levels n-1..k depends on nothing but those integer levels, so ``table``
-    keeps each state keyed on the stack of levels that produced it. A chain
-    whose inner levels match a stack in the table picks up its state and
-    integrates only the levels it does not share: the g chain shares all of
-    its levels with cp:sys3, and each cp chain shares levels m..n-1 with
-    every cp chain of a smaller switch level m. Equal keys give equal
-    states, so sharing leaves every volume exactly as it is. Callers pass
-    one table for the chains of one (d, N) and drop it afterwards; with no
-    table, the chain is integrated in a fresh one.
+    running sum, as two ends of integer numerators over a positive
+    denominator in lowest terms. The state after the levels n-1..k depends
+    on nothing but those levels, so ``table`` keeps each state keyed on the
+    stored ends and the carry of each level of the stack that produced it;
+    reduced ends are canonical, so two keys are equal exactly when the
+    levels are. A chain whose inner levels match a stack in the table picks
+    up its state and integrates only the levels it does not share: the g
+    chain shares all of its levels with cp:sys3, and each cp chain shares
+    levels m..n-1 with every cp chain of a smaller switch level m. Only on a
+    miss does :func:`_integer_level` put the level over one denominator, and
+    :func:`_integrate_level` integrate it out, on integer numerators over
+    one denominator per level. Equal keys give equal states, so sharing
+    leaves every volume exactly as it is. Callers pass one table for the
+    chains of one (d, N) and drop it afterwards; with no table, the chain is
+    integrated in a fresh one.
 
     After level 1 the integrand is a polynomial sum_a v_a x0^(a-1) over one
     denominator D. With the outer ends l/q0 and h/q0 over one denominator
     and A the top power, its integral sum_a v_a (h^a - l^a) / (a q0^a) is
     put over D * lcm(1..A) * q0^A and folded over a by Horner's rule at h
-    and at l. No Fraction arithmetic runs here or in
-    :func:`_integer_levels`: the only Fraction built is the returned volume.
+    and at l. No Fraction arithmetic runs here, and the AffineExpr view
+    ``chain.bounds`` is never built: the only Fraction is the returned
+    volume.
     """
+    levels, u = chain.levels, chain.u
+    if len(levels) > _MAX_VARS:
+        raise ValueError(f"chain {chain.label!r}: more than {_MAX_VARS} variables")
     if table is None:
         table = {}
     node, den, poly = 0, 1, {0: 1}
-    for level in _integer_levels(chain):
-        state = table.get((node, level))
+    for k in range(len(levels) - 1, 0, -1):
+        lo, hi = map(_end_fields, levels[k])
+        # S_{k+1} = S_k + u_{k-1} x_{k-1}; S_1 = S_2 = 0, and past u no sum is left
+        carry = (u[k - 2] if 2 <= k <= len(u) + 1 else 0, int(k >= 3))
+        key = (node, lo, hi, carry)
+        state = table.get(key)
         if state is None:
-            state = table[node, level] = (len(table) + 1, *_integrate_level(den, poly, level))
+            level = _integer_level(lo, hi, carry)
+            state = table[key] = (len(table) + 1, *_integrate_level(den, poly, level))
         node, den, poly = state
-    lo0, hi0 = (e.const for e in chain.levels[0])
-    q0 = lcm(lo0.denominator, hi0.denominator)
-    l, h = (v.numerator * (q0 // v.denominator) for v in (lo0, hi0))
+    lo0, hi0 = levels[0]
+    q0 = lcm(lo0.q, hi0.q)
+    l, h = lo0.const * (q0 // lo0.q), hi0.const * (q0 // hi0.q)
     top_a = 1 + max((e // _X0 for e in poly), default=-1)
     ladder = lcm(*range(1, top_a + 1))
     by_a = [0] * (top_a + 1)

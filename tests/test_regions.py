@@ -8,13 +8,14 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pauli_volumes
+from pauli_volumes import regions
 from pauli_volumes.channel import (
     ChannelSpec,
     is_cp,
@@ -99,12 +100,55 @@ def test_affine_expr_keeps_exact_values_and_refuses_floats():
         LevelBound(Fraction(0), t=0.5)
 
 
+def test_level_bound_puts_exact_rationals_over_one_denominator():
+    """LevelBound has one constructor: an end given as exact rationals
+    equals the same end given as integer numerators over q, in lowest terms
+    with q > 0, and floats and bools are refused in every field."""
+    given = LevelBound(Fraction(1, 2), 1, Fraction(-1, 3), 2)
+    assert given == LevelBound(3, 6, -2, 12, 6)
+    assert (given.const, given.x0, given.t, given.last, given.q) == (3, 6, -2, 12, 6)
+    assert LevelBound(Fraction(-1, 4), x0=Fraction(-1, 2)) == LevelBound(-1, -2, q=4)
+    # a common factor and a negative q are normalised away
+    reduced = LevelBound(2, -4, 0, 6, 4)
+    assert (reduced.const, reduced.x0, reduced.t, reduced.last, reduced.q) == (1, -2, 0, 3, 2)
+    assert LevelBound(2, -4, 0, 6, -4) == LevelBound(-1, 2, 0, -3, 2)
+    assert LevelBound(1, q=Fraction(1, 3)) == LevelBound(3)
+    for bad in (0.5, True):
+        for field in ("x0", "t", "last", "q"):
+            with pytest.raises(TypeError, match="rejected"):
+                LevelBound(1, **{field: bad})
+        with pytest.raises(TypeError, match="rejected"):
+            LevelBound(bad)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_stored_ends_are_integers_in_lowest_terms(d, monkeypatch):
+    """Every stored end of the cp, g and eb chamber sets and of the box, at
+    every 3 <= N <= d+1, holds five ints with q > 0 and no common factor,
+    so equal ends have equal fields, which the integrator's table keys rely
+    on. The sets are built with regions' Fraction made to fail, so no end
+    is given to the constructor as a rational."""
+
+    def no_fraction(*args):
+        raise AssertionError("a chamber builder passed a non-integer end")
+
+    monkeypatch.setattr(regions, "Fraction", no_fraction)
+    for N in range(3, d + 2):
+        sets = [chambers(d, N, tag) for tag in ("cp", "g", "eb")] + [p_box(d, N)]
+        for ch in (ch for cs in sets for ch in cs.chains):
+            for end in (end for pair in ch.levels for end in pair):
+                fields = (end.const, end.x0, end.t, end.last, end.q)
+                assert all(type(v) is int for v in fields), (ch.label, end)
+                assert end.q > 0 and gcd(*fields) == 1, (ch.label, end)
+
+
 _FROZEN_VALUES = [
     pytest.param(lambda: SurdValue(Fraction(1), 8), "coeff", id="SurdValue"),
     pytest.param(lambda: AffineExpr(Fraction(1, 2), [1, Fraction(-1, 3)]), "const",
                  id="AffineExpr"),
     pytest.param(lambda: LevelBound(Fraction(1, 2), 1, Fraction(-1, 3), 2), "t",
                  id="LevelBound"),
+    pytest.param(lambda: LevelBound(-1, -6, -3, -6, 12), "q", id="LevelBound-over-q"),
     pytest.param(lambda: chambers(3, 4, "cp").chains[1], "label", id="BoundChain"),
     pytest.param(lambda: ChannelSpec.make(3, 4, ["1/2", 0, "-1/4", 0]), "lambdas",
                  id="ChannelSpec"),
@@ -353,10 +397,10 @@ def test_every_chamber_is_the_hull_of_sorted_corners_in_its_class(d):
 
 
 def _at_end(end, k, u, x):
-    """A stored end read from its definition, const + x0 x_0 + t S_k +
-    last x_{k-1} with S_k = sum_{1<=j<=k-2} u_j x_j, at the point x."""
+    """A stored end read from its definition, (const + x0 x_0 + t S_k +
+    last x_{k-1}) / q with S_k = sum_{1<=j<=k-2} u_j x_j, at the point x."""
     s = sum(w * v for w, v in zip(u, x[1 : k - 1]))
-    return end.const + end.x0 * x[0] + end.t * s + end.last * x[k - 1]
+    return (end.const + end.x0 * x[0] + end.t * s + end.last * x[k - 1]) / end.q
 
 
 _CHAIN_VOLUMES = {
@@ -423,6 +467,8 @@ def test_exact_class_points_lie_in_exactly_one_chamber(d):
     for N in range(3, d + 2):
         for tag, in_class in _IN_CLASS.items():
             chains = chambers(d, N, tag).chains
+            # each chain's bounds view, read once: the property rebuilds it
+            views = [(ch.label, ch.nplus1_slot, ch.bounds) for ch in chains]
             vertices = _class_vertices(d, N, "eb" if tag == "eb" else "cp")
             kept = 0
             while kept < 20:
@@ -434,10 +480,10 @@ def test_exact_class_points_lie_in_exactly_one_chamber(d):
                 x = sorted(lam)
                 slot = None if chains[0].nplus1_slot is None else sum(v < lam[-1] for v in lam)
                 holding = [
-                    ch.label
-                    for ch in chains
-                    if ch.nplus1_slot == slot
-                    and all(_at(lo, x) <= v <= _at(hi, x) for v, (lo, hi) in zip(x, ch.bounds))
+                    label
+                    for label, chain_slot, bounds in views
+                    if chain_slot == slot
+                    and all(_at(lo, x) <= v <= _at(hi, x) for v, (lo, hi) in zip(x, bounds))
                 ]
                 assert len(holding) == 1, f"d={d}, N={N}, {tag} point {lam} in {holding}"
 

@@ -97,11 +97,17 @@ def test_integrator_against_midpoint_riemann_sum():
 
 def test_scaling_law():
     """Dilating every variable by s scales each bound's constant and keeps
-    its slopes, so the volume scales by s^n."""
+    its slopes, so the volume scales by s^n. With s = a/b a dilated end
+    (a const + b x0 x_0 + b t S_k + b last x_{k-1}) / (b q) has its
+    constant times s and its slopes as they were."""
     ch = chambers(2, 3, "g").chains[0]
     s = Fraction(3, 2)
+    a, b = s.numerator, s.denominator
     dilated = _chain(
-        [tuple(LevelBound(e.const * s, e.x0, e.t, e.last) for e in pair) for pair in ch.levels],
+        [
+            tuple(LevelBound(a * e.const, b * e.x0, b * e.t, b * e.last, b * e.q) for e in pair)
+            for pair in ch.levels
+        ],
         ch.u,
     )
     assert integrate_chain(dilated) == integrate_chain(ch) * s ** 3
@@ -280,6 +286,20 @@ def test_weighted_simplex_volume(weights, c, shift, sign):
     n = len(weights)
     chain = _weighted_simplex(weights, c, shift[:n], sign)
     assert integrate_chain(chain) == c**n / (factorial(n) * prod(weights))
+
+
+def test_integration_never_builds_the_bounds_view(monkeypatch):
+    """The integrator reads the stored integer ends alone: with the
+    AffineExpr view and LevelBound.affine made to fail, every class still
+    integrates, across the full, N = d and three-basis chamber sets."""
+
+    def no_view(*args):
+        raise AssertionError("the integration path built the AffineExpr view")
+
+    monkeypatch.setattr(BoundChain, "bounds", property(no_view))
+    monkeypatch.setattr(LevelBound, "affine", no_view)
+    for d, mode in ((6, "max"), (6, "d"), (6, "3")):
+        assert check_conjectures([d], mode).all_match
 
 
 def test_chain_too_long_for_packed_keys_raises():
