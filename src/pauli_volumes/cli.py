@@ -286,10 +286,18 @@ def _cmd_check_conjectures(args) -> _Result:
     return (0 if report.all_match else 1), doc, _ratio_csv(rows)
 
 
-def _affine_json(expr) -> dict:
+def _end_json(end, k: int, u: tuple[int, ...]) -> dict:
+    """A stored end of the bound on x_k as const + sum_j coeffs[j] x_j over
+    x_0..x_{k-1}: no coefficients for a constant end, else all k, with its
+    running-sum term t S_k spread over x_1..x_{k-2} by the weights u."""
+    q = end.q
+    coeffs = []
+    if end.x0 or end.t or end.last:
+        mid = [end.t * w for w in u[: k - 2]] if end.t else [0] * (k - 2)
+        coeffs = [end.x0, *mid, end.last][:k]
     return {
-        "const": rational_str(expr.const),
-        "coeffs": [rational_str(c) for c in expr.coeffs],
+        "const": rational_str(Fraction(end.const, q)),
+        "coeffs": [rational_str(Fraction(c, q)) for c in coeffs],
     }
 
 
@@ -307,8 +315,8 @@ def _cmd_dump_regions(args) -> _Result:
                 "label": ch.label,
                 "nplus1_slot": ch.nplus1_slot,
                 "bounds": [
-                    {"lower": _affine_json(lo), "upper": _affine_json(hi)}
-                    for lo, hi in ch.bounds
+                    {"lower": _end_json(lo, k, ch.u), "upper": _end_json(hi, k, ch.u)}
+                    for k, (lo, hi) in enumerate(ch.bounds)
                 ],
             }
             for ch in chambers.chains

@@ -10,9 +10,9 @@ bound on x_k is stored in the form the integrator reads, a
 :class:`LevelBound` (const + x0 x_0 + t S_k + last x_{k-1}) / q over the
 chain's running sum S_k = sum_{1<=j<=k-2} u_j x_j: four integer
 numerators over one positive integer denominator q, in lowest terms, so
-equal ends have equal fields. ``BoundChain.bounds`` derives the same
-bounds as :class:`AffineExpr` tuples of Fractions, the form the region
-dump prints; the integrator never builds it. Chains come in two flavors:
+equal ends have equal fields. It is the one form of a bound: the
+integrator reads it as it is, and the region dump renders it. Chains
+come in two flavors:
 
 * the necessary-positivity box, a single chain of constant bounds; and
 * chamber decompositions of the ordered-eigenvalue wedge
@@ -54,7 +54,6 @@ from typing import NamedTuple, Sequence
 from .geometry import Frozen, is_int, weights
 
 CLASS_TAGS = ("p", "cp", "g", "eb")
-_ZERO = Fraction(0)
 
 
 def _exact(v) -> Fraction:
@@ -68,18 +67,6 @@ def _exact(v) -> Fraction:
     return Fraction(v)
 
 
-class AffineExpr(Frozen):
-    """const + sum_j coeffs[j] * x_j, referencing variables 0..len(coeffs)-1."""
-
-    __slots__ = ("const", "coeffs")
-    const: Fraction
-    coeffs: tuple[Fraction, ...]
-
-    def __init__(self, const: Fraction, coeffs: Sequence[Fraction] = ()) -> None:
-        object.__setattr__(self, "const", _exact(const))
-        object.__setattr__(self, "coeffs", tuple(map(_exact, coeffs)))
-
-
 class LevelBound(Frozen):
     """One end of the bound on x_k, (const + x0 x_0 + t S_k + last x_{k-1}) / q,
     where S_k = sum_{1<=j<=k-2} u_j x_j is the running sum of its chain.
@@ -87,7 +74,7 @@ class LevelBound(Frozen):
     The four numerators and the denominator q > 0 are ints in lowest terms,
     so equal ends have equal fields. Exact rationals, or a q that is not a
     positive int, are put over one such denominator; floats and bools are
-    refused."""
+    refused, and so is q = 0."""
 
     __slots__ = ("const", "x0", "t", "last", "q")
     const: int
@@ -98,7 +85,10 @@ class LevelBound(Frozen):
 
     def __init__(self, const, x0=0, t=0, last=0, q=1) -> None:
         if not (type(const) is type(x0) is type(t) is type(last) is type(q) is int and q > 0):
-            values = [_exact(v) / _exact(q) for v in (const, x0, t, last)]
+            q = _exact(q)
+            if not q:
+                raise ValueError("an end's denominator q must be nonzero")
+            values = [_exact(v) / q for v in (const, x0, t, last)]
             q = lcm(*(v.denominator for v in values))
             const, x0, t, last = (v.numerator * (q // v.denominator) for v in values)
         g = gcd(const, x0, t, last, q)
@@ -112,27 +102,22 @@ class LevelBound(Frozen):
         set_field(self, "last", last)
         set_field(self, "q", q)
 
-    def affine(self, k: int, u: tuple[int, ...]) -> AffineExpr:
-        q = self.q
-        if not (self.x0 or self.t or self.last):
-            return AffineExpr(Fraction(self.const, q))
-        mid = [Fraction(self.t * w, q) for w in u[: k - 2]] if self.t else [_ZERO] * (k - 2)
-        coeffs = (Fraction(self.x0, q), *mid, Fraction(self.last, q))
-        return AffineExpr(Fraction(self.const, q), coeffs[:k])
-
 
 class BoundChain(Frozen):
-    """An iterated-integral region: ``levels[k]`` bounds x_k, over running
-    sums of the integer weights ``u``. Level 0 is constant, level 1 reads
-    x_0 alone, and from level 3 on a level may hold S_k, which u must cover."""
+    """An iterated-integral region: ``bounds[k]`` is the (lower, upper) pair
+    of ends on x_k, over running sums of the integer weights ``u``. Level 0
+    is constant, level 1 reads x_0 alone, and from level 3 on a level may
+    hold S_k, which u must cover. The pairs are stored as tuples, whatever
+    sequences they are given as."""
 
-    __slots__ = ("levels", "u", "label", "nplus1_slot")
-    levels: tuple[tuple[LevelBound, LevelBound], ...]
+    __slots__ = ("bounds", "u", "label", "nplus1_slot")
+    bounds: tuple[tuple[LevelBound, LevelBound], ...]
     u: tuple[int, ...]
     label: str
     nplus1_slot: int | None
 
-    def __init__(self, levels, u: Sequence[int], label: str, nplus1_slot: int | None = None):
+    def __init__(self, bounds, u: Sequence[int], label: str, nplus1_slot: int | None = None):
+        levels = tuple(map(tuple, bounds))
         if not levels:
             raise ValueError(f"{label}: a chain needs at least one variable")
         if not all(map(is_int, u)):
@@ -145,18 +130,10 @@ class BoundChain(Frozen):
         for k, pair in enumerate(levels[len(u) + 3 :], len(u) + 3):
             if any(end.t for end in pair):
                 raise ValueError(f"{label}: u does not cover S_{k}")
-        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "bounds", levels)
         object.__setattr__(self, "u", tuple(u))
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "nplus1_slot", nplus1_slot)
-
-    @property
-    def bounds(self) -> tuple[tuple[AffineExpr, AffineExpr], ...]:
-        """The levels as (lower, upper) AffineExprs: each end at level k
-        lists all k coefficients, or none when it has no variable term."""
-        return tuple(
-            tuple(end.affine(k, self.u) for end in pair) for k, pair in enumerate(self.levels)
-        )
 
 
 class ChamberSet(NamedTuple):
@@ -171,7 +148,7 @@ class ChamberSet(NamedTuple):
 
     @property
     def n_vars(self) -> int:
-        return len(self.chains[0].levels)
+        return len(self.chains[0].bounds)
 
     @property
     def ordered(self) -> bool:

@@ -209,11 +209,10 @@ def integrate_chain(chain: BoundChain, table: _Table | None = None) -> Fraction:
     denominator D. With the outer ends l/q0 and h/q0 over one denominator
     and A the top power, its integral sum_a v_a (h^a - l^a) / (a q0^a) is
     put over D * lcm(1..A) * q0^A and folded over a by Horner's rule at h
-    and at l. No Fraction arithmetic runs here, and the AffineExpr view
-    ``chain.bounds`` is never built: the only Fraction is the returned
-    volume.
+    and at l. No Fraction arithmetic runs here: the only Fraction is the
+    returned volume.
     """
-    levels, u = chain.levels, chain.u
+    levels, u = chain.bounds, chain.u
     if len(levels) > _MAX_VARS:
         raise ValueError(f"chain {chain.label!r}: more than {_MAX_VARS} variables")
     if table is None:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import pauli_volumes
-from pauli_volumes import regions
+from pauli_volumes import cli, regions
 from pauli_volumes.channel import (
     ChannelSpec,
     is_cp,
@@ -23,7 +23,7 @@ from pauli_volumes.channel import (
     is_generator_achievable,
 )
 from pauli_volumes.geometry import Frozen, SurdValue
-from pauli_volumes.regions import AffineExpr, BoundChain, LevelBound, chambers, p_box
+from pauli_volumes.regions import BoundChain, LevelBound, chambers, p_box
 from pauli_volumes.volume import (
     _class_mask,
     check_conjectures,
@@ -34,6 +34,16 @@ from pauli_volumes.volume import (
 )
 
 
+def _at_end(end, k, u, x):
+    """A stored end read from its definition, (const + x0 x_0 + t S_k +
+    last x_{k-1}) / q with S_k = sum_{1<=j<=k-2} u_j x_j, at the point x:
+    at least k exact values, or float columns. Level 0 reads no variable."""
+    if not k:
+        return Fraction(end.const, end.q)
+    s = sum(w * v for w, v in zip(u, x[1 : k - 1]))
+    return (end.const + end.x0 * x[0] + end.t * s + end.last * x[k - 1]) / end.q
+
+
 def _chain_counts(chains, pts, margin=1e-9):
     """Float oracle for the ordered chambers: how many chains contain each
     raw eigenvalue sample. Rows are sorted first, and a chain that pins the
@@ -41,6 +51,7 @@ def _chain_counts(chains, pts, margin=1e-9):
     rank. Also returns the rows within margin of a bound surface or a
     sorting tie, whose counts are unreliable."""
     mu = np.sort(pts, axis=1)
+    cols = list(mu.T)
     slot = np.sum(pts[:, :-1] < pts[:, -1:], axis=1)
     near = np.any(np.diff(mu, axis=1) <= margin, axis=1)
     counts = np.zeros(len(pts), dtype=int)
@@ -48,10 +59,8 @@ def _chain_counts(chains, pts, margin=1e-9):
         scope = np.ones_like(near) if ch.nplus1_slot is None else slot == ch.nplus1_slot
         inside = scope.copy()
         for i, pair in enumerate(ch.bounds):
-            x = mu[:, i]
-            lo, hi = (
-                float(e.const) + mu[:, : len(e.coeffs)] @ np.array(e.coeffs, float) for e in pair
-            )
+            x = cols[i]
+            lo, hi = (np.asarray(_at_end(e, i, ch.u, cols), float) for e in pair)
             inside &= (lo <= x) & (x <= hi)
             near |= scope & ((abs(x - lo) <= margin) | (abs(x - hi) <= margin))
         counts += inside
@@ -76,7 +85,7 @@ def test_bound_chain_rejects_terms_a_level_cannot_hold():
     for u in ((1, Fraction(1, 2)), (1, True)):
         with pytest.raises(ValueError, match="integers"):
             BoundChain(deep, u, label="rational")
-    assert BoundChain(deep, (1, 2), label="ok").bounds[4][1] == AffineExpr(1, (0, -1, -2, 0))
+    assert BoundChain(deep, (1, 2), label="ok").bounds[4][1] == LevelBound(1, t=-1)
     # the box states no running sum: its levels have none to cover
     assert BoundChain((box,) * 5, (), label="box").u == ()
 
@@ -86,24 +95,21 @@ def test_bound_chain_rejects_an_empty_chain():
         BoundChain((), (), label="empty")
 
 
-def test_affine_expr_keeps_exact_values_and_refuses_floats():
-    third = Fraction(1, 3)
-    expr = AffineExpr(third, [1, Fraction(-1, 2)])
-    assert expr.const is third
-    assert expr.coeffs == (Fraction(1), Fraction(-1, 2)) and type(expr.coeffs) is tuple
-    assert all(type(c) is Fraction for c in expr.coeffs)
-    with pytest.raises(TypeError, match="floating-point"):
-        AffineExpr(0.1)
-    with pytest.raises(TypeError, match="floating-point"):
-        AffineExpr(Fraction(0), (Fraction(1), 0.5))
-    with pytest.raises(TypeError, match="floating-point"):
-        LevelBound(Fraction(0), t=0.5)
+def test_bound_chain_stores_its_pairs_as_tuples():
+    """A chain given its levels as lists equals, and hashes as, the same
+    chain given them as tuples: it keeps no mutable sequence."""
+    ends = [LevelBound(0), LevelBound(1)]
+    listed = BoundChain([list(ends), list(ends)], [], label="x")
+    tupled = BoundChain((tuple(ends), tuple(ends)), (), label="x")
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert type(listed.bounds) is tuple and all(type(pair) is tuple for pair in listed.bounds)
 
 
 def test_level_bound_puts_exact_rationals_over_one_denominator():
     """LevelBound has one constructor: an end given as exact rationals
     equals the same end given as integer numerators over q, in lowest terms
-    with q > 0, and floats and bools are refused in every field."""
+    with q > 0; floats and bools are refused in every field, and so is
+    q = 0."""
     given = LevelBound(Fraction(1, 2), 1, Fraction(-1, 3), 2)
     assert given == LevelBound(3, 6, -2, 12, 6)
     assert (given.const, given.x0, given.t, given.last, given.q) == (3, 6, -2, 12, 6)
@@ -119,6 +125,9 @@ def test_level_bound_puts_exact_rationals_over_one_denominator():
                 LevelBound(1, **{field: bad})
         with pytest.raises(TypeError, match="rejected"):
             LevelBound(bad)
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ValueError, match="denominator q must be nonzero"):
+            LevelBound(1, q=zero)
 
 
 @pytest.mark.parametrize("d", range(2, 9))
@@ -136,7 +145,7 @@ def test_stored_ends_are_integers_in_lowest_terms(d, monkeypatch):
     for N in range(3, d + 2):
         sets = [chambers(d, N, tag) for tag in ("cp", "g", "eb")] + [p_box(d, N)]
         for ch in (ch for cs in sets for ch in cs.chains):
-            for end in (end for pair in ch.levels for end in pair):
+            for end in (end for pair in ch.bounds for end in pair):
                 fields = (end.const, end.x0, end.t, end.last, end.q)
                 assert all(type(v) is int for v in fields), (ch.label, end)
                 assert end.q > 0 and gcd(*fields) == 1, (ch.label, end)
@@ -144,8 +153,6 @@ def test_stored_ends_are_integers_in_lowest_terms(d, monkeypatch):
 
 _FROZEN_VALUES = [
     pytest.param(lambda: SurdValue(Fraction(1), 8), "coeff", id="SurdValue"),
-    pytest.param(lambda: AffineExpr(Fraction(1, 2), [1, Fraction(-1, 3)]), "const",
-                 id="AffineExpr"),
     pytest.param(lambda: LevelBound(Fraction(1, 2), 1, Fraction(-1, 3), 2), "t",
                  id="LevelBound"),
     pytest.param(lambda: LevelBound(-1, -6, -3, -6, 12), "q", id="LevelBound-over-q"),
@@ -194,7 +201,7 @@ def test_frozen_values_are_type_strict_and_print_their_fields(make, field):
     text = repr(a)
     body = ", ".join(f"{name}={value!r}" for name, value in zip(cls.__slots__, fields))
     assert text == f"{cls.__name__}({body})"
-    names = {"Fraction": Fraction, "AffineExpr": AffineExpr, "LevelBound": LevelBound}
+    names = {"Fraction": Fraction, "LevelBound": LevelBound}
     names[cls.__name__] = cls
     assert eval(text, names) == a
 
@@ -205,8 +212,7 @@ def test_p_box_coordinate_counts():
     assert p_box(5, 3).n_vars == 4  # body plus the shared left-out coordinate
     assert p_box(5, 5).n_vars == 6
     box = p_box(4, 5)
-    lo, hi = box.chains[0].bounds[2]
-    assert (lo.const, hi.const) == (Fraction(-1, 3), Fraction(1))
+    assert box.chains[0].bounds[2] == (LevelBound(-1, q=3), LevelBound(1))
     assert not box.ordered and box.symmetry_factor == 1
 
 
@@ -224,8 +230,8 @@ def test_full_family_chamber_inventory(d):
     for cs in (cp, g, eb):
         for ch in cs.chains:
             assert len(ch.bounds) == d + 1
-            lo0, hi0 = ch.bounds[0]
-            assert not lo0.coeffs and not hi0.coeffs  # outer bounds constant
+            for end in ch.bounds[0]:  # outer bounds constant
+                assert not (end.x0 or end.t or end.last)
 
 
 def _expected_inventory(d, N, tag):
@@ -277,11 +283,11 @@ def test_three_basis_chamber_inventory():
 
 def test_qubit_outer_bounds():
     cp = chambers(2, 3, "cp")
-    outer = [(ch.bounds[0][0].const, ch.bounds[0][1].const) for ch in cp.chains]
+    outer = [ch.bounds[0] for ch in cp.chains]
     assert outer == [
-        (Fraction(-1), Fraction(-1, 3)),  # branch switch at the last level
-        (Fraction(-1), Fraction(-1, 3)),
-        (Fraction(-1, 3), Fraction(1)),  # all-positive branch
+        (LevelBound(-1), LevelBound(-1, q=3)),  # branch switch at the last level
+        (LevelBound(-1), LevelBound(-1, q=3)),
+        (LevelBound(-1, q=3), LevelBound(1)),  # all-positive branch
     ]
 
 
@@ -289,19 +295,17 @@ def test_three_basis_level_bounds_at_d4():
     """Spot-check the weighted bounds when the left-out eigenvalue sits on top:
     at the last level the upper bound must average the remaining weight d-2."""
     eb = {ch.nplus1_slot: ch for ch in chambers(4, 3, "eb").chains}
+    # (1 - x_0 - x_1 - x_2) / 2: at level 3 S_3 = u_1 x_1 = x_1
+    assert eb[3].u == (1,)
     lo, hi = eb[3].bounds[3]
-    assert hi == AffineExpr(
-        Fraction(1, 2), (Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2))
-    )
+    assert hi == LevelBound(1, x0=-1, t=-1, last=-1, q=2)
     g = {ch.nplus1_slot: ch for ch in chambers(4, 3, "g").chains}
     lo, hi = g[3].bounds[3]
-    assert hi == AffineExpr(
-        Fraction(1, 2), (Fraction(3, 2), Fraction(-1, 2), Fraction(-1, 2))
-    )
+    assert hi == LevelBound(1, x0=3, t=-1, last=-1, q=2)
     # left-out eigenvalue at the bottom: its weight d-2 both shrinks the
     # remaining-weight denominator and shifts the d*lambda_min coefficient
     lo, hi = g[0].bounds[3]
-    assert hi == AffineExpr(Fraction(1), (Fraction(2), Fraction(-1), Fraction(-1)))
+    assert hi == LevelBound(1, x0=2, t=-1, last=-1)
 
 
 def test_slot_determines_which_sorted_position_is_special():
@@ -353,10 +357,6 @@ def _weights(d, N):
     return (1,) * (d + 1) if N == d + 1 else (1,) * N + (d + 1 - N,)
 
 
-def _at(expr, x):
-    return expr.const + sum(c * v for c, v in zip(expr.coeffs, x))
-
-
 def _spec(d, N, x, slot):
     """The channel at sorted chamber coordinates x. With a slot, x[slot] is
     lambda_{N+1} and the others are lambda_1..lambda_N in order; without
@@ -371,10 +371,10 @@ def _corners(chain):
     lo <= hi is checked at every corner of the levels below, so by
     induction each partial chain is the convex hull of its corners."""
     corners = {()}
-    for lo, hi in chain.bounds:
+    for k, (lo, hi) in enumerate(chain.bounds):
         grown = set()
         for x in corners:
-            a, b = _at(lo, x), _at(hi, x)
+            a, b = _at_end(lo, k, chain.u, x), _at_end(hi, k, chain.u, x)
             assert a <= b, f"{chain.label}: lower bound {a} above upper bound {b} at {x}"
             grown |= {x + (a,), x + (b,)}
         corners = grown
@@ -396,42 +396,34 @@ def test_every_chamber_is_the_hull_of_sorted_corners_in_its_class(d):
                     assert in_class(spec), f"{ch.label}: corner {x} outside {tag}"
 
 
-def _at_end(end, k, u, x):
-    """A stored end read from its definition, (const + x0 x_0 + t S_k +
-    last x_{k-1}) / q with S_k = sum_{1<=j<=k-2} u_j x_j, at the point x."""
-    s = sum(w * v for w, v in zip(u, x[1 : k - 1]))
-    return (end.const + end.x0 * x[0] + end.t * s + end.last * x[k - 1]) / end.q
-
-
-_CHAIN_VOLUMES = {
-    (d, N, tag, label): Fraction(value)
-    for d, N, tag, label, value in json.loads(
-        (Path(__file__).parent / "data" / "chain_volumes.json").read_text()
-    )
-}
-
-
-@pytest.mark.parametrize("d", range(2, 9))
-def test_stored_levels_agree_with_their_bounds_view(d):
-    """For every N in 3..d+1 and each of cp, g and eb, each level's
-    AffineExpr view and its stored ends agree at three exact points, and
-    each chain integrates to its pinned volume. The certificate above reads
-    the view and the integrator reads the ends, so this ties the two
-    together, at 4 <= N < d too, where no CLI golden reaches."""
+@pytest.mark.parametrize("d", range(2, 13))
+def test_stored_levels_agree_with_their_bounds_view(d, capsys):
+    """For every supported N and each of p, cp, g and eb, each end that
+    dump-regions prints lists 0 or k coefficients at level k and, at three
+    exact points, evaluates to the stored end it renders. The dump is the
+    one view of the stored ends; the integrator reads them as they are, and
+    test_every_chain_matches_its_golden_volume pins what it gets."""
     rng = random.Random(d)
-    for N in range(3, d + 2):
-        for tag in ("cp", "g", "eb"):
-            for ch in chambers(d, N, tag).chains:
+    for N in supported_n_values(d):
+        mode = {d + 1: "max", d: "d", 3: "3"}[N]
+        for tag in ("p", "cp", "g", "eb"):
+            assert cli.main(["dump-regions", "--d", str(d), "--n-mode", mode, "--class", tag]) == 0
+            dumped = json.loads(capsys.readouterr().out)["chains"]
+            chains = region_for(d, N, tag).chains
+            assert [c["label"] for c in dumped] == [ch.label for ch in chains]
+            for ch, doc in zip(chains, dumped):
                 points = [
-                    [Fraction(rng.randint(-60, 60), rng.randint(1, 12)) for _ in ch.levels]
+                    [Fraction(rng.randint(-60, 60), rng.randint(1, 12)) for _ in ch.bounds]
                     for _ in range(3)
                 ]
-                for k, (pair, view) in enumerate(zip(ch.levels, ch.bounds)):
-                    for end, expr in zip(pair, view):
-                        assert len(expr.coeffs) in (0, k), (ch.label, k)
+                for k, (pair, view) in enumerate(zip(ch.bounds, doc["bounds"], strict=True)):
+                    for end, expr in zip(pair, (view["lower"], view["upper"])):
+                        assert len(expr["coeffs"]) in (0, k), (ch.label, k)
+                        const = Fraction(expr["const"])
+                        coeffs = list(map(Fraction, expr["coeffs"]))
                         for x in points:
-                            assert _at(expr, x) == _at_end(end, k, ch.u, x), (ch.label, k, x)
-                assert integrate_chain(ch) == _CHAIN_VOLUMES[d, N, tag, ch.label]
+                            at = const + sum(c * v for c, v in zip(coeffs, x))
+                            assert at == _at_end(end, k, ch.u, x), (ch.label, k, x)
 
 
 def _simplex_point(rng, vertices, grid=2**62):
@@ -467,8 +459,6 @@ def test_exact_class_points_lie_in_exactly_one_chamber(d):
     for N in range(3, d + 2):
         for tag, in_class in _IN_CLASS.items():
             chains = chambers(d, N, tag).chains
-            # each chain's bounds view, read once: the property rebuilds it
-            views = [(ch.label, ch.nplus1_slot, ch.bounds) for ch in chains]
             vertices = _class_vertices(d, N, "eb" if tag == "eb" else "cp")
             kept = 0
             while kept < 20:
@@ -480,13 +470,15 @@ def test_exact_class_points_lie_in_exactly_one_chamber(d):
                 x = sorted(lam)
                 slot = None if chains[0].nplus1_slot is None else sum(v < lam[-1] for v in lam)
                 holding = [
-                    label
-                    for label, chain_slot, bounds in views
-                    if chain_slot == slot
-                    and all(_at(lo, x) <= v <= _at(hi, x) for v, (lo, hi) in zip(x, bounds))
+                    ch.label
+                    for ch in chains
+                    if ch.nplus1_slot == slot
+                    and all(
+                        _at_end(lo, k, ch.u, x) <= v <= _at_end(hi, k, ch.u, x)
+                        for k, (v, (lo, hi)) in enumerate(zip(x, ch.bounds))
+                    )
                 ]
                 assert len(holding) == 1, f"d={d}, N={N}, {tag} point {lam} in {holding}"
-
 
 
 # Dyadic rows on the facets of each class, and just past them, so that every
