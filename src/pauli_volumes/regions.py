@@ -122,13 +122,18 @@ class BoundChain(Frozen):
             raise ValueError(f"{label}: a chain needs at least one variable")
         if not all(map(is_int, u)):
             raise ValueError(f"{label}: the running-sum weights u must be integers")
-        for k, pair in enumerate(levels[:3]):
-            for name in ("x0", "last", "t")[k:]:
-                for end in pair:
-                    if getattr(end, name):
+        no_sum = len(u) + 3
+        for k, pair in enumerate(levels):
+            if len(pair) != 2:
+                raise ValueError(f"{label}: level {k} is not a (lower, upper) pair")
+            lo, hi = pair
+            if not (isinstance(lo, LevelBound) and isinstance(hi, LevelBound)):
+                raise ValueError(f"{label}: level {k} holds an end that is not a LevelBound")
+            if k < 3:
+                for name in ("x0", "last", "t")[k:]:
+                    if getattr(lo, name) or getattr(hi, name):
                         raise ValueError(f"{label}: level {k} cannot hold a {name} term")
-        for k, pair in enumerate(levels[len(u) + 3 :], len(u) + 3):
-            if any(end.t for end in pair):
+            elif k >= no_sum and (lo.t or hi.t):
                 raise ValueError(f"{label}: u does not cover S_{k}")
         object.__setattr__(self, "bounds", levels)
         object.__setattr__(self, "u", tuple(u))

@@ -5,15 +5,17 @@ variable first, with integer numerators over one denominator per level.
 Each chain stores the bound on x_k as affine in x0, x_{k-1} and one running
 sum S_k = sum_{1<=j<=k-2} u_j x_j, with u fixed for the chain (see
 :mod:`.regions`), so the integrand is a polynomial in three variables
-throughout. Each level substitutes its bounds into the antiderivative by
-Horner's rule, first over the powers of the running sum and then over the
-powers of x_k, so every product is by an affine polynomial of at most four
+throughout. Each level sorts its integrand's terms by their powers of x_k
+and of the running sum in one pass, and substitutes its bounds into the
+antiderivative by Horner's rule, first over the powers of the running sum
+and then over those of x_k. Each fold starts from its top coefficient, so
+every product is of a nonempty polynomial by an affine one of at most four
 terms; monomials are keyed by one packed int, so multiplying two of them
-is one integer addition. Each end is stored as integer numerators over
-one positive denominator, in lowest terms; a level's two ends are put
-over one denominator only when it is integrated, and the last integral,
-over x0, is evaluated by Horner's rule on integer numerators too: one
-Fraction is built per chain, for its volume. The partial integral after
+is one integer addition. Each end is stored as integer numerators over one positive
+denominator, in lowest terms; a level's two ends are put over one
+denominator only when it is integrated, and the last integral, over x0,
+is evaluated by Horner's rule on integer numerators too: one Fraction is
+built per chain, for its volume. The partial integral after
 the inner levels n-1..k depends on those levels alone, so the chains of
 one call share a table of them, keyed on the stored ends, which are
 equal exactly when the ends are: each distinct stack of inner levels is
@@ -23,7 +25,7 @@ inner levels of those with a smaller switch level). The table is dropped
 when the call returns. The measure is Lebesgue in eigenvalue coordinates
 times the constant metric prefactor from
 :func:`..geometry.volume_prefactor`, which turns eigenvalue-space volumes
-into channel-manifold volumes.
+into channel-manifold volumes; a call computes it once per (d, N).
 
 The Monte Carlo route samples the necessary-positivity box uniformly and
 counts membership with float predicates. It exists to cross-check the
@@ -68,12 +70,12 @@ _MC_MIN_SAMPLES = 10_000
 _MC_MAX_SAMPLES = 10**8
 
 
-# Largest dimension the exact engine attempts. Cost model, best of 36 calls
-# on a 2-core host, each call building and integrating from scratch:
-# check_conjectures([d]) in the "max" or "d" mode takes about 0.005 s at
-# d = 8, and each step in d costs about 1.6x (0.008 s at d = 9, 0.013 s at
-# d = 10, 0.021 s at d = 11, 0.033 s at d = 12); the "3" mode takes about
-# 0.002 s at any d.
+# Largest dimension the exact engine attempts. Cost model, from
+# tools/exact_timing.py (best of 5 calls, each building and integrating
+# from scratch, lowest of 4 runs) on a 2-core host: check_conjectures([d])
+# in the "max" or "d" mode takes about 0.005 s at d = 8, and each step in d
+# costs about 1.6x (0.009 s at d = 9, 0.014 s at d = 10, 0.023 s at
+# d = 11, 0.036 s at d = 12); the "3" mode takes about 0.0015 s at any d.
 _MAX_D = 12
 
 
@@ -142,38 +144,46 @@ def _integrate_level(den: int, poly: _Poly, level: _Level) -> tuple[int, _Poly]:
     (x0, x_{k-1}, S_k), by substituting the bounds lo/q and hi/q and
     S_{k+1} = S_k + u_{k-1} x_{k-1}. With B the top power of x_k after
     integration, the antiderivative sum_b H_b x_k^b / b is put over
-    den * lcm(1..B) * q^B, which scales H_b by lcm(1..B)/b * q^(B-b). It is
-    evaluated by Horner's rule twice over:
+    den * lcm(1..B) * q^B, which scales H_b by lcm(1..B)/b * q^(B-b). One
+    pass sorts poly's terms into buckets by their powers of x_k and
+    S_{k+1}, each an x0 polynomial, and Horner's rule runs twice over:
 
-    * each H_b, a polynomial in x0 and S_{k+1}, is folded over the powers
-      of S_{k+1}: multiply by the two-term carry, add the next coefficient;
-    * sum_b H_b h^b is folded over b the same way at h = hi and h = lo,
+    * each H_b is folded over the powers of S_{k+1}, from its top bucket
+      down: multiply by the two-term carry, add the next bucket. Where poly
+      holds no S_{k+1}, each H_b is its one bucket and nothing is folded;
+    * sum_b H_b h^b is folded over b, from H_B down, at h = hi and h = lo,
       and the two results are subtracted.
 
-    Every product is by an affine polynomial of at most four terms, so a
-    level costs O(B*C) such products for C the top power of S_{k+1}. The
-    numerators and the denominator are divided by their gcd once. poly is
-    only read, so a state kept in a table stays valid.
+    Every fold starts from its top coefficient, so no product is by an
+    empty polynomial, and every product is by an affine polynomial of at
+    most four terms: a level costs O(B*C) of them for C the top power of
+    S_{k+1}. The numerators and the denominator are divided by their gcd
+    once; an empty poly is returned as it is. poly is only read, so a
+    state kept in a table stays valid.
     """
+    if not poly:
+        return den, poly
     q, lo, hi, carry = level
-    top_b = 1 + max((e % _X0 // _Y for e in poly), default=0)
+    top_b = 1 + max(e % _X0 // _Y for e in poly)
     ladder = lcm(*range(1, top_b + 1))
     scales = [0] + [ladder // b * q ** (top_b - b) for b in range(1, top_b + 1)]
-    # groups[b][c] is the x0 polynomial multiplying x_k^b S_{k+1}^c
-    groups: list[dict[int, _Poly]] = [{} for _ in range(top_b + 1)]
+    # buckets[b][c] is the scaled x0 polynomial multiplying x_k^b S_{k+1}^c
+    # in the antiderivative
+    buckets: dict[int, dict[int, _Poly]] = {}
     for e, v in poly.items():
         b = e % _X0 // _Y + 1  # x_k^(b-1) integrates to x_k^b / b
         # poly's keys are distinct, so each (a, b, c) arrives once
-        groups[b].setdefault(e % _Y, {})[e - e % _X0] = v * scales[b]
-    h_by_b = []
-    for by_c in groups:
-        h_b: _Poly = {}
-        for c in range(max(by_c, default=-1), -1, -1):
+        buckets.setdefault(b, {}).setdefault(e % _Y, {})[e - e % _X0] = v * scales[b]
+    h_by_b: dict[int, _Poly] = {}
+    for b, by_c in buckets.items():
+        top_c = max(by_c)
+        h_b = by_c[top_c]
+        for c in range(top_c - 1, -1, -1):
             h_b = _mul_add(h_b, carry, by_c.get(c, {}))
-        h_by_b.append(h_b)
-    at_hi: _Poly = {}
-    at_lo: _Poly = {}
-    for h_b in reversed(h_by_b):
+        h_by_b[b] = h_b
+    at_hi = at_lo = h_by_b[top_b]
+    for b in range(top_b - 1, -1, -1):
+        h_b = h_by_b.get(b, {})
         at_hi = _mul_add(at_hi, hi, h_b)
         at_lo = _mul_add(at_lo, lo, h_b)
     for e, v in at_lo.items():
@@ -327,8 +337,9 @@ def _class_volumes(d: int, N: int, tags: tuple[str, ...] = CLASS_TAGS) -> dict[s
     them is integrated once."""
     table: _Table = {}
     vols = {}
-    for tag in tags:
-        chambers = region_for(d, N, tag)
+    regions = {tag: region_for(d, N, tag) for tag in tags}
+    prefactor = volume_prefactor(d, N)  # once region_for has validated (d, N)
+    for tag, chambers in regions.items():
         raw = tuple(integrate_chain(ch, table) for ch in chambers.chains)
         lam = sum(raw, Fraction(0)) * chambers.symmetry_factor
         vols[tag] = VolumeResult(
@@ -339,7 +350,7 @@ def _class_volumes(d: int, N: int, tags: tuple[str, ...] = CLASS_TAGS) -> dict[s
             chain_volumes=raw,
             symmetry_factor=chambers.symmetry_factor,
             lambda_volume=lam,
-            hs_volume=volume_prefactor(d, N) * lam,
+            hs_volume=prefactor * lam,
             sufficiency=_sufficiency(d, N, tag),
         )
     return vols

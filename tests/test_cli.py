@@ -6,12 +6,15 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pauli_volumes import cli
 from pauli_volumes.cli import main
+from pauli_volumes.geometry import SurdValue
 from pauli_volumes.mub import build_weyl_mubs
 
 
@@ -352,6 +355,31 @@ def test_mc_without_hits_writes_null_sigma(capsys):
     assert out.splitlines()[1].endswith(",0.0,0.0,1.3042722801309299870E-10,inf")
 
 
+def test_mc_fails_when_the_exact_value_is_five_sigma_away(capsys, monkeypatch):
+    """The gate is at 3 sigma: with the exact volume moved 5 stderr away
+    from where it lies, on the side away from the estimate, the same draws
+    fail the check."""
+    argv = ["mc", "--d", "3", "--class", "cp", "--samples", "100000", "--seed", "3"]
+    code, out, _ = run_cli(capsys, *argv)
+    doc = json.loads(out)
+    assert code == 0 and doc["within_3_sigma"] is True
+    exact = Fraction(doc["exact"]["coeff"])
+    side = 1 if Fraction(doc["estimate"]) < exact else -1
+    moved = SurdValue(exact + side * 5 * Fraction(doc["stderr"]))
+    true_class_volume = cli.class_volume
+    monkeypatch.setattr(
+        cli,
+        "class_volume",
+        lambda *args: true_class_volume(*args)._replace(hs_volume=moved),
+    )
+    code, out, err = run_cli(capsys, *argv)
+    moved_doc = json.loads(out)
+    assert (code, err) == (1, "")
+    assert moved_doc["within_3_sigma"] is False
+    assert moved_doc["hits"] == doc["hits"]
+    assert moved_doc["sigma"] == pytest.approx(5 + doc["sigma"])
+
+
 def test_mc_output_bytes_are_reproducible(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -531,9 +559,11 @@ def test_mub_verify_passes_for_primes(capsys):
 
 
 def test_mub_verify_rejects_composite(capsys):
-    code, _, err = run_cli(capsys, "mub-verify", "--d", "6")
-    assert code == 2
-    assert "prime" in err
+    # 6 is even; 9 fails at the first odd trial divisor, 25 at a later one
+    for d in ("6", "9", "25"):
+        code, _, err = run_cli(capsys, "mub-verify", "--d", d)
+        assert code == 2
+        assert "prime" in err
 
 
 def test_module_entry_point_runs():

@@ -32,6 +32,9 @@ def test_square_factors_move_into_the_coefficient():
     assert (v.coeff, v.radicand) == (Fraction(2), 2)
     assert str(v) == "2/1*sqrt(2)"
     assert SurdValue(Fraction(3), 1).is_rational
+    # a rational value prints without a root, zero included
+    assert str(SurdValue(Fraction(-3, 4), 9)) == "-9/4"
+    assert str(SurdValue(Fraction(0), 7)) == "0/1"
     assert SurdValue(Fraction(0), 7) == SurdValue(Fraction(0), 1)
     assert SurdValue(Fraction(5), 0) == SurdValue(Fraction(0), 1)
     # a radicand is never truncated: 2.5 is not sqrt(2), and 8.9 is not 2*sqrt(2)

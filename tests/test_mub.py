@@ -139,6 +139,8 @@ def test_family_is_an_immutable_value():
     assert m == build_weyl_mubs(3)
     assert pickle.loads(pickle.dumps(m)) == m
     assert m != MubSet(3, (m.bases[0], m.bases[0], m.bases[1]))
+    # another type is not equal, whatever fields it shares
+    assert m != (m.d, m.bases) and m != m.bases
     with pytest.raises(TypeError):
         hash(m)
     with pytest.raises(AttributeError):

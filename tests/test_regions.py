@@ -95,6 +95,18 @@ def test_bound_chain_rejects_an_empty_chain():
         BoundChain((), (), label="empty")
 
 
+def test_bound_chain_rejects_a_level_that_is_not_a_pair_of_ends():
+    """Each level is a (lower, upper) pair of LevelBounds; anything else is
+    refused when the chain is built, not later by the integrator."""
+    box = (LevelBound(0), LevelBound(1))
+    with pytest.raises(ValueError, match="x: level 0 is not a .lower, upper. pair"):
+        BoundChain([[LevelBound(0)], [LevelBound(0), LevelBound(1), LevelBound(2)]], (), label="x")
+    with pytest.raises(ValueError, match="x: level 4 is not a .lower, upper. pair"):
+        BoundChain((box,) * 4 + ((*box, LevelBound(2)),), (1, 1), label="x")
+    with pytest.raises(ValueError, match="x: level 3 holds an end that is not a LevelBound"):
+        BoundChain((box,) * 3 + ((LevelBound(0), Fraction(1)),), (1,), label="x")
+
+
 def test_bound_chain_stores_its_pairs_as_tuples():
     """A chain given its levels as lists equals, and hashes as, the same
     chain given them as tuples: it keeps no mutable sequence."""

@@ -6,7 +6,7 @@ import sys
 import threading
 from collections import defaultdict
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, prod, sqrt
 from pathlib import Path
 
 import pytest
@@ -652,6 +652,18 @@ def test_mc_tracks_exact_volume():
         est = mc_volume(2, 3, tag, 400_000, seed=12)
         exact = float(class_volume(2, 3, tag).hs_volume)
         assert abs(est.estimate - exact) <= 4 * est.stderr
+
+
+def test_mc_stderr_is_the_binomial_sigma_of_the_exact_volume():
+    """The reported stderr is the binomial standard deviation of the hit
+    count, scaled to the box: within 2% of scale * sqrt(p (1-p) / n) at the
+    exact fraction p = cp/p, here 1/8."""
+    samples = 1 << 18
+    est = mc_volume(3, 4, "cp", samples, seed=11)
+    p = class_volume(3, 4, "cp").lambda_volume / class_volume(3, 4, "p").lambda_volume
+    assert p == Fraction(1, 8)
+    sigma = float(vp_volume(3, 4)) * sqrt(p * (1 - p) / samples)
+    assert est.stderr == pytest.approx(sigma, rel=0.02)
 
 
 def test_mc_input_validation():
