@@ -152,11 +152,13 @@ def check_dims(d: int, N: int) -> None:
 
 
 def weights(d: int, N: int) -> tuple[int, ...]:
-    """Per-coordinate weights of eigenvalue space: 1 for each used-basis
-    eigenvalue and d+1-N for the left-out one, which is pinned to zero and
-    dropped when N = d+1. The weights total d+1."""
+    """Per-coordinate weights of eigenvalue space, which total d+1: with
+    m = min(N, d), 1 for each of the first m eigenvalues and d+1-m for the
+    last, the left-out one. N = d+1 drops its pinned zero and takes the
+    weights of N = d, whose left-out basis has weight 1."""
     check_dims(d, N)
-    return (1,) * (d + 1) if N == d + 1 else (1,) * N + (d + 1 - N,)
+    m = min(N, d)
+    return (1,) * m + (d + 1 - m,)
 
 
 def metric(d: int, N: int) -> tuple[Fraction, ...]:

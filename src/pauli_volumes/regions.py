@@ -47,8 +47,7 @@ Construction is pure and everything here is exact and immutable.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 from typing import NamedTuple, Sequence
 
 from .geometry import Frozen, is_int, weights
@@ -56,25 +55,13 @@ from .geometry import Frozen, is_int, weights
 CLASS_TAGS = ("p", "cp", "g", "eb")
 
 
-def _exact(v) -> Fraction:
-    """v as a Fraction: a Fraction is kept as it is, and a float or bool is refused."""
-    if type(v) is Fraction:
-        return v
-    if isinstance(v, float):
-        raise TypeError("floating-point bound rejected; pass exact values")
-    if isinstance(v, bool):
-        raise TypeError("bool bound rejected; pass exact values")
-    return Fraction(v)
-
-
 class LevelBound(Frozen):
     """One end of the bound on x_k, (const + x0 x_0 + t S_k + last x_{k-1}) / q,
     where S_k = sum_{1<=j<=k-2} u_j x_j is the running sum of its chain.
 
-    The four numerators and the denominator q > 0 are ints in lowest terms,
-    so equal ends have equal fields. Exact rationals, or a q that is not a
-    positive int, are put over one such denominator; floats and bools are
-    refused, and so is q = 0."""
+    The four numerators and the denominator q > 0 are ints, divided by
+    their gcd, so equal ends have equal fields. Any other field (a
+    Fraction, a float or a bool) is refused, and so is q <= 0."""
 
     __slots__ = ("const", "x0", "t", "last", "q")
     const: int
@@ -84,13 +71,10 @@ class LevelBound(Frozen):
     q: int
 
     def __init__(self, const, x0=0, t=0, last=0, q=1) -> None:
-        if not (type(const) is type(x0) is type(t) is type(last) is type(q) is int and q > 0):
-            q = _exact(q)
-            if not q:
-                raise ValueError("an end's denominator q must be nonzero")
-            values = [_exact(v) / q for v in (const, x0, t, last)]
-            q = lcm(*(v.denominator for v in values))
-            const, x0, t, last = (v.numerator * (q // v.denominator) for v in values)
+        if not (type(const) is type(x0) is type(t) is type(last) is type(q) is int):
+            raise TypeError("an end's fields must be ints: numerators over a denominator q")
+        if q <= 0:
+            raise ValueError(f"an end's denominator q must be positive (got {q})")
         g = gcd(const, x0, t, last, q)
         if g != 1:
             const, x0, t, last, q = const // g, x0 // g, t // g, last // g, q // g

@@ -28,17 +28,18 @@ times the constant metric prefactor from
 into channel-manifold volumes; a call computes it once per (d, N).
 
 The Monte Carlo route samples the necessary-positivity box uniformly and
-counts membership with float predicates. It exists to cross-check the
-exact numbers, so it deliberately shares nothing with the chain
-integration: the predicates are the defining inequalities of each class,
-not the chamber decompositions. Its blocks of 65,536 rows run on a pool
-of workers sized to the CPUs this process may use, at most two, the
-calling thread among them, so no thread is started when that is one; each
-block has its own stream, so the hits do not depend on the CPU count.
-Each worker draws its blocks' rows in chunks of cache size, the same
-draws as one whole-block call, and masks each chunk column by column. It
-is the only route that needs numpy, and its functions import it
-themselves, so exact callers never load it.
+counts membership in cp, g or eb with float predicates; every draw lies in
+the box, so the box class p draws nothing and counts every sample. It
+exists to cross-check the exact numbers, so it deliberately shares nothing
+with the chain integration: the predicates are the defining inequalities
+of each class, not the chamber decompositions. Its blocks of 65,536 rows
+run on a pool of workers sized to the CPUs this process may use, at most
+two, the calling thread among them, so no thread is started when that is
+one; each block has its own stream, so the hits do not depend on the CPU
+count. Each worker draws its blocks' rows in chunks of cache size, the
+same draws as one whole-block call, and masks each chunk column by
+column. It is the only route that needs numpy, and its functions import
+it themselves, so exact callers never load it.
 """
 
 from __future__ import annotations
@@ -473,9 +474,10 @@ class McEstimate(NamedTuple):
 
 
 def _class_mask(pts, d: int, N: int, class_tag: str):
-    """Defining inequalities of each class, vectorized over the rows of a
+    """Defining inequalities of cp, g and eb, vectorized over the rows of a
     float array of raw eigenvalue samples (all used-basis coordinates, plus
-    the left-out one when N <= d); returns one bool per row.
+    the left-out one when N <= d); returns one bool per row. Any other tag
+    is refused: every box draw lies in p, so p has no mask.
 
     Works column by column: a reduction along rows of 3-13 elements runs one
     short numpy loop per row, while each column operation runs one long loop.
@@ -488,11 +490,6 @@ def _class_mask(pts, d: int, N: int, class_tag: str):
     low = np.minimum(cols[0], cols[1])
     for col in cols[2:]:
         np.minimum(low, col, out=low)
-    if class_tag == "p":
-        high = np.maximum(cols[0], cols[1])
-        for col in cols[2:]:
-            np.maximum(high, col, out=high)
-        return (low >= -1.0 / (d - 1)) & (high <= 1.0)
     s = cols[0] + cols[1]
     for col in cols[2:N]:
         s += col
@@ -502,7 +499,9 @@ def _class_mask(pts, d: int, N: int, class_tag: str):
         return (s >= -1.0 / (d - 1)) & (s <= 1.0 + d * low)
     if class_tag == "g":
         return (low >= 0.0) & (s <= 1.0 + d * low)
-    return (low >= 0.0) & (s <= 1.0)  # eb
+    if class_tag == "eb":
+        return (low >= 0.0) & (s <= 1.0)
+    raise ValueError(f"no Monte Carlo mask for class {class_tag!r}")
 
 
 def mc_volume(
@@ -513,7 +512,8 @@ def mc_volume(
     Counter-based streams keyed on (seed, block index) make results
     reproducible and independent of how samples split into blocks. The
     box measure, :func:`..geometry.vp_volume`, is exact and converted to
-    float once, so the "p" class reproduces the exact volume bit for bit.
+    float once. Every draw lies in the box, so the "p" class draws nothing:
+    its hits are its samples, its stderr 0 and its estimate that float.
     """
     _validate_combo(d, N, class_tag)
     if not is_int(samples) or not is_int(seed):
@@ -525,7 +525,7 @@ def mc_volume(
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64) (got {seed})")
     scale = float(vp_volume(d, N))
-    hits = _mc_hits(d, N, class_tag, samples, seed)
+    hits = samples if class_tag == "p" else _mc_hits(d, N, class_tag, samples, seed)
     p_hat = hits / samples
     stderr = scale * sqrt(p_hat * (1.0 - p_hat) / samples)
     return McEstimate(estimate=p_hat * scale, stderr=stderr, hits=hits, samples=samples)

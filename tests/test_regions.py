@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import pauli_volumes
-from pauli_volumes import cli, regions
+from pauli_volumes import cli
 from pauli_volumes.channel import (
     ChannelSpec,
     is_cp,
@@ -117,43 +117,35 @@ def test_bound_chain_stores_its_pairs_as_tuples():
     assert type(listed.bounds) is tuple and all(type(pair) is tuple for pair in listed.bounds)
 
 
-def test_level_bound_puts_exact_rationals_over_one_denominator():
-    """LevelBound has one constructor: an end given as exact rationals
-    equals the same end given as integer numerators over q, in lowest terms
-    with q > 0; floats and bools are refused in every field, and so is
-    q = 0."""
-    given = LevelBound(Fraction(1, 2), 1, Fraction(-1, 3), 2)
-    assert given == LevelBound(3, 6, -2, 12, 6)
+def test_level_bound_takes_int_numerators_in_lowest_terms():
+    """LevelBound takes ints only, four numerators over q > 0, and divides
+    them by their gcd, so equal ends have equal fields. A Fraction, a float
+    or a bool is refused in every field, and so is q <= 0."""
+    given = LevelBound(3, 6, -2, 12, 6)
     assert (given.const, given.x0, given.t, given.last, given.q) == (3, 6, -2, 12, 6)
-    assert LevelBound(Fraction(-1, 4), x0=Fraction(-1, 2)) == LevelBound(-1, -2, q=4)
-    # a common factor and a negative q are normalised away
     reduced = LevelBound(2, -4, 0, 6, 4)
     assert (reduced.const, reduced.x0, reduced.t, reduced.last, reduced.q) == (1, -2, 0, 3, 2)
-    assert LevelBound(2, -4, 0, 6, -4) == LevelBound(-1, 2, 0, -3, 2)
-    assert LevelBound(1, q=Fraction(1, 3)) == LevelBound(3)
-    for bad in (0.5, True):
+    assert reduced == LevelBound(1, -2, 0, 3, 2)
+    assert LevelBound(0, q=5) == LevelBound(0)
+    for bad in (Fraction(1, 2), Fraction(1), 0.5, True):
         for field in ("x0", "t", "last", "q"):
-            with pytest.raises(TypeError, match="rejected"):
+            with pytest.raises(TypeError, match="must be ints"):
                 LevelBound(1, **{field: bad})
-        with pytest.raises(TypeError, match="rejected"):
+        with pytest.raises(TypeError, match="must be ints"):
             LevelBound(bad)
-    for zero in (0, Fraction(0)):
-        with pytest.raises(ValueError, match="denominator q must be nonzero"):
-            LevelBound(1, q=zero)
+    for q in (0, -2):
+        with pytest.raises(ValueError, match="denominator q must be positive"):
+            LevelBound(1, q=q)
 
 
 @pytest.mark.parametrize("d", range(2, 9))
-def test_stored_ends_are_integers_in_lowest_terms(d, monkeypatch):
+def test_stored_ends_are_integers_in_lowest_terms(d):
     """Every stored end of the cp, g and eb chamber sets and of the box, at
     every 3 <= N <= d+1, holds five ints with q > 0 and no common factor,
     so equal ends have equal fields, which the integrator's table keys rely
-    on. The sets are built with regions' Fraction made to fail, so no end
-    is given to the constructor as a rational."""
-
-    def no_fraction(*args):
-        raise AssertionError("a chamber builder passed a non-integer end")
-
-    monkeypatch.setattr(regions, "Fraction", no_fraction)
+    on. regions.py imports no fractions, so no chamber builder makes a
+    rational end."""
+    assert not _banned_imports(ast.walk(_module_tree("regions")), set(), {"fractions"})
     for N in range(3, d + 2):
         sets = [chambers(d, N, tag) for tag in ("cp", "g", "eb")] + [p_box(d, N)]
         for ch in (ch for cs in sets for ch in cs.chains):
@@ -165,8 +157,7 @@ def test_stored_ends_are_integers_in_lowest_terms(d, monkeypatch):
 
 _FROZEN_VALUES = [
     pytest.param(lambda: SurdValue(Fraction(1), 8), "coeff", id="SurdValue"),
-    pytest.param(lambda: LevelBound(Fraction(1, 2), 1, Fraction(-1, 3), 2), "t",
-                 id="LevelBound"),
+    pytest.param(lambda: LevelBound(3, 6, -2, 12, 6), "t", id="LevelBound"),
     pytest.param(lambda: LevelBound(-1, -6, -3, -6, 12), "q", id="LevelBound-over-q"),
     pytest.param(lambda: chambers(3, 4, "cp").chains[1], "label", id="BoundChain"),
     pytest.param(lambda: ChannelSpec.make(3, 4, ["1/2", 0, "-1/4", 0]), "lambdas",
@@ -549,8 +540,6 @@ def _class_by_rows(row, d, N, tag):
     """The defining inequalities of each class, written out for one row."""
     s = sum(wi * x for wi, x in zip(_weights(d, N), row))
     low = min(row)
-    if tag == "p":
-        return all(-1 / (d - 1) <= x <= 1 for x in row)
     if tag == "cp":
         return -1 / (d - 1) <= s <= 1 + d * low
     if tag == "g":
@@ -567,13 +556,21 @@ def _class_by_rows(row, d, N, tag):
         (9, 10, _FACET_ROWS_D9_N10),
     ],
 )
-@pytest.mark.parametrize("tag", ["p", "cp", "g", "eb"])
+@pytest.mark.parametrize("tag", ["cp", "g", "eb"])
 def test_class_mask_on_facets(d, N, rows, tag):
     """Rows exactly on each facet count as inside (the inequalities are
     closed) and rows just past one count as outside."""
     expected = [_class_by_rows(row, d, N, tag) for row in rows]
     assert True in expected and False in expected
     assert _class_mask(np.array(rows), d, N, tag).tolist() == expected
+
+
+@pytest.mark.parametrize("tag", ["p", "q", "EB"])
+def test_class_mask_refuses_a_class_it_has_no_inequalities_for(tag):
+    """The mask holds cp, g and eb only: every box draw lies in p, so p has
+    no mask, and an unknown tag is refused rather than read as eb."""
+    with pytest.raises(ValueError, match="no Monte Carlo mask"):
+        _class_mask(np.array(_FACET_ROWS_D3), 3, 4, tag)
 
 
 def _banned_imports(nodes, package_banned, outside_banned=frozenset({"numpy"})):
@@ -685,17 +682,20 @@ def test_exact_subcommands_leave_numpy_unloaded():
     """A fresh process that imports the package and runs every exact JSON
     subcommand never loads numpy, mub, dataclasses, inspect or csv. The CSV
     call after them loads csv alone, and the mc call at the end loads numpy,
-    which shows the probe can see them."""
+    which shows the probe can see them. An mc call on the box class p
+    before it draws nothing, so it leaves numpy unloaded too."""
     src = Path(pauli_volumes.__file__).parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     csv_call = ["ratios", "--d", "2", "--format", "csv"]
-    argvs = _EXACT_ARGVS + [csv_call, ["mc", "--d", "3", "--class", "eb", "--samples", "10000"]]
+    box_call = ["mc", "--d", "12", "--class", "p", "--samples", "100000000"]
+    eb_call = ["mc", "--d", "3", "--class", "eb", "--samples", "10000"]
+    argvs = _EXACT_ARGVS + [box_call, csv_call, eb_call]
     out = subprocess.run(
         [sys.executable, "-B", "-c", _PROBE, json.dumps(argvs)], env=env,
         capture_output=True, text=True, check=True,
     ).stdout
     steps = [json.loads(line) for line in out.splitlines()]
-    assert steps[: len(_EXACT_ARGVS) + 1] == [[None, []]] + [[0, []]] * len(_EXACT_ARGVS)
+    assert steps[: len(_EXACT_ARGVS) + 2] == [[None, []]] + [[0, []]] * (len(_EXACT_ARGVS) + 1)
     assert steps[-2] == [0, ["csv"]]
     assert steps[-1][0] == 0 and "numpy" in steps[-1][1]

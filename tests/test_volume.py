@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import os
 import sys
 import threading
 from collections import defaultdict
@@ -30,8 +31,9 @@ from pauli_volumes.volume import (
 )
 
 
-def _const(v):
-    return LevelBound(Fraction(v))
+def _const(const, q=1):
+    """A constant end, const/q."""
+    return LevelBound(const, q=q)
 
 
 def _chain(levels, u=(), label="t"):
@@ -81,8 +83,8 @@ def test_triangle_and_simplex_volumes():
 
 def test_integrator_against_midpoint_riemann_sum():
     """Independent numeric oracle for a region with sloped bounds on both sides."""
-    lo_end = LevelBound(Fraction(-1, 2), x0=Fraction(1, 4))
-    hi_end = LevelBound(1, x0=Fraction(1, 2))
+    lo_end = LevelBound(-2, x0=1, q=4)  # -1/2 + x0/4
+    hi_end = LevelBound(2, x0=1, q=2)  # 1 + x0/2
     ch = _chain([(_const(0), _const(2)), (lo_end, hi_end)])
     exact = integrate_chain(ch)
     steps = 2000
@@ -127,13 +129,13 @@ def test_running_sum_with_leading_zero():
 def test_outer_integral_over_signed_rational_ends():
     """The x0 integral puts both outer ends over one denominator: coprime
     denominators and a negative lower end must still give the exact value."""
-    one = _chain([(_const(Fraction(-1, 3)), _const(Fraction(1, 2)))])
+    one = _chain([(_const(-1, 3), _const(1, 2))])
     assert integrate_chain(one) == Fraction(5, 6)
     # x1 in [x0, 1 - x0] over x0 in [-2/5, 3/7]: the integral of 1 - 2 x0 is
     # (3/7 - 9/49) - (-2/5 - 4/25) = 12/49 + 14/25
     x0 = LevelBound(0, x0=1)
     fold = LevelBound(1, x0=-1)
-    two = _chain([(_const(Fraction(-2, 5)), _const(Fraction(3, 7))), (x0, fold)])
+    two = _chain([(_const(-2, 5), _const(3, 7)), (x0, fold)])
     assert integrate_chain(two) == Fraction(986, 1225)
 
 
@@ -252,18 +254,22 @@ def _weighted_simplex(weights, c, shift, sign):
     as a bound chain: level k runs from shift_k to
     shift_k + (sign * c + sum_{j<k} w_j (shift_j - x_j)) / w_k, in that
     order for sign = 1 and reversed for sign = -1. The running sum has the
-    weights as u, and level k has t = -1/w_k."""
+    weights as u, and level k has t = -1/w_k. The moving end is stored as
+    integer numerators over w_k L, for L the denominator of its constant
+    times w_k."""
     bounds = []
     for k, w in enumerate(weights):
-        const = shift[k] + (sign * c + sum(wj * sj for wj, sj in zip(weights, shift[:k]))) / w
-        slope = Fraction(-1, w)
+        # w_k times the moving end's constant, over its denominator L
+        num = w * shift[k] + sign * c + sum(wj * sj for wj, sj in zip(weights, shift[:k]))
+        L = num.denominator
         moving = LevelBound(
-            const,
-            x0=slope * weights[0] if k >= 1 else 0,
-            t=slope if k >= 3 else 0,
-            last=slope * weights[k - 1] if k >= 2 else 0,
+            num.numerator,
+            x0=-weights[0] * L if k >= 1 else 0,
+            t=-L if k >= 3 else 0,
+            last=-weights[k - 1] * L if k >= 2 else 0,
+            q=w * L,
         )
-        fixed = LevelBound(shift[k])
+        fixed = LevelBound(shift[k].numerator, q=shift[k].denominator)
         bounds.append((fixed, moving) if sign == 1 else (moving, fixed))
     return _chain(bounds, u=weights[1:-2], label="simplex")
 
@@ -550,7 +556,7 @@ def test_mc_hits_are_pinned(d, N, samples, tag, hits):
 # worker cap is lifted, so that pools larger than the measured one keep the
 # hits too.
 @pytest.mark.parametrize("d, N", [(3, 4), (5, 3), (6, 4), (6, 6)])
-@pytest.mark.parametrize("tag", ["p", "cp", "g", "eb"])
+@pytest.mark.parametrize("tag", ["cp", "g", "eb"])
 def test_mc_hits_do_not_depend_on_the_worker_count(monkeypatch, d, N, tag):
     monkeypatch.setattr(volume, "_MC_MAX_WORKERS", 8)
     # a short switch interval interleaves the workers' Python steps finely,
@@ -640,11 +646,27 @@ def test_threads_started(monkeypatch, cpus, samples, threads):
     assert [t.daemon for t in started] == [True] * threads
 
 
-def test_mc_p_class_reproduces_exact_volume_bitwise():
-    est = mc_volume(4, 3, "p", 50_000, seed=1)
-    assert est.estimate == float(class_volume(4, 3, "p").hs_volume)
-    assert est.stderr == 0.0
-    assert est.hits == est.samples
+@pytest.mark.parametrize("count, usable", [(None, 1), (3, 3)])
+def test_usable_cpus_falls_back_to_the_machine_count(monkeypatch, count, usable):
+    """Where the platform has no affinity mask, the machine's CPU count is
+    used, and 1 when that count is unknown."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert volume._usable_cpus() == usable
+
+
+def test_mc_p_class_reproduces_exact_volume_bitwise(monkeypatch):
+    """Every box draw lies in p, so the p class draws nothing: its hits are
+    its samples, its stderr 0 and its estimate the exact box volume."""
+
+    def no_draws(*args):
+        raise AssertionError("the p class drew samples")
+
+    monkeypatch.setattr(volume, "_mc_hits", no_draws)
+    for d, N in [(2, 3), (4, 3), (8, 9), (12, 13)]:
+        est = mc_volume(d, N, "p", 50_000, seed=1)
+        assert est == (float(vp_volume(d, N)), 0.0, 50_000, 50_000)
+        assert est.estimate == float(class_volume(d, N, "p").hs_volume)
 
 
 def test_mc_tracks_exact_volume():
