@@ -184,6 +184,8 @@ def _rational_from_json(value) -> Fraction:
         raise ValueError(
             f"float {value!r} rejected; pass exact values as strings like \"1/3\""
         )
+    if value is None or isinstance(value, bool):
+        value = json.dumps(value)  # true, false or null, as typed
     raise ValueError(f"not an eigenvalue: {_quoted(value)}")
 
 

@@ -12,10 +12,10 @@ and then over those of x_k. Each fold starts from its top coefficient, so
 every product is of a nonempty polynomial by an affine one of at most four
 terms; monomials are keyed by one packed int, so multiplying two of them
 is one integer addition. Each end is stored as integer numerators over one positive
-denominator, in lowest terms; a level's two ends are put over one
-denominator only when it is integrated, and the last integral, over x0,
-is evaluated by Horner's rule on integer numerators too: one Fraction is
-built per chain, for its volume. The partial integral after
+denominator, in lowest terms, and the level kernel reads the stored ends,
+putting a level's two over one denominator itself; the last integral,
+over x0, is evaluated by Horner's rule on integer numerators too: one
+Fraction is built per chain, for its volume. The partial integral after
 the inner levels n-1..k depends on those levels alone, so the chains of
 one call share a table of them, keyed on the stored ends, which are
 equal exactly when the ends are: each distinct stack of inner levels is
@@ -94,10 +94,6 @@ _X0, _Y, _S = 1 << 12, 1 << 6, 1
 _MAX_VARS = 63
 
 
-# an affine polynomial as (key, numerator) pairs
-_Affine = tuple[tuple[int, int], ...]
-# one level of a chain, (q, q*lo, q*hi, carry)
-_Level = tuple[int, _Affine, _Affine, _Affine]
 # a stored end's fields, (const, x0, t, last, q)
 _End = tuple[int, int, int, int, int]
 _end_fields = attrgetter("const", "x0", "t", "last", "q")
@@ -108,12 +104,8 @@ _end_fields = attrgetter("const", "x0", "t", "last", "q")
 _Table = dict[tuple[int, _End, _End, tuple[int, int]], tuple[int, int, _Poly]]
 
 
-def _affine(const, x0, y, s) -> _Affine:
-    return tuple([(e, v) for e, v in ((0, const), (_X0, x0), (_Y, y), (_S, s)) if v])
-
-
-def _mul_add(p: _Poly, f: _Affine, add: _Poly) -> _Poly:
-    """p*f + add, for an affine f of at most four terms."""
+def _mul_add(p: _Poly, f: list[tuple[int, int]], add: _Poly) -> _Poly:
+    """p*f + add, for an affine f of at most four (key, numerator) pairs."""
     out = dict(add)
     get = out.get
     for e2, v2 in f:
@@ -123,31 +115,21 @@ def _mul_add(p: _Poly, f: _Affine, add: _Poly) -> _Poly:
     return out
 
 
-def _integer_level(lo: _End, hi: _End, carry: tuple[int, int]) -> _Level:
-    """One level as (q, q*lo, q*hi, carry), integer affine polynomials over
-    packed keys: the two stored ends, each (const, x0, t, last) over its
-    own denominator, are put over their least common denominator q, and
-    the carry's (y, s) numerators are packed as they are."""
-    q = lcm(lo[4], hi[4])
-
-    def scaled(end: _End) -> _Affine:
-        const, x0, t, last, end_q = end
-        a = q // end_q
-        return _affine(const * a, x0 * a, last * a, t * a)
-
-    return q, scaled(lo), scaled(hi), _affine(0, 0, *carry)
-
-
-def _integrate_level(den: int, poly: _Poly, level: _Level) -> tuple[int, _Poly]:
+def _integrate_level(
+    den: int, poly: _Poly, lo: _End, hi: _End, carry: tuple[int, int]
+) -> tuple[int, _Poly]:
     """Integrate x_k out of the integrand poly/den, as a new (den, poly).
 
-    poly, a polynomial in (x0, x_k, S_{k+1}), becomes one in
-    (x0, x_{k-1}, S_k), by substituting the bounds lo/q and hi/q and
-    S_{k+1} = S_k + u_{k-1} x_{k-1}. With B the top power of x_k after
-    integration, the antiderivative sum_b H_b x_k^b / b is put over
-    den * lcm(1..B) * q^B, which scales H_b by lcm(1..B)/b * q^(B-b). One
-    pass sorts poly's terms into buckets by their powers of x_k and
-    S_{k+1}, each an x0 polynomial, and Horner's rule runs twice over:
+    lo and hi are the level's stored ends, each (const, x0, t, last) over
+    its own q, and carry the (y, s) numerators of
+    S_{k+1} = S_k + u_{k-1} x_{k-1}. The ends are put over their least
+    common denominator q here, and poly, a polynomial in (x0, x_k, S_{k+1}),
+    becomes one in (x0, x_{k-1}, S_k), by substituting the bounds lo/q and
+    hi/q and the carry. With B the top power of x_k after integration, the
+    antiderivative sum_b H_b x_k^b / b is put over den * lcm(1..B) * q^B,
+    which scales H_b by lcm(1..B)/b * q^(B-b). One pass sorts poly's terms
+    into buckets by their powers of x_k and S_{k+1}, each an x0 polynomial,
+    and Horner's rule runs twice over:
 
     * each H_b is folded over the powers of S_{k+1}, from its top bucket
       down: multiply by the two-term carry, add the next bucket. Where poly
@@ -164,7 +146,12 @@ def _integrate_level(den: int, poly: _Poly, level: _Level) -> tuple[int, _Poly]:
     """
     if not poly:
         return den, poly
-    q, lo, hi, carry = level
+    q = lcm(lo[4], hi[4])
+    # each end's numerators over q, and the carry's, as (packed key, numerator)
+    lo_q, hi_q = (
+        [(e, v * (q // end[4])) for e, v in zip((0, _X0, _S, _Y), end) if v] for end in (lo, hi)
+    )
+    carry_terms = [(e, v) for e, v in zip((_Y, _S), carry) if v]
     top_b = 1 + max(e % _X0 // _Y for e in poly)
     ladder = lcm(*range(1, top_b + 1))
     scales = [0] + [ladder // b * q ** (top_b - b) for b in range(1, top_b + 1)]
@@ -180,13 +167,13 @@ def _integrate_level(den: int, poly: _Poly, level: _Level) -> tuple[int, _Poly]:
         top_c = max(by_c)
         h_b = by_c[top_c]
         for c in range(top_c - 1, -1, -1):
-            h_b = _mul_add(h_b, carry, by_c.get(c, {}))
+            h_b = _mul_add(h_b, carry_terms, by_c.get(c, {}))
         h_by_b[b] = h_b
     at_hi = at_lo = h_by_b[top_b]
     for b in range(top_b - 1, -1, -1):
         h_b = h_by_b.get(b, {})
-        at_hi = _mul_add(at_hi, hi, h_b)
-        at_lo = _mul_add(at_lo, lo, h_b)
+        at_hi = _mul_add(at_hi, hi_q, h_b)
+        at_lo = _mul_add(at_lo, lo_q, h_b)
     for e, v in at_lo.items():
         at_hi[e] = at_hi.get(e, 0) - v
     den *= ladder * q**top_b
@@ -209,12 +196,12 @@ def integrate_chain(chain: BoundChain, table: _Table | None = None) -> Fraction:
     up its state and integrates only the levels it does not share: the g
     chain shares all of its levels with cp:sys3, and each cp chain shares
     levels m..n-1 with every cp chain of a smaller switch level m. Only on a
-    miss does :func:`_integer_level` put the level over one denominator, and
-    :func:`_integrate_level` integrate it out, on integer numerators over
-    one denominator per level. Equal keys give equal states, so sharing
-    leaves every volume exactly as it is. Callers pass one table for the
-    chains of one (d, N) and drop it afterwards; with no table, the chain is
-    integrated in a fresh one.
+    miss does :func:`_integrate_level` read the level's stored ends, put
+    them over one denominator and integrate the level out, on integer
+    numerators over one denominator per level. Equal keys give equal
+    states, so sharing leaves every volume exactly as it is. Callers pass
+    one table for the chains of one (d, N) and drop it afterwards; with no
+    table, the chain is integrated in a fresh one.
 
     After level 1 the integrand is a polynomial sum_a v_a x0^(a-1) over one
     denominator D. With the outer ends l/q0 and h/q0 over one denominator
@@ -236,8 +223,7 @@ def integrate_chain(chain: BoundChain, table: _Table | None = None) -> Fraction:
         key = (node, lo, hi, carry)
         state = table.get(key)
         if state is None:
-            level = _integer_level(lo, hi, carry)
-            state = table[key] = (len(table) + 1, *_integrate_level(den, poly, level))
+            state = table[key] = (len(table) + 1, *_integrate_level(den, poly, lo, hi, carry))
         node, den, poly = state
     lo0, hi0 = levels[0]
     q0 = lcm(lo0.q, hi0.q)

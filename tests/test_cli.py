@@ -265,6 +265,15 @@ def test_classify_error_does_not_echo_a_long_json_element(capsys, element):
     assert len(err.encode()) < 200
 
 
+@pytest.mark.parametrize("token", ["true", "false", "null"])
+def test_classify_error_echoes_a_json_literal_as_typed(capsys, token):
+    """A JSON true, false or null is not an eigenvalue, and the error names
+    it in JSON, not as Python's True, False or None."""
+    code, out, err = run_cli(capsys, "classify", "--d", "3", "--lambdas", f"[{token},0,0,0]")
+    assert (code, out) == (2, "")
+    assert err == f"error: not an eigenvalue: '{token}'\n"
+
+
 @pytest.mark.parametrize(
     "lambdas, named",
     [

@@ -17,13 +17,16 @@ It prints one JSON line: per mutant its outcome, seconds and first failing
 test, then the kill rate over the mutants not marked equivalent. It exits 1
 if an old text does not occur exactly once in its file (a stale list, found
 before any suite runs), if the suite fails on an unmutated copy, or if a
-mutant not marked equivalent survives, and 0 otherwise.
+mutant not marked equivalent survives, and 0 otherwise. A SIGTERM ends
+it with exit code 143, after it has stopped the running suite and removed
+the mutant's copy.
 """
 
 import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -79,6 +82,14 @@ MUTANTS = (
            equivalent="each block is one Philox stream drawn chunk by chunk, so the chunk "
                       "size changes no row and no hit, only the speed"),
     # the exact integrator
+    Mutant("level-ends-not-rescaled", _VOLUME, "v * (q // end[4])", "v"),
+    Mutant("level-end-t-and-last-swapped", _VOLUME,
+           "zip((0, _X0, _S, _Y), end)", "zip((0, _X0, _Y, _S), end)"),
+    Mutant("carry-terms-swapped", _VOLUME, "zip((_Y, _S), carry)", "zip((_S, _Y), carry)"),
+    Mutant("level-ends-over-their-product", _VOLUME,
+           "q = lcm(lo[4], hi[4])", "q = lo[4] * hi[4]",
+           equivalent="a product of the two denominators is still a common one, and each "
+                      "level's state is divided by its gcd, so every state is the same"),
     Mutant("table-keyed-without-node", _VOLUME,
            "key = (node, lo, hi, carry)", "key = (0, lo, hi, carry)"),
     Mutant("carry-sum-one-level-late", _VOLUME, "int(k >= 3))", "int(k >= 4))"),
@@ -163,7 +174,15 @@ def run_mutant(mutant: Mutant) -> dict:
     }
 
 
+def exit_on_sigterm() -> None:
+    """Make a SIGTERM raise SystemExit(143), the code a shell reports for
+    it, so that ``subprocess.run`` kills the suite it waits on and the
+    ``with`` block of :func:`run_suite` removes the copy before the exit."""
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+
+
 def main() -> int:
+    exit_on_sigterm()
     out_of_date = stale()
     if out_of_date:
         print(json.dumps({"stale": out_of_date}))
