@@ -48,6 +48,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .geometry import Frozen, check_dims
+from .rationals import parse_rational
 
 
 class ChannelSpec(Frozen):
@@ -55,7 +56,9 @@ class ChannelSpec(Frozen):
 
     ``lambdas`` holds (lambda_1, ..., lambda_N, lambda_{N+1}); the last entry
     must be exactly zero when N = d+1 (no basis is left out, so the extra
-    eigenvalue carries no freedom).
+    eigenvalue carries no freedom). A string entry is read by
+    :func:`..rationals.parse_rational`, so it has the command line's limits
+    on digits and exponents.
     """
 
     __slots__ = ("d", "N", "lambdas")
@@ -69,7 +72,7 @@ class ChannelSpec(Frozen):
             raise TypeError(
                 "floating-point eigenvalues are rejected; pass Fraction, int, or 'p/q'"
             )
-        lambdas = tuple(Fraction(x) for x in lambdas)
+        lambdas = tuple(parse_rational(x) if isinstance(x, str) else Fraction(x) for x in lambdas)
         if len(lambdas) != N + 1:
             raise ValueError(f"need N+1={N + 1} eigenvalues (got {len(lambdas)})")
         if N == d + 1 and lambdas[-1] != 0:

@@ -8,10 +8,13 @@ sum S_k = sum_{1<=j<=k-2} u_j x_j, with u fixed for the chain (see
 throughout. Each level sorts its integrand's terms by their powers of x_k
 and of the running sum in one pass, and substitutes its bounds into the
 antiderivative by Horner's rule, first over the powers of the running sum
-and then over those of x_k. Each fold starts from its top coefficient, so
-every product is of a nonempty polynomial by an affine one of at most four
-terms; monomials are keyed by one packed int, so multiplying two of them
-is one integer addition. Each end is stored as integer numerators over one positive
+and then over those of x_k. A level whose integrand is one constant term,
+as the innermost level of every chain and each level of the box are,
+skips both folds: it is that constant times the difference of its two
+ends. Each fold starts from its top coefficient, so every product is of a
+nonempty polynomial by an affine one of at most four terms; monomials
+are keyed by one packed int, so multiplying two of them is one integer
+addition. Each end is stored as integer numerators over one positive
 denominator, in lowest terms, and the level kernel reads the stored ends,
 putting a level's two over one denominator itself; the last integral,
 over x0, is evaluated by Horner's rule on integer numerators too: one
@@ -72,11 +75,12 @@ _MC_MAX_SAMPLES = 10**8
 
 
 # Largest dimension the exact engine attempts. Cost model, from
-# tools/exact_timing.py (best of 5 calls, each building and integrating
-# from scratch, lowest of 4 runs) on a 2-core host: check_conjectures([d])
-# in the "max" or "d" mode takes about 0.005 s at d = 8, and each step in d
-# costs about 1.6x (0.009 s at d = 9, 0.014 s at d = 10, 0.023 s at
-# d = 11, 0.036 s at d = 12); the "3" mode takes about 0.0015 s at any d.
+# tools/exact_timing.py's comparison mode (median of 31 calls, each
+# building and integrating from scratch) on a 2-core host:
+# check_conjectures([d]) in the "max" or "d" mode takes about 0.005 s at
+# d = 8, and each step in d costs about 1.6x (0.008 s at d = 9, 0.013 s at
+# d = 10, 0.021 s at d = 11, 0.033 s at d = 12); the "3" mode takes about
+# 0.0013 s at any d.
 _MAX_D = 12
 
 
@@ -140,13 +144,22 @@ def _integrate_level(
     Every fold starts from its top coefficient, so no product is by an
     empty polynomial, and every product is by an affine polynomial of at
     most four terms: a level costs O(B*C) of them for C the top power of
-    S_{k+1}. The numerators and the denominator are divided by their gcd
-    once; an empty poly is returned as it is. poly is only read, so a
-    state kept in a table stays valid.
+    S_{k+1}. A constant poly {0: v} skips the buckets and both folds: the
+    level is v (hi - lo) over den * q, read off the two ends. The
+    numerators and the denominator are divided by their gcd once; an empty
+    poly is returned as it is. poly is only read, so a state kept in a
+    table stays valid.
     """
     if not poly:
         return den, poly
     q = lcm(lo[4], hi[4])
+    if len(poly) == 1 and 0 in poly:
+        # a constant v/den integrates to v (hi - lo) / (den q), with no fold
+        v, s_lo, s_hi = poly[0], q // lo[4], q // hi[4]
+        out = {e: v * (h * s_hi - l * s_lo) for e, l, h in zip((0, _X0, _S, _Y), lo, hi)}
+        den *= q
+        g = gcd(den, *out.values())
+        return den // g, {e: c // g for e, c in out.items() if c}
     # each end's numerators over q, and the carry's, as (packed key, numerator)
     lo_q, hi_q = (
         [(e, v * (q // end[4])) for e, v in zip((0, _X0, _S, _Y), end) if v] for end in (lo, hi)

@@ -68,6 +68,16 @@ def test_float_input_rejected():
         ChannelSpec.make(2, 3, [0.5, 0, 0])
 
 
+def test_string_eigenvalues_have_the_parser_limits():
+    # an exponent past the digit limit is refused before it is expanded
+    with pytest.raises(ValueError, match="exponent"):
+        ChannelSpec(3, 4, ["1e5000", 0, 0, 0, 0])
+    with pytest.raises(ValueError, match="not a rational"):
+        ChannelSpec(2, 3, ["1/0", 0, 0, 0])
+    spec = ChannelSpec(3, 4, ["1/3", 1, Fraction(-1, 2), " 0.25 ", 0])
+    assert spec.lambdas == (Fraction(1, 3), 1, Fraction(-1, 2), Fraction(1, 4), 0)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError, match="d must be"):
         _spec(1, 3, [0, 0, 0, 0])

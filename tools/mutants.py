@@ -90,6 +90,14 @@ MUTANTS = (
            "q = lcm(lo[4], hi[4])", "q = lo[4] * hi[4]",
            equivalent="a product of the two denominators is still a common one, and each "
                       "level's state is divided by its gcd, so every state is the same"),
+    # a constant level, integrated from its ends with no fold
+    Mutant("constant-level-ends-reversed", _VOLUME,
+           "v * (h * s_hi - l * s_lo)", "v * (l * s_lo - h * s_hi)"),
+    Mutant("constant-level-den-without-q", _VOLUME, "den *= q\n", "den *= 1\n"),
+    Mutant("constant-level-t-and-last-swapped", _VOLUME,
+           "zip((0, _X0, _S, _Y), lo, hi)", "zip((0, _X0, _Y, _S), lo, hi)"),
+    Mutant("constant-level-ends-not-rescaled", _VOLUME,
+           "q // lo[4], q // hi[4]", "1, 1"),
     Mutant("table-keyed-without-node", _VOLUME,
            "key = (node, lo, hi, carry)", "key = (0, lo, hi, carry)"),
     Mutant("carry-sum-one-level-late", _VOLUME, "int(k >= 3))", "int(k >= 4))"),
