@@ -44,6 +44,7 @@ Class membership, writing S = sum_{alpha<=N} lambda_alpha + (d+1-N) lambda_{N+1}
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -58,7 +59,9 @@ class ChannelSpec(Frozen):
     must be exactly zero when N = d+1 (no basis is left out, so the extra
     eigenvalue carries no freedom). A string entry is read by
     :func:`..rationals.parse_rational`, so it has the command line's limits
-    on digits and exponents.
+    on digits and exponents. A float, a bool or a Decimal is refused with
+    ``TypeError``: a bool is no eigenvalue, and a Decimal would be read
+    with no such limits.
     """
 
     __slots__ = ("d", "N", "lambdas")
@@ -68,10 +71,11 @@ class ChannelSpec(Frozen):
 
     def __init__(self, d: int, N: int, lambdas: Sequence[Fraction | int | str]) -> None:
         check_dims(d, N)
-        if any(isinstance(x, float) for x in lambdas):
-            raise TypeError(
-                "floating-point eigenvalues are rejected; pass Fraction, int, or 'p/q'"
-            )
+        for x in lambdas:
+            if isinstance(x, (float, bool, Decimal)):
+                raise TypeError(
+                    f"{type(x).__name__} eigenvalues are rejected; pass Fraction, int, or 'p/q'"
+                )
         lambdas = tuple(parse_rational(x) if isinstance(x, str) else Fraction(x) for x in lambdas)
         if len(lambdas) != N + 1:
             raise ValueError(f"need N+1={N + 1} eigenvalues (got {len(lambdas)})")

@@ -17,18 +17,24 @@ are keyed by one packed int, so multiplying two of them is one integer
 addition. Each end is stored as integer numerators over one positive
 denominator, in lowest terms, and the level kernel reads the stored ends,
 putting a level's two over one denominator itself; the last integral,
-over x0, is evaluated by Horner's rule on integer numerators too: one
-Fraction is built per chain, for its volume. The partial integral after
-the inner levels n-1..k depends on those levels alone, so the chains of
-one call share a table of them, keyed on the stored ends, which are
-equal exactly when the ends are: each distinct stack of inner levels is
-integrated once per (d, N), across the classes where a call computes
-several (the g chain has the levels of cp:sys3, and each cp chain the
-inner levels of those with a smaller switch level). The table is dropped
-when the call returns. The measure is Lebesgue in eigenvalue coordinates
-times the constant metric prefactor from
-:func:`..geometry.volume_prefactor`, which turns eigenvalue-space volumes
-into channel-manifold volumes; a call computes it once per (d, N).
+over x0, is evaluated by Horner's rule on integer numerators too. The
+partial integral after the inner levels n-1..k depends on those levels
+alone, so the chains of one call share a table of them, keyed on the
+stored ends, which are equal exactly when the ends are: each distinct
+stack of inner levels is integrated once per (d, N), across the classes
+where a call computes several (the g chain has the levels of cp:sys3, and
+each cp chain the inner levels of those with a smaller switch level). The
+integral is linear, so chains with the same u and the same outer levels
+0..k-1 are summed after level k and run those levels once, as one state:
+the cp chains of one slot, which differ in their switch level, cost O(n)
+level integrations, not O(n^2). The ratios and the closed-form checks
+need class totals only, and integrate each class's chains as one sum;
+:func:`class_volume` reports each chain's volume, so it integrates them
+one by one. The table is dropped when the call returns. The measure is
+Lebesgue in eigenvalue coordinates times the constant metric prefactor
+from :func:`..geometry.volume_prefactor`, which turns eigenvalue-space
+volumes into channel-manifold volumes; a call computes it at most once
+per (d, N).
 
 The Monte Carlo route samples the necessary-positivity box uniformly and
 counts membership in cp, g or eb with float predicates; every draw lies in
@@ -77,10 +83,10 @@ _MC_MAX_SAMPLES = 10**8
 # Largest dimension the exact engine attempts. Cost model, from
 # tools/exact_timing.py's comparison mode (median of 31 calls, each
 # building and integrating from scratch) on a 2-core host:
-# check_conjectures([d]) in the "max" or "d" mode takes about 0.005 s at
-# d = 8, and each step in d costs about 1.6x (0.008 s at d = 9, 0.013 s at
-# d = 10, 0.021 s at d = 11, 0.033 s at d = 12); the "3" mode takes about
-# 0.0013 s at any d.
+# check_conjectures([d]) in the "max" or "d" mode takes about 0.004 s at
+# d = 8, and each step in d costs about 1.5x (0.006 s at d = 9, 0.010 s at
+# d = 10, 0.015 s at d = 11, 0.023 s at d = 12); the "3" mode takes about
+# 0.0012 s at any d.
 _MAX_D = 12
 
 
@@ -101,11 +107,12 @@ _MAX_VARS = 63
 # a stored end's fields, (const, x0, t, last, q)
 _End = tuple[int, int, int, int, int]
 _end_fields = attrgetter("const", "x0", "t", "last", "q")
-# {(node, lo, hi, carry): (child node, den, poly)}: the partial integral
-# after one more level, keyed on that level's stored ends and the (y, s)
-# numerators of its carry, where node 0 is the empty stack and node i the
-# state stored with id i, so each node stands for one stack of inner levels
-_Table = dict[tuple[int, _End, _End, tuple[int, int]], tuple[int, int, _Poly]]
+# {(node, lo, hi, carry): (id, den, poly)}: the partial integral after one
+# more level, keyed on that level's stored ends, the (y, s) numerators of its
+# carry and the node of the state it integrates: 0 for the empty stack, the
+# id of a state stored here, or the tuple of the nodes of a summed state, in
+# the order summed. So each node stands for one sum of stacks of inner levels
+_Table = dict[tuple[int | tuple, _End, _End, tuple[int, int]], tuple[int, int, _Poly]]
 
 
 def _mul_add(p: _Poly, f: list[tuple[int, int]], add: _Poly) -> _Poly:
@@ -194,53 +201,95 @@ def _integrate_level(
     return den // g, {e: v // g for e, v in at_hi.items() if v}
 
 
-def integrate_chain(chain: BoundChain, table: _Table | None = None) -> Fraction:
-    """Exact volume of one bound chain, innermost variable first: the signed
-    iterated integral, so a part where an upper bound lies below its lower
-    bound counts negatively. No chamber has such a part.
+def integrate_chains(chains: Iterable[BoundChain], table: _Table | None = None) -> Fraction:
+    """Exact summed volume of bound chains: the sum of each chain's signed
+    iterated integral, innermost variable first, so a part where an upper
+    bound lies below its lower bound counts negatively. No chamber has one.
 
-    Each level is stored in the integrand's variables, x0, x_{k-1} and the
-    running sum, as two ends of integer numerators over a positive
-    denominator in lowest terms. The state after the levels n-1..k depends
-    on nothing but those levels, so ``table`` keeps each state keyed on the
-    stored ends and the carry of each level of the stack that produced it;
-    reduced ends are canonical, so two keys are equal exactly when the
-    levels are. A chain whose inner levels match a stack in the table picks
-    up its state and integrates only the levels it does not share: the g
-    chain shares all of its levels with cp:sys3, and each cp chain shares
-    levels m..n-1 with every cp chain of a smaller switch level m. Only on a
-    miss does :func:`_integrate_level` read the level's stored ends, put
-    them over one denominator and integrate the level out, on integer
-    numerators over one denominator per level. Equal keys give equal
-    states, so sharing leaves every volume exactly as it is. Callers pass
-    one table for the chains of one (d, N) and drop it afterwards; with no
-    table, the chain is integrated in a fresh one.
-
-    After level 1 the integrand is a polynomial sum_a v_a x0^(a-1) over one
-    denominator D. With the outer ends l/q0 and h/q0 over one denominator
-    and A the top power, its integral sum_a v_a (h^a - l^a) / (a q0^a) is
-    put over D * lcm(1..A) * q0^A and folded over a by Horner's rule at h
-    and at l. No Fraction arithmetic runs here: the only Fraction is the
-    returned volume.
+    The levels run from the innermost down, all chains together. The state
+    after levels n-1..k depends on those levels alone, so ``table`` keeps
+    each state keyed on the node of the state it came from and on the
+    stored ends and carry of the level that produced it; reduced ends are
+    canonical, so equal keys mean equal levels. A chain picks up the states
+    of the inner levels it shares with a stack in the table (the g chain
+    shares all of its levels with cp:sys3, each cp chain levels m..n-1 with
+    those of a smaller switch level m), and only a miss runs
+    :func:`_integrate_level`. The integral is linear, so after level k the
+    states of chains with the same u and the same stored ends at levels
+    0..k-1 are put over their lcm denominator and added, and run levels
+    k-1..0 once, with the tuple of their nodes as their node: it names the
+    sum in the table, across the calls that share it too. The cp chains of
+    one slot differ only in their switch level, so they cost O(n) level
+    integrations, not O(n^2). Equal keys give equal states and the sums are
+    exact, so neither the sharing nor the merge moves the total. Callers
+    pass one table for the chains of one (d, N) and drop it afterwards;
+    with none, a fresh one is used.
     """
-    levels, u = chain.bounds, chain.u
-    if len(levels) > _MAX_VARS:
-        raise ValueError(f"chain {chain.label!r}: more than {_MAX_VARS} variables")
     if table is None:
         table = {}
-    node, den, poly = 0, 1, {0: 1}
-    for k in range(len(levels) - 1, 0, -1):
-        lo, hi = map(_end_fields, levels[k])
-        # S_{k+1} = S_k + u_{k-1} x_{k-1}; S_1 = S_2 = 0, and past u no sum is left
-        carry = (u[k - 2] if 2 <= k <= len(u) + 1 else 0, int(k >= 3))
-        key = (node, lo, hi, carry)
-        state = table.get(key)
-        if state is None:
-            state = table[key] = (len(table) + 1, *_integrate_level(den, poly, lo, hi, carry))
-        node, den, poly = state
-    lo0, hi0 = levels[0]
-    q0 = lcm(lo0.q, hi0.q)
-    l, h = lo0.const * (q0 // lo0.q), hi0.const * (q0 // hi0.q)
+    # prefix[k] numbers the stored ends of a chain's levels 0..k-1, so two
+    # chains have equal numbers there exactly when those levels are equal
+    stacks: dict[tuple, int] = {}
+    groups = []
+    for chain in chains:
+        if len(chain.bounds) > _MAX_VARS:
+            raise ValueError(f"chain {chain.label!r}: more than {_MAX_VARS} variables")
+        ends = [(_end_fields(lo), _end_fields(hi)) for lo, hi in chain.bounds]
+        prefix = [0]
+        for pair in ends:
+            prefix.append(stacks.setdefault((prefix[-1], pair), len(stacks) + 1))
+        groups.append((ends, chain.u, prefix, 0, 1, {0: 1}))
+    for k in range(max((len(g[0]) for g in groups), default=1) - 1, 0, -1):
+        by_stack: dict[tuple, list] = {}
+        for ends, u, prefix, node, den, poly in groups:
+            if len(ends) > k:
+                lo, hi = ends[k]
+                # S_{k+1} = S_k + u_{k-1} x_{k-1}; S_1 = S_2 = 0, and past u no sum is left
+                carry = (u[k - 2] if 2 <= k <= len(u) + 1 else 0, int(k >= 3))
+                key = (node, lo, hi, carry)
+                state = table.get(key)
+                if state is None:
+                    den, poly = _integrate_level(den, poly, lo, hi, carry)
+                    state = table[key] = (len(table) + 1, den, poly)
+                node, den, poly = state
+            # a chain shorter than k has not started, and is keyed on all its levels
+            group_key = (u, prefix[min(k, len(ends))])
+            by_stack.setdefault(group_key, []).append((ends, u, prefix, node, den, poly))
+        groups = [g[0] if len(g) == 1 else _summed(g) for g in by_stack.values()]
+    volumes = (_outer_integral(ends[0], den, poly) for ends, *_, den, poly in groups)
+    return sum(volumes, Fraction(0))
+
+
+def integrate_chain(chain: BoundChain, table: _Table | None = None) -> Fraction:
+    """Exact volume of one bound chain: :func:`integrate_chains` of it
+    alone, sharing the inner levels ``table`` holds. :func:`class_volume`
+    reports each chain's volume, so it integrates its chains here; the
+    ratios and the closed-form checks need class totals only, and
+    integrate each class's chains as one sum."""
+    return integrate_chains((chain,), table)
+
+
+def _summed(members: list[tuple]) -> tuple:
+    """The states of one group as one: numerators over the lcm of the
+    denominators, added, and the tuple of the members' nodes as its node."""
+    ends, u, prefix = members[0][:3]
+    den = lcm(*(m[4] for m in members))
+    total: _Poly = {}
+    for m in members:
+        scale = den // m[4]
+        for e, v in m[5].items():
+            total[e] = total.get(e, 0) + v * scale
+    return ends, u, prefix, tuple(m[3] for m in members), den, total
+
+
+def _outer_integral(ends: tuple[_End, _End], den: int, poly: _Poly) -> Fraction:
+    """The integral of poly/den = sum_a v_a x0^(a-1) / D between level 0's
+    constant ends l/q0 and h/q0, over one denominator: for A the top power,
+    sum_a v_a (h^a - l^a) / (a q0^a) is put over D * lcm(1..A) * q0^A and
+    folded over a by Horner's rule at h and at l, on integer numerators."""
+    lo0, hi0 = ends
+    q0 = lcm(lo0[4], hi0[4])
+    l, h = lo0[0] * (q0 // lo0[4]), hi0[0] * (q0 // hi0[4])
     top_a = 1 + max((e // _X0 for e in poly), default=-1)
     ladder = lcm(*range(1, top_a + 1))
     by_a = [0] * (top_a + 1)
@@ -326,33 +375,35 @@ def _sufficiency(d: int, N: int, class_tag: str) -> str:
 
 def class_volume(d: int, N: int, class_tag: str) -> VolumeResult:
     """Exact volume of one channel class, at a basis count that
-    :func:`supported_n_values` lists for d. Its chains share one table of
-    inner levels, dropped on return."""
-    return _class_volumes(d, N, (class_tag,))[class_tag]
+    :func:`supported_n_values` lists for d, with the volume of each chain:
+    its chains are integrated one by one, over one table of inner levels
+    dropped on return."""
+    region = region_for(d, N, class_tag)
+    table: _Table = {}
+    raw = tuple(integrate_chain(ch, table) for ch in region.chains)
+    lam = sum(raw, Fraction(0)) * region.symmetry_factor
+    return VolumeResult(
+        class_tag=class_tag,
+        d=d,
+        N=N,
+        chain_labels=tuple(ch.label for ch in region.chains),
+        chain_volumes=raw,
+        symmetry_factor=region.symmetry_factor,
+        lambda_volume=lam,
+        hs_volume=volume_prefactor(d, N) * lam,
+        sufficiency=_sufficiency(d, N, class_tag),
+    )
 
 
-def _class_volumes(d: int, N: int, tags: tuple[str, ...] = CLASS_TAGS) -> dict[str, VolumeResult]:
-    """The volumes of the classes ``tags`` at one (d, N), integrated over
-    one table, so a stack of inner levels common to two chains of any of
-    them is integrated once."""
+def _lambda_volumes(d: int, N: int) -> dict[str, Fraction]:
+    """The eigenvalue-space volumes of the four classes at one (d, N): each
+    class's chains integrated as one sum, all over one table, so a stack of
+    inner levels common to two chains of any of them is integrated once."""
     table: _Table = {}
     vols = {}
-    regions = {tag: region_for(d, N, tag) for tag in tags}
-    prefactor = volume_prefactor(d, N)  # once region_for has validated (d, N)
-    for tag, chambers in regions.items():
-        raw = tuple(integrate_chain(ch, table) for ch in chambers.chains)
-        lam = sum(raw, Fraction(0)) * chambers.symmetry_factor
-        vols[tag] = VolumeResult(
-            class_tag=tag,
-            d=d,
-            N=N,
-            chain_labels=tuple(ch.label for ch in chambers.chains),
-            chain_volumes=raw,
-            symmetry_factor=chambers.symmetry_factor,
-            lambda_volume=lam,
-            hs_volume=prefactor * lam,
-            sufficiency=_sufficiency(d, N, tag),
-        )
+    for tag in CLASS_TAGS:
+        chambers = region_for(d, N, tag)
+        vols[tag] = integrate_chains(chambers.chains, table) * chambers.symmetry_factor
     return vols
 
 
@@ -362,15 +413,15 @@ RATIO_NAMES = tuple(_RATIO_TAGS)
 
 def ratio_table(d: int, N: int) -> dict[str, Fraction]:
     """The three nested-class ratios at one (d, N), each class integrated
-    once and the inner levels they share integrated once."""
-    return _ratios(_class_volumes(d, N))
+    once as one sum and the inner levels they share integrated once."""
+    return _ratios(_lambda_volumes(d, N))
 
 
-def _ratios(vols: dict[str, VolumeResult]) -> dict[str, Fraction]:
+def _ratios(vols: dict[str, Fraction]) -> dict[str, Fraction]:
     """The three ratios of the class volumes at one (d, N), formed from the
     eigenvalue-space volumes: the metric prefactor cancels in a ratio."""
     return {
-        name: vols[num].lambda_volume / vols[den].lambda_volume
+        name: vols[num] / vols[den]
         for name, (num, den) in _RATIO_TAGS.items()
     }
 
@@ -447,12 +498,12 @@ def check_conjectures(d_values: Iterable[int], n_mode: str = "max") -> Conjectur
     for d in d_values:
         N = n_for_mode(d, n_mode)
         # region_for validates (d, N) before the closed forms divide by d
-        vols = _class_volumes(d, N)
+        vols = _lambda_volumes(d, N)
         computed = _ratios(vols)
         forms = closed_form_ratios(d, N)
         extrapolated = n_mode in ("max", "d") and d not in _CONFIRMED_FULL_D
         if n_mode == "3" and d >= 3:
-            box = vols["p"].hs_volume
+            box = volume_prefactor(d, N) * vols["p"]
             entries.append(ConjectureEntry(d, N, "p", box, vp_volume(d, N), extrapolated))
         for name in RATIO_NAMES:
             exact = SurdValue(computed[name])

@@ -1,5 +1,6 @@
 """Channel coordinates, class predicates, and the numerical channel action."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +67,23 @@ def test_probability_eigenvalue_round_trip_is_exact(dn, data):
 def test_float_input_rejected():
     with pytest.raises(TypeError, match="[Ff]loat"):
         ChannelSpec.make(2, 3, [0.5, 0, 0])
+
+
+def test_bool_eigenvalue_rejected():
+    """A bool is an int to Python, but no eigenvalue: True would read as 1."""
+    for flag in (True, False):
+        with pytest.raises(TypeError, match="bool"):
+            ChannelSpec(2, 3, [flag, 0, 0, 0])
+
+
+def test_decimal_eigenvalue_rejected():
+    """A Decimal would bypass the parser's limits: 1e5000 would build a
+    5001-digit numerator whose repr then fails. A Decimal of any size is
+    refused; the same digits as a string are read."""
+    for value in (Decimal("1e5000"), Decimal("0.25")):
+        with pytest.raises(TypeError, match="Decimal"):
+            ChannelSpec(3, 4, [value, 0, 0, 0, 0])
+    assert ChannelSpec(3, 4, ["0.25", 0, 0, 0, 0]).lambdas[0] == Fraction(1, 4)
 
 
 def test_string_eigenvalues_have_the_parser_limits():

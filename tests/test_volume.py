@@ -24,6 +24,7 @@ from pauli_volumes.volume import (
     class_volume,
     closed_form_ratios,
     integrate_chain,
+    integrate_chains,
     mc_volume,
     ratio_table,
     region_for,
@@ -220,21 +221,25 @@ def test_chains_of_one_table_share_their_inner_levels():
 def test_sharing_stays_inside_one_call(monkeypatch):
     """check_conjectures shares one table across the classes of a (d, N)
     and class_volume one within its class; neither keeps it, so a second
-    call integrates as many levels as the first."""
+    call integrates as many levels as the first. check_conjectures sums
+    the chains of a class that share their outer levels, so all four
+    classes at d = 8 take fewer levels (39) than class_volume takes for cp
+    alone (44), chain by chain."""
     calls = _count_level_integrations(monkeypatch)
     counts = []
     for call in (lambda: check_conjectures([8]), lambda: class_volume(8, 9, "cp")) * 2:
         before = len(calls)
         call()
         counts.append(len(calls) - before)
-    assert counts[:2] == counts[2:]
-    assert 0 < counts[1] < sum(len(ch.bounds) - 1 for ch in chambers(8, 9, "cp").chains)
+    assert counts[:2] == counts[2:] == [39, 44]
+    assert counts[1] < sum(len(ch.bounds) - 1 for ch in chambers(8, 9, "cp").chains)
 
 
 def test_exact_cold_queries_integrate_each_level_stack_once(monkeypatch):
     """The 18 check_conjectures calls of one perfbench exact-cold round
-    integrate 1,049 levels chain by chain, and 694 with the inner levels
-    shared within each (d, N)."""
+    integrate 1,049 levels chain by chain, 694 with the inner levels shared
+    within each (d, N), and 522 with the chains of a class that share their
+    outer levels summed before those levels."""
     queries = [(d, "max") for d in range(2, 9)]
     queries += [(d, "d") for d in range(3, 9)] + [(d, "3") for d in range(4, 9)]
     unshared = 0
@@ -246,7 +251,59 @@ def test_exact_cold_queries_integrate_each_level_stack_once(monkeypatch):
     calls = _count_level_integrations(monkeypatch)
     for d, mode in queries:
         assert check_conjectures([d], mode).all_match
-    assert len(calls) == 694
+    assert len(calls) == 522
+
+
+def _supported_regions(classes=("p", "cp", "g", "eb")):
+    """(d, N, {class: its ChamberSet}) at every supported (d, N) with d <= 12."""
+    for d in range(2, 13):
+        for N in supported_n_values(d):
+            yield d, N, {cls: region_for(d, N, cls) for cls in classes}
+
+
+def test_integrate_chains_is_the_sum_of_its_chains():
+    """Summing the chains that share their outer levels before those levels
+    moves no total: for every supported (d, N, class) with d <= 12 the
+    merged integral is the sum of the chain volumes."""
+    for d, N, regions in _supported_regions():
+        for cls, region in regions.items():
+            chains = region.chains
+            assert integrate_chains(chains) == sum(map(integrate_chain, chains)), (d, N, cls)
+
+
+def test_one_table_for_several_calls_gives_fresh_table_totals():
+    """cp, g and eb through one table give the totals of fresh tables at
+    every supported (d, N) with d <= 12, so no two summed states of one
+    table share a node. Two calls that sum different states over equal
+    outer levels must not pick up each other's sums either."""
+    for d, N, regions in _supported_regions(("cp", "g", "eb")):
+        table = {}
+        for cls, region in regions.items():
+            assert integrate_chains(region.chains, table) == integrate_chains(region.chains)
+    table = {}
+    box = (_const(0), _const(1))
+    for tops in ((1, 2), (3, 5)):
+        pair = [_chain([box, box, (_const(0), _const(top))]) for top in tops]
+        assert integrate_chains(pair, table) == sum(tops)
+
+
+def test_chains_with_different_running_sums_are_not_summed():
+    """Two chains with equal stored ends but different weights u read
+    different running sums S_k, so their states are not added: each keeps
+    its own volume."""
+    chain = chambers(8, 9, "cp").chains[0]
+    doubled = _chain(chain.bounds, u=tuple(2 * w for w in chain.u))
+    assert integrate_chain(doubled) != integrate_chain(chain)
+    assert integrate_chains((chain, doubled)) == integrate_chain(chain) + integrate_chain(doubled)
+
+
+def test_chains_of_different_lengths_sum_exactly():
+    """Chains of 1 to 6 levels, and summed states over rational ends of
+    several denominators, give the sum of the chains' volumes."""
+    chains = [_chain([(_const(0), _const(1, q))] * n) for n in range(1, 7) for q in (1, 2, 3)]
+    chains += [_chain([(_const(0), _const(1))] * 3 + [(_const(-1, q), _const(1))]) for q in (2, 3)]
+    assert integrate_chains(chains) == sum(map(integrate_chain, chains))
+    assert integrate_chains([]) == 0
 
 
 def _weighted_simplex(weights, c, shift, sign):
@@ -479,14 +536,13 @@ def test_conjectures_three_basis_mode():
 
 def test_conjectures_integrate_the_box_once_per_dimension(monkeypatch):
     box_chains = []
-    true_integrate = volume.integrate_chain
+    true_integrate = volume.integrate_chains
 
-    def counted(chain, table):
-        if chain.label == "p-box":
-            box_chains.append(chain)
-        return true_integrate(chain, table)
+    def counted(chains, table):
+        box_chains.extend(ch for ch in chains if ch.label == "p-box")
+        return true_integrate(chains, table)
 
-    monkeypatch.setattr(volume, "integrate_chain", counted)
+    monkeypatch.setattr(volume, "integrate_chains", counted)
     assert check_conjectures([4, 5, 6], "3").all_match
     assert len(box_chains) == 3
 

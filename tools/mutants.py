@@ -107,6 +107,17 @@ MUTANTS = (
            "v = by_a[a] * (ladder // a) * q0_pow", "v = by_a[a] * (ladder // a)"),
     Mutant("outer-integral-drops-1-over-a", _VOLUME,
            "v = by_a[a] * (ladder // a) * q0_pow", "v = by_a[a] * ladder * q0_pow"),
+    # the merge of chains that share u and their outer levels
+    Mutant("merge-key-without-u", _VOLUME,
+           "group_key = (u, prefix[min(k, len(ends))])", "group_key = prefix[min(k, len(ends))]"),
+    Mutant("merged-node-ids-restart-per-call", _VOLUME,
+           "else _summed(g) for g in by_stack.values()]",
+           "else (*_summed(g)[:3], -1 - i, *_summed(g)[4:])"
+           " for i, g in enumerate(by_stack.values())]"),
+    Mutant("summed-states-not-rescaled", _VOLUME,
+           "total.get(e, 0) + v * scale", "total.get(e, 0) + v"),
+    Mutant("merged-node-named-as-first-member", _VOLUME,
+           "tuple(m[3] for m in members)", "members[0][3]"),
     Mutant("symmetry-factor-off-by-one", _VOLUME,
            "* chambers.symmetry_factor\n", "* (chambers.symmetry_factor + 1)\n"),
     Mutant("eb-sufficiency-always-exact", _VOLUME,
