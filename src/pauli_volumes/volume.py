@@ -5,17 +5,20 @@ variable first, with integer numerators over one denominator per level.
 Each chain stores the bound on x_k as affine in x0, x_{k-1} and one running
 sum S_k = sum_{1<=j<=k-2} u_j x_j, with u fixed for the chain (see
 :mod:`.regions`), so the integrand is a polynomial in three variables
-throughout. Each level sorts its integrand's terms by their powers of x_k
-and of the running sum in one pass, and substitutes its bounds into the
-antiderivative by Horner's rule, first over the powers of the running sum
-and then over those of x_k. A level whose integrand is one constant term,
-as the innermost level of every chain and each level of the box are,
-skips both folds: it is that constant times the difference of its two
-ends. Each fold starts from its top coefficient, so every product is of a
-nonempty polynomial by an affine one of at most four terms; monomials
-are keyed by one packed int, so multiplying two of them is one integer
-addition. Each end is stored as integer numerators over one positive
-denominator, in lowest terms, and the level kernel reads the stored ends,
+throughout. Each level picks its method from its integrand's total
+degree. Up to degree 2, as at every level of the box and of the N = 3
+chambers, the level is integrated in closed form: with P_j the coefficient
+of x_k^j and l, h its two ends, it is (h - l) times a polynomial in the P_j,
+h + l and h - l. From degree 3 on, a level sorts its integrand's terms by
+their powers of x_k and of the running sum in one pass, and substitutes
+its bounds into the antiderivative by Horner's rule, first over the powers
+of the running sum and then over those of x_k; each fold starts from its
+top coefficient. Either way every product is of a nonempty polynomial by
+an affine one of at most four terms, and monomials are keyed by one
+packed int, so multiplying two of them is one integer addition. Both
+methods divide the new state by its gcd, so they give the same state.
+Each end is stored as integer numerators over one positive denominator,
+in lowest terms, and the level kernel reads the stored ends,
 putting a level's two over one denominator itself; the last integral,
 over x0, is evaluated by Horner's rule on integer numerators too. The
 partial integral after the inner levels n-1..k depends on those levels
@@ -83,10 +86,10 @@ _MC_MAX_SAMPLES = 10**8
 # Largest dimension the exact engine attempts. Cost model, from
 # tools/exact_timing.py's comparison mode (median of 31 calls, each
 # building and integrating from scratch) on a 2-core host:
-# check_conjectures([d]) in the "max" or "d" mode takes about 0.004 s at
-# d = 8, and each step in d costs about 1.5x (0.006 s at d = 9, 0.010 s at
-# d = 10, 0.015 s at d = 11, 0.023 s at d = 12); the "3" mode takes about
-# 0.0012 s at any d.
+# check_conjectures([d]) in the "max" or "d" mode takes about 0.0033 s at
+# d = 8, and each step in d costs about 1.5-1.6x (0.0054 s at d = 9,
+# 0.0085 s at d = 10, 0.013 s at d = 11, 0.020 s at d = 12); the "3" mode,
+# whose levels all take the closed forms, takes about 0.0009 s at any d.
 _MAX_D = 12
 
 
@@ -106,6 +109,12 @@ _MAX_VARS = 63
 
 # a stored end's fields, (const, x0, t, last, q)
 _End = tuple[int, int, int, int, int]
+# the packed keys of an end's const, x0, t and last numerators: 1, x0, S_k
+# and x_{k-1}
+_END_KEYS = (0, _X0, _S, _Y)
+# the keys of an integrand of total degree <= 1, and of total degree <= 2
+_AFFINE_KEYS = frozenset(_END_KEYS)
+_QUADRATIC_KEYS = frozenset(a + b for a in _END_KEYS for b in _END_KEYS)
 _end_fields = attrgetter("const", "x0", "t", "last", "q")
 # {(node, lo, hi, carry): (id, den, poly)}: the partial integral after one
 # more level, keyed on that level's stored ends, the (y, s) numerators of its
@@ -133,14 +142,136 @@ def _integrate_level(
 
     lo and hi are the level's stored ends, each (const, x0, t, last) over
     its own q, and carry the (y, s) numerators of
-    S_{k+1} = S_k + u_{k-1} x_{k-1}. The ends are put over their least
-    common denominator q here, and poly, a polynomial in (x0, x_k, S_{k+1}),
-    becomes one in (x0, x_{k-1}, S_k), by substituting the bounds lo/q and
-    hi/q and the carry. With B the top power of x_k after integration, the
-    antiderivative sum_b H_b x_k^b / b is put over den * lcm(1..B) * q^B,
-    which scales H_b by lcm(1..B)/b * q^(B-b). One pass sorts poly's terms
-    into buckets by their powers of x_k and S_{k+1}, each an x0 polynomial,
-    and Horner's rule runs twice over:
+    S_{k+1} = S_k + u_{k-1} x_{k-1}. poly, a polynomial in (x0, x_k,
+    S_{k+1}), becomes one in (x0, x_{k-1}, S_k), by substituting the
+    bounds and the carry. The method is picked from poly's total degree,
+    read off its packed keys:
+
+    * degree <= 1 and degree 2 are integrated in closed form by
+      :func:`_affine_level` and :func:`_quadratic_level`;
+    * degree 3 and up by Horner's rule in :func:`_horner_level`.
+
+    Each divides its numerators and denominator by their gcd, so all three
+    return the same canonical state for the same integral; an empty poly
+    is returned as it is. poly is only read, so a state kept in a table
+    stays valid.
+    """
+    if not poly:
+        return den, poly
+    if _AFFINE_KEYS.issuperset(poly):
+        return _affine_level(den, poly, lo, hi, carry)
+    if _QUADRATIC_KEYS.issuperset(poly):
+        return _quadratic_level(den, poly, lo, hi, carry)
+    return _horner_level(den, poly, lo, hi, carry)
+
+
+def _reduced(den: int, out: _Poly) -> tuple[int, _Poly]:
+    """(den, out) divided by the gcd of the denominator and the numerators."""
+    g = gcd(den, *out.values())
+    return den // g, {e: v // g for e, v in out.items() if v}
+
+
+def _ends_over_q(lo: _End, hi: _End) -> tuple[int, list[tuple[int, int]], list[tuple[int, int]]]:
+    """q, the lcm of the ends' denominators, and the (packed key, numerator)
+    pairs of h - l and h + l, for l and h the ends' numerators over q."""
+    q = lcm(lo[4], hi[4])
+    s_lo, s_hi = q // lo[4], q // hi[4]
+    diff, total = [], []
+    for e, l, h in zip(_END_KEYS, lo, hi):
+        if l or h:
+            l *= s_lo
+            h *= s_hi
+            if h != l:
+                diff.append((e, h - l))
+            total.append((e, h + l))
+    return q, diff, total
+
+
+def _affine_level(
+    den: int, poly: _Poly, lo: _End, hi: _End, carry: tuple[int, int]
+) -> tuple[int, _Poly]:
+    """Integrate x_k out of a poly of total degree <= 1, in closed form.
+
+    With P_j the coefficient of x_k^j, the carry substituted into P0, the
+    integral of P0 + P1 x_k between l/q and h/q is
+    (h - l) [2q P0 + P1 (h + l)] / (2 q^2): an affine polynomial times one
+    of at most four terms, over 2 q^2 den. Where P1 is 0, as at a constant
+    level, it is (h - l) P0 over q den.
+    """
+    q, diff, total = _ends_over_q(lo, hi)
+    get = poly.get
+    v_s, p1 = get(_S, 0), get(_Y)
+    # 2q P0, or P0 where P1 is 0, with S_{k+1} = cy x_{k-1} + cs S_k substituted
+    c = 2 * q if p1 else 1
+    inner = {
+        0: c * get(0, 0), _X0: c * get(_X0, 0), _Y: c * v_s * carry[0], _S: c * v_s * carry[1]
+    }
+    if p1:
+        den *= c * q
+        for e, v in total:
+            inner[e] += p1 * v
+    else:
+        den *= q
+    out: _Poly = {}
+    put = out.get
+    for e1, v1 in inner.items():
+        if v1:
+            for e2, v2 in diff:
+                e = e1 + e2
+                out[e] = put(e, 0) + v1 * v2
+    return _reduced(den, out)
+
+
+def _quadratic_level(
+    den: int, poly: _Poly, lo: _End, hi: _End, carry: tuple[int, int]
+) -> tuple[int, _Poly]:
+    """Integrate x_k out of a poly of total degree 2, in closed form.
+
+    With P_j the coefficient of x_k^j, the carry substituted into P0 and
+    P1, the integral of P0 + P1 x_k + P2 x_k^2 between l/q and h/q is
+    (h - l) [6 q^2 P0 + 3q P1 (h + l) + 2 P2 (h^2 + hl + l^2)] / (6 q^3).
+    With T = h + l and D = h - l, 4 (h^2 + hl + l^2) = 3 T^2 + D^2, so it
+    is D [12 q^2 P0 + T (6q P1 + 3 P2 T) + P2 D^2] over 12 q^3 den:
+    three products by the affine T, D and D.
+    """
+    q, diff, total = _ends_over_q(lo, hi)
+    get = poly.get
+    # 12 q^2 P0 and 6 q P1, with S_{k+1} = cy x_{k-1} + cs S_k substituted
+    c0, c1 = 12 * q * q, 6 * q
+    p0 = {e: c0 * v for e in (0, _X0, 2 * _X0) if (v := get(e))}
+    p1 = {e: c1 * v for e in (0, _X0) if (v := get(e + _Y))}
+    cy, cs = carry
+    if cy or cs:
+        v_s, v_xs, v_ss, v_ys = get(_S, 0), get(_X0 + _S, 0), get(2 * _S, 0), get(_Y + _S, 0)
+        for e, v in (
+            (_Y, v_s * cy), (_S, v_s * cs), (_X0 + _Y, v_xs * cy), (_X0 + _S, v_xs * cs),
+            (2 * _Y, v_ss * cy * cy), (_Y + _S, 2 * v_ss * cy * cs), (2 * _S, v_ss * cs * cs),
+        ):
+            if v:
+                p0[e] = c0 * v
+        if v_ys:
+            p1[_Y], p1[_S] = c1 * v_ys * cy, c1 * v_ys * cs
+    p2 = get(2 * _Y)
+    if p2:
+        # 3 P2 T joins 6q P1, and P2 D^2 joins 12 q^2 P0
+        for e, v in total:
+            p1[e] = p1.get(e, 0) + 3 * p2 * v
+        p0 = _mul_add({e: p2 * v for e, v in diff}, diff, p0)
+    inner = _mul_add(p1, total, p0)
+    return _reduced(12 * q**3 * den, _mul_add(inner, diff, {}))
+
+
+def _horner_level(
+    den: int, poly: _Poly, lo: _End, hi: _End, carry: tuple[int, int]
+) -> tuple[int, _Poly]:
+    """Integrate x_k out of a poly of total degree 3 or more, by Horner's rule.
+
+    The ends are put over their least common denominator q. With B the top
+    power of x_k after integration, the antiderivative sum_b H_b x_k^b / b
+    is put over den * lcm(1..B) * q^B, which scales H_b by
+    lcm(1..B)/b * q^(B-b). One pass sorts poly's terms into buckets by
+    their powers of x_k and S_{k+1}, each an x0 polynomial, and Horner's
+    rule runs twice over:
 
     * each H_b is folded over the powers of S_{k+1}, from its top bucket
       down: multiply by the two-term carry, add the next bucket. Where poly
@@ -151,25 +282,12 @@ def _integrate_level(
     Every fold starts from its top coefficient, so no product is by an
     empty polynomial, and every product is by an affine polynomial of at
     most four terms: a level costs O(B*C) of them for C the top power of
-    S_{k+1}. A constant poly {0: v} skips the buckets and both folds: the
-    level is v (hi - lo) over den * q, read off the two ends. The
-    numerators and the denominator are divided by their gcd once; an empty
-    poly is returned as it is. poly is only read, so a state kept in a
-    table stays valid.
+    S_{k+1}.
     """
-    if not poly:
-        return den, poly
     q = lcm(lo[4], hi[4])
-    if len(poly) == 1 and 0 in poly:
-        # a constant v/den integrates to v (hi - lo) / (den q), with no fold
-        v, s_lo, s_hi = poly[0], q // lo[4], q // hi[4]
-        out = {e: v * (h * s_hi - l * s_lo) for e, l, h in zip((0, _X0, _S, _Y), lo, hi)}
-        den *= q
-        g = gcd(den, *out.values())
-        return den // g, {e: c // g for e, c in out.items() if c}
     # each end's numerators over q, and the carry's, as (packed key, numerator)
     lo_q, hi_q = (
-        [(e, v * (q // end[4])) for e, v in zip((0, _X0, _S, _Y), end) if v] for end in (lo, hi)
+        [(e, v * (q // end[4])) for e, v in zip(_END_KEYS, end) if v] for end in (lo, hi)
     )
     carry_terms = [(e, v) for e, v in zip((_Y, _S), carry) if v]
     top_b = 1 + max(e % _X0 // _Y for e in poly)
@@ -196,9 +314,7 @@ def _integrate_level(
         at_lo = _mul_add(at_lo, lo_q, h_b)
     for e, v in at_lo.items():
         at_hi[e] = at_hi.get(e, 0) - v
-    den *= ladder * q**top_b
-    g = gcd(den, *at_hi.values())
-    return den // g, {e: v // g for e, v in at_hi.items() if v}
+    return _reduced(den * ladder * q**top_b, at_hi)
 
 
 def integrate_chains(chains: Iterable[BoundChain], table: _Table | None = None) -> Fraction:

@@ -191,16 +191,17 @@ def test_every_chain_at_d_9_to_12_matches_its_golden_volume():
     )
 
 
-def _count_level_integrations(monkeypatch):
-    """Count the calls of volume._integrate_level from now on."""
+def _count_level_integrations(monkeypatch, name="_integrate_level"):
+    """Count the calls of volume._integrate_level, or of the level method
+    ``name``, from now on."""
     calls = []
-    true_level = volume._integrate_level
+    true_level = getattr(volume, name)
 
     def counted(*args):
         calls.append(None)
         return true_level(*args)
 
-    monkeypatch.setattr(volume, "_integrate_level", counted)
+    monkeypatch.setattr(volume, name, counted)
     return calls
 
 
@@ -235,23 +236,45 @@ def test_sharing_stays_inside_one_call(monkeypatch):
     assert counts[1] < sum(len(ch.bounds) - 1 for ch in chambers(8, 9, "cp").chains)
 
 
+# the check_conjectures calls of one perfbench exact-cold round
+_EXACT_COLD_QUERIES = (
+    [(d, "max") for d in range(2, 9)]
+    + [(d, "d") for d in range(3, 9)]
+    + [(d, "3") for d in range(4, 9)]
+)
+
+
 def test_exact_cold_queries_integrate_each_level_stack_once(monkeypatch):
     """The 18 check_conjectures calls of one perfbench exact-cold round
     integrate 1,049 levels chain by chain, 694 with the inner levels shared
     within each (d, N), and 522 with the chains of a class that share their
     outer levels summed before those levels."""
-    queries = [(d, "max") for d in range(2, 9)]
-    queries += [(d, "d") for d in range(3, 9)] + [(d, "3") for d in range(4, 9)]
     unshared = 0
-    for d, mode in queries:
+    for d, mode in _EXACT_COLD_QUERIES:
         N = volume.n_for_mode(d, mode)
         for cls in ("p", "cp", "g", "eb"):
             unshared += sum(len(ch.bounds) - 1 for ch in region_for(d, N, cls).chains)
     assert unshared == 1049
     calls = _count_level_integrations(monkeypatch)
-    for d, mode in queries:
+    for d, mode in _EXACT_COLD_QUERIES:
         assert check_conjectures([d], mode).all_match
     assert len(calls) == 522
+
+
+def test_exact_cold_levels_split_by_integrand_degree(monkeypatch):
+    """One exact-cold round's 522 level integrations split 294 / 108 / 120
+    across the closed forms for degree <= 1 (the 182 constant levels among
+    them) and degree 2 and Horner's rule for degree 3 and up, so neither
+    closed form can silently stop firing. The N = 3 queries reach no
+    Horner level."""
+    methods = ("_affine_level", "_quadratic_level", "_horner_level")
+    calls = {m: _count_level_integrations(monkeypatch, m) for m in methods}
+    for d, mode in _EXACT_COLD_QUERIES:
+        horner_before = len(calls["_horner_level"])
+        assert check_conjectures([d], mode).all_match
+        if mode == "3":
+            assert len(calls["_horner_level"]) == horner_before
+    assert [len(calls[m]) for m in methods] == [294, 108, 120]
 
 
 def _supported_regions(classes=("p", "cp", "g", "eb")):

@@ -84,20 +84,40 @@ MUTANTS = (
     # the exact integrator
     Mutant("level-ends-not-rescaled", _VOLUME, "v * (q // end[4])", "v"),
     Mutant("level-end-t-and-last-swapped", _VOLUME,
-           "zip((0, _X0, _S, _Y), end)", "zip((0, _X0, _Y, _S), end)"),
+           "_END_KEYS = (0, _X0, _S, _Y)", "_END_KEYS = (0, _X0, _Y, _S)"),
     Mutant("carry-terms-swapped", _VOLUME, "zip((_Y, _S), carry)", "zip((_S, _Y), carry)"),
     Mutant("level-ends-over-their-product", _VOLUME,
-           "q = lcm(lo[4], hi[4])", "q = lo[4] * hi[4]",
+           "q = lcm(lo[4], hi[4])\n    # each end's", "q = lo[4] * hi[4]\n    # each end's",
            equivalent="a product of the two denominators is still a common one, and each "
                       "level's state is divided by its gcd, so every state is the same"),
-    # a constant level, integrated from its ends with no fold
-    Mutant("constant-level-ends-reversed", _VOLUME,
-           "v * (h * s_hi - l * s_lo)", "v * (l * s_lo - h * s_hi)"),
-    Mutant("constant-level-den-without-q", _VOLUME, "den *= q\n", "den *= 1\n"),
-    Mutant("constant-level-t-and-last-swapped", _VOLUME,
-           "zip((0, _X0, _S, _Y), lo, hi)", "zip((0, _X0, _Y, _S), lo, hi)"),
-    Mutant("constant-level-ends-not-rescaled", _VOLUME,
-           "q // lo[4], q // hi[4]", "1, 1"),
+    # the choice of method by the integrand's total degree
+    Mutant("quadratic-integrand-to-affine-method", _VOLUME,
+           "if _AFFINE_KEYS.issuperset(poly):", "if _QUADRATIC_KEYS.issuperset(poly):"),
+    Mutant("cubic-integrand-to-quadratic-method", _VOLUME,
+           "if _QUADRATIC_KEYS.issuperset(poly):", "if True:"),
+    # the closed forms of degree <= 1 and degree 2, from h - l and h + l
+    Mutant("closed-form-lo-not-rescaled", _VOLUME, "            l *= s_lo\n", ""),
+    Mutant("closed-form-sum-is-difference", _VOLUME,
+           "total.append((e, h + l))", "total.append((e, h - l))"),
+    Mutant("affine-level-drops-p1-term", _VOLUME, "inner[e] += p1 * v", "inner[e] += 0 * v"),
+    Mutant("affine-level-p0-without-2q", _VOLUME,
+           "c = 2 * q if p1 else 1", "c = q if p1 else 1"),
+    Mutant("affine-level-den-without-2", _VOLUME, "den *= c * q\n", "den *= q * q\n"),
+    Mutant("affine-level-without-p1-den-without-q", _VOLUME,
+           "        den *= q\n", "        den *= 1\n"),
+    Mutant("affine-level-carry-swapped", _VOLUME,
+           "_Y: c * v_s * carry[0], _S: c * v_s * carry[1]",
+           "_Y: c * v_s * carry[1], _S: c * v_s * carry[0]"),
+    Mutant("quadratic-level-den-without-2", _VOLUME,
+           "_reduced(12 * q**3 * den,", "_reduced(6 * q**3 * den,"),
+    Mutant("quadratic-level-p1-without-2", _VOLUME,
+           "c0, c1 = 12 * q * q, 6 * q", "c0, c1 = 12 * q * q, 3 * q"),
+    Mutant("quadratic-level-drops-hl", _VOLUME, "3 * p2 * v", "p2 * v"),
+    Mutant("quadratic-level-drops-d-squared", _VOLUME,
+           "p0 = _mul_add({e: p2 * v for e, v in diff}, diff, p0)", "p0 = dict(p0)"),
+    Mutant("quadratic-level-carry-swapped", _VOLUME, "cy, cs = carry", "cs, cy = carry"),
+    Mutant("quadratic-level-cross-term-without-2", _VOLUME,
+           "2 * v_ss * cy * cs", "v_ss * cy * cs"),
     Mutant("table-keyed-without-node", _VOLUME,
            "key = (node, lo, hi, carry)", "key = (0, lo, hi, carry)"),
     Mutant("carry-sum-one-level-late", _VOLUME, "int(k >= 3))", "int(k >= 4))"),
