@@ -94,8 +94,9 @@ def _random_levels(rng: random.Random, n: int, u: tuple) -> list:
 
 def test_random_chains_match_the_oracle(monkeypatch):
     """400 random chains of 1-7 levels, each integrated alone. They reach
-    each of the kernel's three methods, the closed forms for integrands of
-    degree <= 1 and 2 and Horner's rule for degree 3 and up."""
+    each of the kernel's three level methods: the closed forms for
+    integrands of degree <= 1 and of degree 2, and Horner's rule for
+    degree 3 and up."""
     methods = ("_affine_level", "_quadratic_level", "_horner_level")
     calls = dict.fromkeys(methods, 0)
     for name in methods:

@@ -263,10 +263,10 @@ def test_exact_cold_queries_integrate_each_level_stack_once(monkeypatch):
 
 def test_exact_cold_levels_split_by_integrand_degree(monkeypatch):
     """One exact-cold round's 522 level integrations split 294 / 108 / 120
-    across the closed forms for degree <= 1 (the 182 constant levels among
-    them) and degree 2 and Horner's rule for degree 3 and up, so neither
-    closed form can silently stop firing. The N = 3 queries reach no
-    Horner level."""
+    across the three level methods: the closed form for degree <= 1 (the
+    182 constant levels among them), the one for degree 2, and Horner's
+    rule for degree 3 and up. So neither closed form can silently stop
+    firing. The N = 3 queries reach no Horner level."""
     methods = ("_affine_level", "_quadratic_level", "_horner_level")
     calls = {m: _count_level_integrations(monkeypatch, m) for m in methods}
     for d, mode in _EXACT_COLD_QUERIES:
