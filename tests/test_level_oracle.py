@@ -10,8 +10,8 @@ testing).
 
 The chains are random and seeded: every field a level may hold is
 nonzero, numerators lie in [-6, 6] and q in 1..6, and u has zero and
-negative entries, unlike the chambers, whose ends hold only -1, 0 and 1
-over positive weights.
+negative entries. The chambers make a narrower family: their stored
+constants are -1, 0 or 1, and their u holds positive weights only.
 """
 
 import random
