@@ -113,11 +113,13 @@ class BoundChain(Frozen):
             lo, hi = pair
             if not (isinstance(lo, LevelBound) and isinstance(hi, LevelBound)):
                 raise ValueError(f"{label}: level {k} holds an end that is not a LevelBound")
-            if k < 3:
-                for name in ("x0", "last", "t")[k:]:
-                    if getattr(lo, name) or getattr(hi, name):
-                        raise ValueError(f"{label}: level {k} cannot hold a {name} term")
-            elif k >= no_sum and (lo.t or hi.t):
+            # level 0 holds no x0, levels 0 and 1 no last, and levels 0-2 no t
+            if k < 3 and (
+                lo.t or hi.t or k < 2 and (lo.last or hi.last or not k and (lo.x0 or hi.x0))
+            ):
+                name = next(n for n in ("x0", "last", "t")[k:] if getattr(lo, n) or getattr(hi, n))
+                raise ValueError(f"{label}: level {k} cannot hold a {name} term")
+            if k >= no_sum and (lo.t or hi.t):
                 raise ValueError(f"{label}: u does not cover S_{k}")
         object.__setattr__(self, "bounds", levels)
         object.__setattr__(self, "u", tuple(u))
@@ -175,7 +177,8 @@ def chambers(d: int, N: int, class_tag: str) -> ChamberSet:
     branch (-1, -w_0 (d-1), -(d-1), -w_{i-1} (d-1)) / ((d-1) den_i) and the
     positive branch (1, d-w_0, -1, -w_{i-1}) / den_i, less the terms a level
     cannot hold. A class builds only the ends it reads: cp the two branches,
-    g the positive one and eb the budget.
+    g the positive one and eb the budget, and each level's ends and pairs
+    once for the slots whose w_0, w_{i-1} and den_i agree.
 
     When the left-out weight is 1 (N in {d, d+1}) the coordinates are
     exchangeable: no slot is enumerated and the symmetry factor is n!.
@@ -202,35 +205,39 @@ def chambers(d: int, N: int, class_tag: str) -> ChamberSet:
     # the ordering bounds x_{k-1} <= x_k, with x_0 read as x0 at level 1
     below = [floor, LevelBound(0, x0=1)] + [LevelBound(0, last=1)] * (n - 2)
     chains: list[BoundChain] = []
+    # each level's (below, at, above the switch) pairs, by the weights they
+    # read: the slots that agree on those share them
+    made: dict[tuple[int, int, int, int], tuple] = {}
+    c = d - 1
     for slot in slots:
         w = [w_out if j == slot else 1 for j in range(n)]
         u = w[1 : n - 2]
-        # the negative branch, and the positive branch or for eb the budget
-        neg, upper = [], []
+        sides = []
+        den = d + 1  # the weight that remains at level i, sum_{j>=i} w_j
         for i in range(n):
-            den = sum(w[i:])
             # the budget's numerators: -sum_{j<i} w_j x_j as x0, t and last
             x0 = -w[0] if i else 0
             t = -1 if i >= 3 else 0
             last = -w[i - 1] if i >= 2 else 0
-            if class_tag == "eb":
-                upper.append(LevelBound(1, x0, t, last, den))
-            else:
-                upper.append(LevelBound(1, d + x0, t, last, den) if i else LevelBound(1))
-            if class_tag == "cp":
-                # -(1/(d-1) + sum_{j<i} w_j x_j) / den_i, over (d-1) den_i
-                c = d - 1
-                neg.append(LevelBound(-1, c * x0, c * t, c * last, c * den))
+            key = (i, x0, last, den)
+            if key not in made:
+                if class_tag == "eb":
+                    upper = LevelBound(1, x0, t, last, den)
+                else:
+                    upper = LevelBound(1, d + x0, t, last, den) if i else LevelBound(1)
+                neg = None
+                if class_tag == "cp":
+                    # -(1/(d-1) + sum_{j<i} w_j x_j) / den_i, over (d-1) den_i
+                    neg = LevelBound(-1, c * x0, c * t, c * last, c * den)
+                made[key] = ((below[i], neg), (neg, upper), (below[i], upper))
+            sides.append(made[key])
+            den -= w[i]
+        low, switch, high = zip(*sides)
         at = "" if slot is None else f":slot={slot_names[slot]}"
         if class_tag == "cp":
             for m, label in cp_levels:
-                levels = tuple(
-                    (below[i], neg[i]) if i + 1 < m
-                    else (neg[i], upper[i]) if i + 1 == m
-                    else (below[i], upper[i])
-                    for i in range(n)
-                )
+                levels = (*low[: m - 1], switch[m - 1], *high[m:])
                 chains.append(BoundChain(levels, u, label + at, slot))
         else:
-            chains.append(BoundChain(tuple(zip(below, upper)), u, single_label + at, slot))
+            chains.append(BoundChain(high, u, single_label + at, slot))
     return ChamberSet(tuple(chains), factorial(n if w_out == 1 else N), class_tag, d, N)

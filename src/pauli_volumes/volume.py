@@ -28,10 +28,11 @@ stack of inner levels is integrated once per (d, N), across the classes
 where a call computes several (the g chain has the levels of cp:sys3, and
 each cp chain the inner levels of those with a smaller switch level). The
 integral is linear, so chains with the same u and the same outer levels
-0..k-1 are summed after level k and run those levels once, as one state:
-the cp chains of one slot, which differ in their switch level, cost O(n)
-level integrations, not O(n^2). The ratios and the closed-form checks
-need class totals only, and integrate each class's chains as one sum;
+0..k-1 are summed after level k and run those levels once, as one state
+named by its members' names in sorted order, so the chains' order moves
+no name: the cp chains of one slot, which differ in their switch level,
+cost O(n) level integrations, not O(n^2). The ratios and the closed-form
+checks need class totals only, and integrate each class's chains as one sum;
 :func:`class_volume` reports each chain's volume, so it integrates them
 one by one. The table is dropped when the call returns. The measure is
 Lebesgue in eigenvalue coordinates times the constant metric prefactor
@@ -119,14 +120,14 @@ _end_fields = attrgetter("const", "x0", "t", "last", "q")
 # {(node, lo, hi, carry): (id, den, poly)}: the partial integral after one
 # more level, keyed on that level's stored ends, the (y, s) numerators of its
 # carry and the node of the state it integrates: 0 for the empty stack, the
-# id of a state stored here, or the tuple of the nodes of a summed state, in
-# the order summed. So each node stands for one sum of stacks of inner levels
+# id of a state stored here, or the tuple of the nodes of a summed state,
+# sorted. So each node stands for one sum of stacks of inner levels
 _Table = dict[tuple[int | tuple, _End, _End, tuple[int, int]], tuple[int, int, _Poly]]
 
 
-def _mul_add(p: _Poly, f: list[tuple[int, int]], add: _Poly) -> _Poly:
-    """p*f + add, for an affine f of at most four (key, numerator) pairs."""
-    out = dict(add)
+def _mul_add(p: _Poly, f: list[tuple[int, int]], out: _Poly) -> _Poly:
+    """out + p*f, added into out and returned, for an affine f of at most
+    four (key, numerator) pairs."""
     get = out.get
     for e2, v2 in f:
         for e1, v1 in p.items():
@@ -195,9 +196,15 @@ def _affine_level(
     With P_j the coefficient of x_k^j, the carry substituted into P0, the
     integral of P0 + P1 x_k between l/q and h/q is
     (h - l) [2q P0 + P1 (h + l)] / (2 q^2): an affine polynomial times one
-    of at most four terms, over 2 q^2 den. Where P1 is 0, as at a constant
-    level, it is (h - l) P0 over q den.
+    of at most four terms, over 2 q^2 den. Where P1 is 0 it is (h - l) P0
+    over q den, and at a constant level, P0 = v, that is read off the two
+    ends with no carry, sum or product.
     """
+    if len(poly) == 1 and 0 in poly:
+        q = lcm(lo[4], hi[4])
+        s_lo, s_hi, v = q // lo[4], q // hi[4], poly[0]
+        out = {e: v * (h * s_hi - l * s_lo) for e, l, h in zip(_END_KEYS, lo, hi)}
+        return _reduced(den * q, out)
     q, diff, total = _ends_over_q(lo, hi)
     get = poly.get
     v_s, p1 = get(_S, 0), get(_Y)
@@ -256,7 +263,7 @@ def _quadratic_level(
         # 3 P2 T joins 6q P1, and P2 D^2 joins 12 q^2 P0
         for e, v in total:
             p1[e] = p1.get(e, 0) + 3 * p2 * v
-        p0 = _mul_add({e: p2 * v for e, v in diff}, diff, p0)
+        _mul_add({e: p2 * v for e, v in diff}, diff, p0)
     inner = _mul_add(p1, total, p0)
     return _reduced(12 * q**3 * den, _mul_add(inner, diff, {}))
 
@@ -310,7 +317,7 @@ def _horner_level(
     at_hi = at_lo = h_by_b[top_b]
     for b in range(top_b - 1, -1, -1):
         h_b = h_by_b.get(b, {})
-        at_hi = _mul_add(at_hi, hi_q, h_b)
+        at_hi = _mul_add(at_hi, hi_q, dict(h_b))
         at_lo = _mul_add(at_lo, lo_q, h_b)
     for e, v in at_lo.items():
         at_hi[e] = at_hi.get(e, 0) - v
@@ -332,48 +339,57 @@ def integrate_chains(chains: Iterable[BoundChain], table: _Table | None = None) 
     those of a smaller switch level m), and only a miss runs
     :func:`_integrate_level`. The integral is linear, so after level k the
     states of chains with the same u and the same stored ends at levels
-    0..k-1 are put over their lcm denominator and added, and run levels
-    k-1..0 once, with the tuple of their nodes as their node: it names the
-    sum in the table, across the calls that share it too. The cp chains of
-    one slot differ only in their switch level, so they cost O(n) level
-    integrations, not O(n^2). Equal keys give equal states and the sums are
-    exact, so neither the sharing nor the merge moves the total. Callers
-    pass one table for the chains of one (d, N) and drop it afterwards;
-    with none, a fresh one is used.
+    0..k-1, found by one int id per chain, are put over their lcm
+    denominator and added, and run levels k-1..0 once. A state is named by
+    its id in the table, and a sum by its members' names in sorted order,
+    so a sum has one name in every call that shares the table, whatever
+    the order of the chains. The cp chains of one slot differ only in their
+    switch level, so they cost O(n) level integrations, not O(n^2). Equal
+    keys give equal states and the sums are exact, so neither the sharing
+    nor the merge moves the total; the x0 integrals are added as integers
+    and reduced once. Callers pass one table for the chains of one (d, N)
+    and drop it afterwards; with none, a fresh one is used.
     """
     if table is None:
         table = {}
-    # prefix[k] numbers the stored ends of a chain's levels 0..k-1, so two
-    # chains have equal numbers there exactly when those levels are equal
-    stacks: dict[tuple, int] = {}
+    # prefix[k] numbers u and the stored ends of a chain's levels 0..k-1, so
+    # two chains have equal numbers there exactly when u and those levels are
+    # equal; a u, a tuple of ints, is never equal to an (id, ends) key
+    ids: dict[tuple, int] = {}
     groups = []
     for chain in chains:
         if len(chain.bounds) > _MAX_VARS:
             raise ValueError(f"chain {chain.label!r}: more than {_MAX_VARS} variables")
         ends = [(_end_fields(lo), _end_fields(hi)) for lo, hi in chain.bounds]
-        prefix = [0]
+        prefix = [ids.setdefault(chain.u, len(ids))]
         for pair in ends:
-            prefix.append(stacks.setdefault((prefix[-1], pair), len(stacks) + 1))
+            prefix.append(ids.setdefault((prefix[-1], pair), len(ids)))
         groups.append((ends, chain.u, prefix, 0, 1, {0: 1}))
     for k in range(max((len(g[0]) for g in groups), default=1) - 1, 0, -1):
-        by_stack: dict[tuple, list] = {}
+        cs = int(k >= 3)
+        by_stack: dict[int, list] = {}
         for ends, u, prefix, node, den, poly in groups:
             if len(ends) > k:
                 lo, hi = ends[k]
                 # S_{k+1} = S_k + u_{k-1} x_{k-1}; S_1 = S_2 = 0, and past u no sum is left
-                carry = (u[k - 2] if 2 <= k <= len(u) + 1 else 0, int(k >= 3))
+                carry = (u[k - 2] if 2 <= k <= len(u) + 1 else 0, cs)
                 key = (node, lo, hi, carry)
                 state = table.get(key)
                 if state is None:
                     den, poly = _integrate_level(den, poly, lo, hi, carry)
                     state = table[key] = (len(table) + 1, den, poly)
                 node, den, poly = state
-            # a chain shorter than k has not started, and is keyed on all its levels
-            group_key = (u, prefix[min(k, len(ends))])
-            by_stack.setdefault(group_key, []).append((ends, u, prefix, node, den, poly))
+                at = prefix[k]
+            else:
+                # a chain shorter than k has not started, and is keyed on all its levels
+                at = prefix[-1]
+            by_stack.setdefault(at, []).append((ends, u, prefix, node, den, poly))
         groups = [g[0] if len(g) == 1 else _summed(g) for g in by_stack.values()]
-    volumes = (_outer_integral(ends[0], den, poly) for ends, *_, den, poly in groups)
-    return sum(volumes, Fraction(0))
+    num, den_all = 0, 1
+    for ends, *_, den, poly in groups:
+        top, bottom = _outer_integral(ends[0], den, poly)
+        num, den_all = num * bottom + top * den_all, den_all * bottom
+    return Fraction(num, den_all)
 
 
 def integrate_chain(chain: BoundChain, table: _Table | None = None) -> Fraction:
@@ -387,26 +403,29 @@ def integrate_chain(chain: BoundChain, table: _Table | None = None) -> Fraction:
 
 def _summed(members: list[tuple]) -> tuple:
     """The states of one group as one: numerators over the lcm of the
-    denominators, added, and the tuple of the members' nodes as its node."""
+    denominators, added, and the members' nodes as its node, sorted by repr
+    since a sum of chains that had not started has a tuple node."""
     ends, u, prefix = members[0][:3]
-    den = lcm(*(m[4] for m in members))
+    den = lcm(*[m[4] for m in members])
     total: _Poly = {}
+    get = total.get
     for m in members:
         scale = den // m[4]
         for e, v in m[5].items():
-            total[e] = total.get(e, 0) + v * scale
-    return ends, u, prefix, tuple(m[3] for m in members), den, total
+            total[e] = get(e, 0) + v * scale
+    return ends, u, prefix, tuple(sorted([m[3] for m in members], key=repr)), den, total
 
 
-def _outer_integral(ends: tuple[_End, _End], den: int, poly: _Poly) -> Fraction:
+def _outer_integral(ends: tuple[_End, _End], den: int, poly: _Poly) -> tuple[int, int]:
     """The integral of poly/den = sum_a v_a x0^(a-1) / D between level 0's
-    constant ends l/q0 and h/q0, over one denominator: for A the top power,
-    sum_a v_a (h^a - l^a) / (a q0^a) is put over D * lcm(1..A) * q0^A and
-    folded over a by Horner's rule at h and at l, on integer numerators."""
+    constant ends l/q0 and h/q0, as an unreduced (numerator, denominator):
+    for A the top power, sum_a v_a (h^a - l^a) / (a q0^a) is put over
+    D * lcm(1..A) * q0^A and folded over a by Horner's rule at h and at l,
+    on integer numerators."""
     lo0, hi0 = ends
     q0 = lcm(lo0[4], hi0[4])
     l, h = lo0[0] * (q0 // lo0[4]), hi0[0] * (q0 // hi0[4])
-    top_a = 1 + max((e // _X0 for e in poly), default=-1)
+    top_a = 1 + max(poly, default=-1) // _X0
     ladder = lcm(*range(1, top_a + 1))
     by_a = [0] * (top_a + 1)
     for e, v in poly.items():
@@ -418,7 +437,7 @@ def _outer_integral(ends: tuple[_End, _End], den: int, poly: _Poly) -> Fraction:
         at_h = (at_h + v) * h
         at_l = (at_l + v) * l
         q0_pow *= q0
-    return Fraction(at_h - at_l, den * ladder * q0_pow)
+    return at_h - at_l, den * ladder * q0_pow
 
 
 # --------------------------------------------------------------------------

@@ -90,6 +90,19 @@ def test_bound_chain_rejects_terms_a_level_cannot_hold():
     assert BoundChain((box,) * 5, (), label="box").u == ()
 
 
+def test_bound_chain_checks_each_level_of_a_shared_pair():
+    """A level's check reads the level, not the pair object: one pair that
+    level 2 may hold, and level 1 may not, is refused at level 1 of a chain
+    that also holds it at level 2, and of a chain built after one that
+    holds it at level 2 only."""
+    box = (LevelBound(0), LevelBound(1))
+    pair = (LevelBound(0), LevelBound(0, last=1))
+    assert BoundChain((box, box, pair), (), label="ok").bounds[2] is pair
+    for levels in ((box, pair, pair), (box, pair, box)):
+        with pytest.raises(ValueError, match="level 1 cannot hold a last term"):
+            BoundChain(levels, (), label="shared")
+
+
 def test_bound_chain_rejects_an_empty_chain():
     with pytest.raises(ValueError, match="empty"):
         BoundChain((), (), label="empty")

@@ -99,6 +99,10 @@ MUTANTS = (
     Mutant("closed-form-lo-not-rescaled", _VOLUME, "            l *= s_lo\n", ""),
     Mutant("closed-form-sum-is-difference", _VOLUME,
            "total.append((e, h + l))", "total.append((e, h - l))"),
+    Mutant("constant-level-lo-not-rescaled", _VOLUME,
+           "v * (h * s_hi - l * s_lo)", "v * (h * s_hi - l)"),
+    Mutant("constant-level-den-without-q", _VOLUME,
+           "return _reduced(den * q, out)", "return _reduced(den, out)"),
     Mutant("affine-level-drops-p1-term", _VOLUME, "inner[e] += p1 * v", "inner[e] += 0 * v"),
     Mutant("affine-level-p0-without-2q", _VOLUME,
            "c = 2 * q if p1 else 1", "c = q if p1 else 1"),
@@ -114,13 +118,15 @@ MUTANTS = (
            "c0, c1 = 12 * q * q, 6 * q", "c0, c1 = 12 * q * q, 3 * q"),
     Mutant("quadratic-level-drops-hl", _VOLUME, "3 * p2 * v", "p2 * v"),
     Mutant("quadratic-level-drops-d-squared", _VOLUME,
-           "p0 = _mul_add({e: p2 * v for e, v in diff}, diff, p0)", "p0 = dict(p0)"),
+           "_mul_add({e: p2 * v for e, v in diff}, diff, p0)", "_mul_add({}, diff, p0)"),
     Mutant("quadratic-level-carry-swapped", _VOLUME, "cy, cs = carry", "cs, cy = carry"),
     Mutant("quadratic-level-cross-term-without-2", _VOLUME,
            "2 * v_ss * cy * cs", "v_ss * cy * cs"),
     Mutant("table-keyed-without-node", _VOLUME,
            "key = (node, lo, hi, carry)", "key = (0, lo, hi, carry)"),
-    Mutant("carry-sum-one-level-late", _VOLUME, "int(k >= 3))", "int(k >= 4))"),
+    Mutant("carry-sum-one-level-late", _VOLUME, "cs = int(k >= 3)", "cs = int(k >= 4)"),
+    Mutant("horner-fold-adds-into-a-shared-bucket", _VOLUME,
+           "at_hi = _mul_add(at_hi, hi_q, dict(h_b))", "at_hi = _mul_add(at_hi, hi_q, h_b)"),
     Mutant("level-scale-extra-q", _VOLUME,
            "q ** (top_b - b) for b", "q ** (top_b - b + 1) for b"),
     Mutant("outer-integral-drops-q0-power", _VOLUME,
@@ -129,15 +135,21 @@ MUTANTS = (
            "v = by_a[a] * (ladder // a) * q0_pow", "v = by_a[a] * ladder * q0_pow"),
     # the merge of chains that share u and their outer levels
     Mutant("merge-key-without-u", _VOLUME,
-           "group_key = (u, prefix[min(k, len(ends))])", "group_key = prefix[min(k, len(ends))]"),
+           "prefix = [ids.setdefault(chain.u, len(ids))]",
+           "prefix = [ids.setdefault((), len(ids))]"),
     Mutant("merged-node-ids-restart-per-call", _VOLUME,
            "else _summed(g) for g in by_stack.values()]",
            "else (*_summed(g)[:3], -1 - i, *_summed(g)[4:])"
            " for i, g in enumerate(by_stack.values())]"),
-    Mutant("summed-states-not-rescaled", _VOLUME,
-           "total.get(e, 0) + v * scale", "total.get(e, 0) + v"),
+    Mutant("summed-states-not-rescaled", _VOLUME, "get(e, 0) + v * scale", "get(e, 0) + v"),
     Mutant("merged-node-named-as-first-member", _VOLUME,
-           "tuple(m[3] for m in members)", "members[0][3]"),
+           "tuple(sorted([m[3] for m in members], key=repr))", "members[0][3]"),
+    Mutant("merged-node-in-arrival-order", _VOLUME,
+           "tuple(sorted([m[3] for m in members], key=repr))", "tuple([m[3] for m in members])"),
+    Mutant("outer-sum-not-rescaled", _VOLUME,
+           "num * bottom + top * den_all", "num + top * den_all"),
+    Mutant("outer-sum-over-the-last-denominator", _VOLUME,
+           "den_all * bottom\n", "bottom\n"),
     Mutant("symmetry-factor-off-by-one", _VOLUME,
            "* chambers.symmetry_factor\n", "* (chambers.symmetry_factor + 1)\n"),
     Mutant("eb-sufficiency-always-exact", _VOLUME,
@@ -145,8 +157,12 @@ MUTANTS = (
            'if class_tag == "p":'),
     # the chambers and their stored ends
     Mutant("eb-budget-denominator-off-by-one", _REGIONS,
-           "upper.append(LevelBound(1, x0, t, last, den))",
-           "upper.append(LevelBound(1, x0, t, last, den + 1))"),
+           "upper = LevelBound(1, x0, t, last, den)",
+           "upper = LevelBound(1, x0, t, last, den + 1)"),
+    Mutant("chamber-ends-shared-across-denominators", _REGIONS,
+           "key = (i, x0, last, den)", "key = (i, x0, last)"),
+    Mutant("level-0-check-reads-the-lower-end-only", _REGIONS,
+           "not k and (lo.x0 or hi.x0)", "not k and lo.x0"),
     Mutant("left-out-weight-on-wrong-slot", _REGIONS,
            "w_out if j == slot else 1", "w_out if j == slot + 1 else 1"),
     Mutant("level-bound-not-reduced", _REGIONS, "if g != 1:", "if g < 0:"),
