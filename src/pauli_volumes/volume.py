@@ -90,7 +90,7 @@ _MC_MAX_SAMPLES = 10**8
 # check_conjectures([d]) in the "max" or "d" mode takes about 0.0033 s at
 # d = 8, and each step in d costs about 1.5-1.6x (0.0054 s at d = 9,
 # 0.0085 s at d = 10, 0.013 s at d = 11, 0.020 s at d = 12); the "3" mode,
-# whose levels all take the closed forms, takes about 0.0009 s at any d.
+# whose levels all take the closed forms, takes about 0.0008 s at any d.
 _MAX_D = 12
 
 

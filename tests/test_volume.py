@@ -303,7 +303,7 @@ def test_chain_order_does_not_change_the_total_or_the_level_count(monkeypatch):
     order, a shuffle of the cp chains at (4, 3) or (8, 3) integrates 27
     levels instead of 26."""
     calls = _count_level_integrations(monkeypatch)
-    rng = random.Random(3203)
+    rng = random.Random(32)
 
     def integrated(chains):
         before = len(calls)
