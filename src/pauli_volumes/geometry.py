@@ -44,9 +44,11 @@ class Frozen:
     value protocol.
 
     A subclass names its fields in ``__slots__``, in ``__init__`` parameter
-    order, and sets each one once in ``__init__`` with ``object.__setattr__``.
-    Frozen then refuses any later set or delete, compares type-strictly and
-    hashes, prints and pickles by those fields.
+    order, and sets each one once in ``__init__`` with ``object.__setattr__``,
+    or, where it is built hundreds of times a call, with each slot's own
+    ``__set__``, bound once at import. Frozen then refuses any later set or
+    delete, compares type-strictly and hashes, prints and pickles by those
+    fields.
     """
 
     __slots__ = ()
@@ -167,8 +169,11 @@ def metric(d: int, N: int) -> tuple[Fraction, ...]:
 
 
 def volume_prefactor(d: int, N: int) -> SurdValue:
-    """sqrt(det g): the constant converting lambda-volume to metric volume."""
-    return SurdValue.sqrt(prod(metric(d, N)))
+    """sqrt(det g): the constant converting lambda-volume to metric volume,
+    sqrt((d-1)^n prod(w) / d^(2n)) over the n weights w, as one Fraction."""
+    w = weights(d, N)
+    n = len(w)
+    return SurdValue.sqrt(Fraction((d - 1) ** n * prod(w), d ** (2 * n)))
 
 
 def vp_volume(d: int, N: int) -> SurdValue:

@@ -20,6 +20,10 @@ come in two flavors:
   splits eigenvalue space into congruent copies of the wedge, so the raw
   chain volumes are multiplied by a symmetry factor.
 
+:func:`cp_total_chains` gives cp's total alone, as two chains per slot
+whose difference is the sum of the slot's chambers. Both it and
+:func:`chambers` assemble their chains from the same per-slot level pairs.
+
 The chambers work with weighted coordinates. A channel using N bases has
 n = N+1 eigenvalue coordinates (n = d+1 when N = d+1, where the left-out
 eigenvalue is pinned to zero). Each has weight 1, except the left-out
@@ -78,13 +82,18 @@ class LevelBound(Frozen):
         g = gcd(const, x0, t, last, q)
         if g != 1:
             const, x0, t, last, q = const // g, x0 // g, t // g, last // g, q // g
-        # set field by field, unrolled: the chamber builders make hundreds per call
-        set_field = object.__setattr__
-        set_field(self, "const", const)
-        set_field(self, "x0", x0)
-        set_field(self, "t", t)
-        set_field(self, "last", last)
-        set_field(self, "q", q)
+        # set through each slot's own __set__, unrolled: the chamber builders
+        # make hundreds per call
+        _set_const(self, const)
+        _set_x0(self, x0)
+        _set_t(self, t)
+        _set_last(self, last)
+        _set_q(self, q)
+
+
+_set_const, _set_x0, _set_t, _set_last, _set_q = (
+    getattr(LevelBound, name).__set__ for name in LevelBound.__slots__
+)
 
 
 class BoundChain(Frozen):
@@ -159,6 +168,52 @@ def p_box(d: int, N: int) -> ChamberSet:
     return ChamberSet((chain,), 1, "p", d, N)
 
 
+def _slot_pairs(d: int, N: int, class_tag: str) -> tuple[int, list[tuple]]:
+    """The symmetry factor, and per slot of the left-out eigenvalue
+    (slot, label suffix, u, low, switch, high): the chain weights u and, per
+    level i, the pairs below, at and above the cp switch, (below, neg),
+    (neg, upper) and (below, upper), with the ends :func:`chambers`
+    describes. g and eb build no negative branch, so their low and switch
+    pairs hold None. When the left-out weight is 1 the one slot is None.
+    """
+    coord_weights = weights(d, N)
+    n, w_out = len(coord_weights), coord_weights[-1]
+    slot_names = ("min", *(f"mid{k}" for k in range(1, n - 1)), "max")
+    floor = LevelBound(-1, q=d - 1) if class_tag == "cp" else LevelBound(0)
+    # the ordering bounds x_{k-1} <= x_k, with x_0 read as x0 at level 1
+    below = [floor, LevelBound(0, x0=1)] + [LevelBound(0, last=1)] * (n - 2)
+    # each level's three pairs, by the weights they read: the slots that
+    # agree on those share them
+    made: dict[tuple[int, int, int, int], tuple] = {}
+    c = d - 1
+    slots = []
+    for slot in (None,) if w_out == 1 else range(n):
+        w = [w_out if j == slot else 1 for j in range(n)]
+        sides = []
+        den = d + 1  # the weight that remains at level i, sum_{j>=i} w_j
+        for i in range(n):
+            # the budget's numerators: -sum_{j<i} w_j x_j as x0, t and last
+            x0 = -w[0] if i else 0
+            t = -1 if i >= 3 else 0
+            last = -w[i - 1] if i >= 2 else 0
+            key = (i, x0, last, den)
+            if key not in made:
+                if class_tag == "eb":
+                    upper = LevelBound(1, x0, t, last, den)
+                else:
+                    upper = LevelBound(1, d + x0, t, last, den) if i else LevelBound(1)
+                neg = None
+                if class_tag == "cp":
+                    # -(1/(d-1) + sum_{j<i} w_j x_j) / den_i, over (d-1) den_i
+                    neg = LevelBound(-1, c * x0, c * t, c * last, c * den)
+                made[key] = ((below[i], neg), (neg, upper), (below[i], upper))
+            sides.append(made[key])
+            den -= w[i]
+        at = "" if slot is None else f":slot={slot_names[slot]}"
+        slots.append((slot, at, w[1 : n - 2], *zip(*sides)))
+    return factorial(n if w_out == 1 else N), slots
+
+
 def chambers(d: int, N: int, class_tag: str) -> ChamberSet:
     """Chambers of the cp, g or eb region on the ordered wedge, 3 <= N <= d+1.
 
@@ -180,6 +235,9 @@ def chambers(d: int, N: int, class_tag: str) -> ChamberSet:
     g the positive one and eb the budget, and each level's ends and pairs
     once for the slots whose w_0, w_{i-1} and den_i agree.
 
+    The cp chamber of switch level M runs on the negative branch at levels
+    0..M-2, from the negative to the positive branch at level M-1, and on
+    the positive branch from level M on; g and eb have one chamber per slot.
     When the left-out weight is 1 (N in {d, d+1}) the coordinates are
     exchangeable: no slot is enumerated and the symmetry factor is n!.
     Otherwise every chain is repeated for each slot, slot-major, and the
@@ -187,57 +245,49 @@ def chambers(d: int, N: int, class_tag: str) -> ChamberSet:
     """
     if class_tag not in ("cp", "g", "eb"):
         raise ValueError(f"no chambers for class {class_tag!r}")
-    coord_weights = weights(d, N)
-    n, w_out = len(coord_weights), coord_weights[-1]
+    factor, slots = _slot_pairs(d, N, class_tag)
+    n = len(slots[0][-1])  # levels per chain
     # (branch-switch level M, label) per cp chain, in output order
-    if w_out == 1:
-        slots: Sequence[int | None] = (None,)
+    if slots[0][0] is None:  # one slot, None: the left-out weight is 1
         cp_levels = [(n, "cp:sys1")]
         cp_levels += [(m, f"cp:sys2:M={m}") for m in range(2, n)]
         cp_levels.append((1, "cp:sys3"))
         single_label = class_tag
     else:
-        slots = range(n)
         cp_levels = [(m, f"cp-n{N}:sys{k}") for k, m in enumerate((1, *range(n, 1, -1)), 1)]
         single_label = f"{class_tag}-n{N}"
-    slot_names = ("min", *(f"mid{k}" for k in range(1, n - 1)), "max")
-    floor = LevelBound(-1, q=d - 1) if class_tag == "cp" else LevelBound(0)
-    # the ordering bounds x_{k-1} <= x_k, with x_0 read as x0 at level 1
-    below = [floor, LevelBound(0, x0=1)] + [LevelBound(0, last=1)] * (n - 2)
     chains: list[BoundChain] = []
-    # each level's (below, at, above the switch) pairs, by the weights they
-    # read: the slots that agree on those share them
-    made: dict[tuple[int, int, int, int], tuple] = {}
-    c = d - 1
-    for slot in slots:
-        w = [w_out if j == slot else 1 for j in range(n)]
-        u = w[1 : n - 2]
-        sides = []
-        den = d + 1  # the weight that remains at level i, sum_{j>=i} w_j
-        for i in range(n):
-            # the budget's numerators: -sum_{j<i} w_j x_j as x0, t and last
-            x0 = -w[0] if i else 0
-            t = -1 if i >= 3 else 0
-            last = -w[i - 1] if i >= 2 else 0
-            key = (i, x0, last, den)
-            if key not in made:
-                if class_tag == "eb":
-                    upper = LevelBound(1, x0, t, last, den)
-                else:
-                    upper = LevelBound(1, d + x0, t, last, den) if i else LevelBound(1)
-                neg = None
-                if class_tag == "cp":
-                    # -(1/(d-1) + sum_{j<i} w_j x_j) / den_i, over (d-1) den_i
-                    neg = LevelBound(-1, c * x0, c * t, c * last, c * den)
-                made[key] = ((below[i], neg), (neg, upper), (below[i], upper))
-            sides.append(made[key])
-            den -= w[i]
-        low, switch, high = zip(*sides)
-        at = "" if slot is None else f":slot={slot_names[slot]}"
+    for slot, at, u, low, switch, high in slots:
         if class_tag == "cp":
             for m, label in cp_levels:
                 levels = (*low[: m - 1], switch[m - 1], *high[m:])
                 chains.append(BoundChain(levels, u, label + at, slot))
         else:
             chains.append(BoundChain(high, u, single_label + at, slot))
-    return ChamberSet(tuple(chains), factorial(n if w_out == 1 else N), class_tag, d, N)
+    return ChamberSet(tuple(chains), factor, class_tag, d, N)
+
+
+def cp_total_chains(d: int, N: int) -> tuple[ChamberSet, tuple[BoundChain, ...]]:
+    """cp's total as two chains per slot: the volume of cp is that of the
+    first, added, chains less that of the second, subtracted, ones, times
+    the first's symmetry factor.
+
+    Per slot, let X_j run on the negative branch, (below, neg), at levels
+    0..j-1 and on the positive one, (below, upper), from level j on. The
+    chamber of switch level M (see :func:`chambers`) agrees with X_{M-1}
+    and X_M everywhere but at level M-1, where it integrates from neg to
+    upper. For any integrand, the signed integral from neg to upper is the
+    one from below to upper less the one from below to neg, and the outer
+    levels are the same, so chamber M is X_{M-1} - X_M as signed iterated
+    integrals. Summed over M = 1..n this telescopes to X_0 - X_n: all
+    positive branch on cp's floor, less all negative branch. It is a set
+    identity too, since the all-negative region lies inside the
+    all-positive one. X_0 has the levels 1..n-1 of the g chain, so over
+    one table g integrates no level of its own.
+    """
+    factor, slots = _slot_pairs(d, N, "cp")
+    added, subtracted = [], []
+    for slot, at, u, low, switch, high in slots:
+        added.append(BoundChain(high, u, f"cp:X0{at}", slot))
+        subtracted.append(BoundChain(low, u, f"cp:X{len(low)}{at}", slot))
+    return ChamberSet(tuple(added), factor, "cp", d, N), tuple(subtracted)

@@ -27,18 +27,16 @@ stored ends, which are equal exactly when the ends are: each distinct
 stack of inner levels is integrated once per (d, N), across the classes
 where a call computes several (the g chain has the levels of cp:sys3, and
 each cp chain the inner levels of those with a smaller switch level). The
-integral is linear, so chains with the same u and the same outer levels
-0..k-1 are summed after level k and run those levels once, as one state
-named by its members' names in sorted order, so the chains' order moves
-no name: the cp chains of one slot, which differ in their switch level,
-cost O(n) level integrations, not O(n^2). The ratios and the closed-form
-checks need class totals only, and integrate each class's chains as one sum;
-:func:`class_volume` reports each chain's volume, so it integrates them
-one by one. The table is dropped when the call returns. The measure is
-Lebesgue in eigenvalue coordinates times the constant metric prefactor
-from :func:`..geometry.volume_prefactor`, which turns eigenvalue-space
-volumes into channel-manifold volumes; a call computes it at most once
-per (d, N).
+ratios and the closed-form checks need class totals only, and take cp's
+as two chains per slot, the all-positive one less the all-negative one
+(:func:`..regions.cp_total_chains`), where the slot's chambers telescope;
+the all-positive chain has the g chain's inner levels, so g then
+integrates none. :func:`class_volume` reports each chamber's volume, so it
+integrates the chambers one by one. The table is dropped when the call
+returns. The measure is Lebesgue in eigenvalue coordinates times the
+constant metric prefactor from :func:`..geometry.volume_prefactor`, which
+turns eigenvalue-space volumes into channel-manifold volumes; a call
+computes it at most once per (d, N).
 
 The Monte Carlo route samples the necessary-positivity box uniformly and
 counts membership in cp, g or eb with float predicates; every draw lies in
@@ -65,7 +63,7 @@ from typing import Iterable, NamedTuple
 
 from .channel import eb_criterion_exact
 from .geometry import SurdValue, check_dims, is_int, volume_prefactor, vp_volume, weights
-from .regions import CLASS_TAGS, BoundChain, ChamberSet, chambers, p_box
+from .regions import CLASS_TAGS, BoundChain, ChamberSet, chambers, cp_total_chains, p_box
 
 _MC_BLOCK = 1 << 16
 # rows per draw and mask, split evenly among the Monte Carlo workers:
@@ -87,10 +85,10 @@ _MC_MAX_SAMPLES = 10**8
 # Largest dimension the exact engine attempts. Cost model, from
 # tools/exact_timing.py's comparison mode (median of 31 calls, each
 # building and integrating from scratch) on a 2-core host:
-# check_conjectures([d]) in the "max" or "d" mode takes about 0.0033 s at
-# d = 8, and each step in d costs about 1.5-1.6x (0.0054 s at d = 9,
-# 0.0085 s at d = 10, 0.013 s at d = 11, 0.020 s at d = 12); the "3" mode,
-# whose levels all take the closed forms, takes about 0.0008 s at any d.
+# check_conjectures([d]) in the "max" or "d" mode takes about 0.0025 s at
+# d = 8, and each step in d costs about 1.6x (0.0040 s at d = 9, 0.0068 s
+# at d = 10, 0.010 s at d = 11, 0.015 s at d = 12); the "3" mode, whose
+# levels all take the closed forms, takes about 0.0007-0.0008 s at any d.
 _MAX_D = 12
 
 
@@ -119,10 +117,10 @@ _QUADRATIC_KEYS = frozenset(a + b for a in _END_KEYS for b in _END_KEYS)
 _end_fields = attrgetter("const", "x0", "t", "last", "q")
 # {(node, lo, hi, carry): (id, den, poly)}: the partial integral after one
 # more level, keyed on that level's stored ends, the (y, s) numerators of its
-# carry and the node of the state it integrates: 0 for the empty stack, the
-# id of a state stored here, or the tuple of the nodes of a summed state,
-# sorted. So each node stands for one sum of stacks of inner levels
-_Table = dict[tuple[int | tuple, _End, _End, tuple[int, int]], tuple[int, int, _Poly]]
+# carry and the node of the state it integrates: 0 for the empty stack, or
+# the id of a state stored here. So each node stands for one stack of inner
+# levels
+_Table = dict[tuple[int, _End, _End, tuple[int, int]], tuple[int, int, _Poly]]
 
 
 def _mul_add(p: _Poly, f: list[tuple[int, int]], out: _Poly) -> _Poly:
@@ -329,65 +327,38 @@ def integrate_chains(chains: Iterable[BoundChain], table: _Table | None = None) 
     iterated integral, innermost variable first, so a part where an upper
     bound lies below its lower bound counts negatively. No chamber has one.
 
-    The levels run from the innermost down, all chains together. The state
-    after levels n-1..k depends on those levels alone, so ``table`` keeps
-    each state keyed on the node of the state it came from and on the
-    stored ends and carry of the level that produced it; reduced ends are
+    Each chain walks its levels from the innermost down. The state after
+    levels n-1..k depends on those levels alone, so ``table`` keeps each
+    state keyed on the node of the state it came from and on the stored
+    ends and carry of the level that produced it; reduced ends are
     canonical, so equal keys mean equal levels. A chain picks up the states
     of the inner levels it shares with a stack in the table (the g chain
-    shares all of its levels with cp:sys3, each cp chain levels m..n-1 with
-    those of a smaller switch level m), and only a miss runs
-    :func:`_integrate_level`. The integral is linear, so after level k the
-    states of chains with the same u and the same stored ends at levels
-    0..k-1, found by one int id per chain, are put over their lcm
-    denominator and added, and run levels k-1..0 once. A state is named by
-    its id in the table, and a sum by its members' names in sorted order,
-    so a sum has one name in every call that shares the table, whatever
-    the order of the chains. The cp chains of one slot differ only in their
-    switch level, so they cost O(n) level integrations, not O(n^2). Equal
-    keys give equal states and the sums are exact, so neither the sharing
-    nor the merge moves the total; the x0 integrals are added as integers
-    and reduced once. Callers pass one table for the chains of one (d, N)
-    and drop it afterwards; with none, a fresh one is used.
+    shares all of its levels but level 0 with cp's all-positive chain, each
+    cp chamber levels m..n-1 with those of a smaller switch level m), and
+    only a miss runs :func:`_integrate_level`. Equal keys give equal
+    states, so the sharing moves no total; the x0 integrals are added as
+    integers and reduced once. Callers pass one table for the chains of one
+    (d, N) and drop it afterwards; with none, a fresh one is used.
     """
     if table is None:
         table = {}
-    # prefix[k] numbers u and the stored ends of a chain's levels 0..k-1, so
-    # two chains have equal numbers there exactly when u and those levels are
-    # equal; a u, a tuple of ints, is never equal to an (id, ends) key
-    ids: dict[tuple, int] = {}
-    groups = []
-    for chain in chains:
-        if len(chain.bounds) > _MAX_VARS:
-            raise ValueError(f"chain {chain.label!r}: more than {_MAX_VARS} variables")
-        ends = [(_end_fields(lo), _end_fields(hi)) for lo, hi in chain.bounds]
-        prefix = [ids.setdefault(chain.u, len(ids))]
-        for pair in ends:
-            prefix.append(ids.setdefault((prefix[-1], pair), len(ids)))
-        groups.append((ends, chain.u, prefix, 0, 1, {0: 1}))
-    for k in range(max((len(g[0]) for g in groups), default=1) - 1, 0, -1):
-        cs = int(k >= 3)
-        by_stack: dict[int, list] = {}
-        for ends, u, prefix, node, den, poly in groups:
-            if len(ends) > k:
-                lo, hi = ends[k]
-                # S_{k+1} = S_k + u_{k-1} x_{k-1}; S_1 = S_2 = 0, and past u no sum is left
-                carry = (u[k - 2] if 2 <= k <= len(u) + 1 else 0, cs)
-                key = (node, lo, hi, carry)
-                state = table.get(key)
-                if state is None:
-                    den, poly = _integrate_level(den, poly, lo, hi, carry)
-                    state = table[key] = (len(table) + 1, den, poly)
-                node, den, poly = state
-                at = prefix[k]
-            else:
-                # a chain shorter than k has not started, and is keyed on all its levels
-                at = prefix[-1]
-            by_stack.setdefault(at, []).append((ends, u, prefix, node, den, poly))
-        groups = [g[0] if len(g) == 1 else _summed(g) for g in by_stack.values()]
     num, den_all = 0, 1
-    for ends, *_, den, poly in groups:
-        top, bottom = _outer_integral(ends[0], den, poly)
+    for chain in chains:
+        bounds, u = chain.bounds, chain.u
+        if len(bounds) > _MAX_VARS:
+            raise ValueError(f"chain {chain.label!r}: more than {_MAX_VARS} variables")
+        node, den, poly = 0, 1, {0: 1}
+        for k in range(len(bounds) - 1, 0, -1):
+            lo, hi = map(_end_fields, bounds[k])
+            # S_{k+1} = S_k + u_{k-1} x_{k-1}; S_1 = S_2 = 0, and past u no sum is left
+            carry = (u[k - 2] if 2 <= k <= len(u) + 1 else 0, int(k >= 3))
+            key = (node, lo, hi, carry)
+            state = table.get(key)
+            if state is None:
+                den, poly = _integrate_level(den, poly, lo, hi, carry)
+                state = table[key] = (len(table) + 1, den, poly)
+            node, den, poly = state
+        top, bottom = _outer_integral(tuple(map(_end_fields, bounds[0])), den, poly)
         num, den_all = num * bottom + top * den_all, den_all * bottom
     return Fraction(num, den_all)
 
@@ -395,25 +366,8 @@ def integrate_chains(chains: Iterable[BoundChain], table: _Table | None = None) 
 def integrate_chain(chain: BoundChain, table: _Table | None = None) -> Fraction:
     """Exact volume of one bound chain: :func:`integrate_chains` of it
     alone, sharing the inner levels ``table`` holds. :func:`class_volume`
-    reports each chain's volume, so it integrates its chains here; the
-    ratios and the closed-form checks need class totals only, and
-    integrate each class's chains as one sum."""
+    reports each chain's volume, so it integrates its chains here."""
     return integrate_chains((chain,), table)
-
-
-def _summed(members: list[tuple]) -> tuple:
-    """The states of one group as one: numerators over the lcm of the
-    denominators, added, and the members' nodes as its node, sorted by repr
-    since a sum of chains that had not started has a tuple node."""
-    ends, u, prefix = members[0][:3]
-    den = lcm(*[m[4] for m in members])
-    total: _Poly = {}
-    get = total.get
-    for m in members:
-        scale = den // m[4]
-        for e, v in m[5].items():
-            total[e] = get(e, 0) + v * scale
-    return ends, u, prefix, tuple(sorted([m[3] for m in members], key=repr)), den, total
 
 
 def _outer_integral(ends: tuple[_End, _End], den: int, poly: _Poly) -> tuple[int, int]:
@@ -531,14 +485,17 @@ def class_volume(d: int, N: int, class_tag: str) -> VolumeResult:
 
 
 def _lambda_volumes(d: int, N: int) -> dict[str, Fraction]:
-    """The eigenvalue-space volumes of the four classes at one (d, N): each
-    class's chains integrated as one sum, all over one table, so a stack of
-    inner levels common to two chains of any of them is integrated once."""
+    """The eigenvalue-space volumes of the four classes at one (d, N), all
+    over one table, so a stack of inner levels common to two chains of any
+    of them is integrated once. cp is :func:`..regions.cp_total_chains`'
+    two chains per slot, the added less the subtracted ones; p validates
+    (d, N) first, through :func:`region_for`."""
     table: _Table = {}
     vols = {}
     for tag in CLASS_TAGS:
-        chambers = region_for(d, N, tag)
-        vols[tag] = integrate_chains(chambers.chains, table) * chambers.symmetry_factor
+        chambers, subtracted = cp_total_chains(d, N) if tag == "cp" else (region_for(d, N, tag), ())
+        total = integrate_chains(chambers.chains, table) - integrate_chains(subtracted, table)
+        vols[tag] = total * chambers.symmetry_factor
     return vols
 
 

@@ -4,8 +4,8 @@ The oracle integrates x_{n-1} down to x_0 as plain polynomials over all n
 variables, ``{exponent tuple: Fraction}``. It reads each :class:`LevelBound`
 field by field, expands the running sum S_k = sum_{1<=j<=k-2} u_j x_j over
 the chain's u, and substitutes an end into the antiderivative by repeated
-multiplication. It has no packed keys, buckets, common denominators, table
-or merge, so a fault in any of those shows as a mismatch (differential
+multiplication. It has no packed keys, buckets, common denominators or
+table, so a fault in any of those shows as a mismatch (differential
 testing).
 
 The chains are random and seeded: every field a level may hold is
@@ -119,8 +119,8 @@ def test_random_chains_match_the_oracle(monkeypatch):
 def _chain_set(rng: random.Random, n: int, u: tuple, base: list, label: str) -> list:
     """2-7 chains built from ``base``: each keeps a random prefix of 1..n of
     its levels and redraws each kept level with probability 0.4, so they
-    share outer levels (summed by the merge) and inner stacks (shared
-    through the table); about 30% take another u of the same length."""
+    share outer levels and inner stacks (shared through the table); about
+    30% take another u of the same length."""
     chains = []
     for j in range(rng.randint(2, 7)):
         cu = _random_u(rng, n, len(u)) if rng.random() < 0.3 else u
@@ -134,9 +134,9 @@ def _chain_set(rng: random.Random, n: int, u: tuple, base: list, label: str) -> 
 
 def test_random_chain_sets_through_one_table_match_the_oracle():
     """150 random chain sets, three per base chain over one table, each
-    integrated twice: the summed volume is the sum of the oracle's, so
-    neither a state picked up from the table nor a merged state, from this
-    call or another, moves a total."""
+    integrated twice: the summed volume is the sum of the oracle's, so no
+    state picked up from the table, from this call or another, moves a
+    total."""
     rng = random.Random(2718)
     for b in range(50):
         n = rng.randint(2, 7)

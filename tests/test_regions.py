@@ -23,7 +23,7 @@ from pauli_volumes.channel import (
     is_generator_achievable,
 )
 from pauli_volumes.geometry import Frozen, SurdValue
-from pauli_volumes.regions import BoundChain, LevelBound, chambers, p_box
+from pauli_volumes.regions import BoundChain, LevelBound, chambers, cp_total_chains, p_box
 from pauli_volumes.volume import (
     _class_mask,
     check_conjectures,
@@ -295,6 +295,34 @@ def test_three_basis_chamber_inventory():
         chambers(4, 6, "cp")
     with pytest.raises(ValueError, match="class"):
         chambers(4, 3, "p")
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_cp_total_chains_are_the_all_positive_and_all_negative_chambers(d):
+    """Per slot, cp's added chain X_0 has the g chain's levels 1..n-1 over
+    cp's floor at level 0, and the subtracted chain X_n has the levels of
+    the chamber that switches at level n-1 (sys1), except that its last
+    level runs from below to the negative branch. Both take the slot and
+    the symmetry factor of the chambers."""
+    for N in range(3, d + 2):
+        added, subtracted = cp_total_chains(d, N)
+        cp, g = chambers(d, N, "cp"), chambers(d, N, "g")
+        n = len(g.chains[0].bounds)
+        assert (added.class_tag, added.d, added.N) == ("cp", d, N)
+        assert added.symmetry_factor == cp.symmetry_factor
+        assert len(added.chains) == len(subtracted) == len(g.chains)
+        # the chamber that switches at level n-1 runs level n-2 up to the negative branch
+        sys1 = [ch for ch in cp.chains if ch.bounds[n - 2][1].const == -1]
+        assert len(sys1) == len(g.chains)
+        for plus, minus, g_chain, last_switch in zip(added.chains, subtracted, g.chains, sys1):
+            assert plus.u == minus.u == g_chain.u
+            assert plus.nplus1_slot == minus.nplus1_slot == g_chain.nplus1_slot
+            assert plus.bounds[0] == (LevelBound(-1, q=d - 1), LevelBound(1))
+            assert plus.bounds[1:] == g_chain.bounds[1:]
+            assert minus.bounds[:-1] == last_switch.bounds[:-1]
+            neg = last_switch.bounds[-1][0]
+            assert neg.const == -1
+            assert minus.bounds[-1] == (LevelBound(0, last=1), neg)
 
 
 def test_qubit_outer_bounds():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from pauli_volumes import volume
 from pauli_volumes.geometry import SurdValue, vp_volume
-from pauli_volumes.regions import BoundChain, LevelBound, chambers
+from pauli_volumes.regions import BoundChain, LevelBound, chambers, cp_total_chains
 from pauli_volumes.volume import (
     N_MODES,
     McEstimate,
@@ -223,18 +223,78 @@ def test_chains_of_one_table_share_their_inner_levels():
 def test_sharing_stays_inside_one_call(monkeypatch):
     """check_conjectures shares one table across the classes of a (d, N)
     and class_volume one within its class; neither keeps it, so a second
-    call integrates as many levels as the first. check_conjectures sums
-    the chains of a class that share their outer levels, so all four
-    classes at d = 8 take fewer levels (39) than class_volume takes for cp
-    alone (44), chain by chain."""
+    call integrates as many levels as the first. check_conjectures
+    integrates cp's total as two telescoped chains per slot, so all four
+    classes at d = 8 take fewer levels (32) than class_volume takes for cp
+    alone (44), chamber by chamber."""
     calls = _count_level_integrations(monkeypatch)
     counts = []
     for call in (lambda: check_conjectures([8]), lambda: class_volume(8, 9, "cp")) * 2:
         before = len(calls)
         call()
         counts.append(len(calls) - before)
-    assert counts[:2] == counts[2:] == [39, 44]
+    assert counts[:2] == counts[2:] == [32, 44]
     assert counts[1] < sum(len(ch.bounds) - 1 for ch in chambers(8, 9, "cp").chains)
+
+
+def _cp_chamber_sets():
+    """(d, N) at every supported basis count with d <= 12, and at the
+    4 <= N < d that chambers builds at d <= 9."""
+    for d in range(2, 13):
+        extra = range(4, d) if d <= 9 else ()
+        yield from ((d, N) for N in sorted({*supported_n_values(d), *extra}))
+
+
+def test_cp_total_is_the_telescoped_sum_of_its_chambers():
+    """cp's chambers M = 1..n of a slot sum to X_0 - X_n, the all-positive
+    chain on cp's floor less the all-negative one: the two chains per slot
+    give the summed chamber volumes at every set of _cp_chamber_sets, and
+    so does the volume that ratio_table and check_conjectures read."""
+    for d, N in _cp_chamber_sets():
+        added, subtracted = cp_total_chains(d, N)
+        region = chambers(d, N, "cp")
+        slots = len(region.chains) // len(region.chains[0].bounds)
+        assert len(added.chains) == len(subtracted) == slots, (d, N)
+        assert added.symmetry_factor == region.symmetry_factor
+        total = integrate_chains(added.chains) - integrate_chains(subtracted)
+        if N in supported_n_values(d):
+            assert total == sum(class_volume(d, N, "cp").chain_volumes), (d, N)
+            assert volume._lambda_volumes(d, N)["cp"] == total * added.symmetry_factor
+        else:
+            assert total == sum(map(integrate_chain, region.chains)), (d, N)
+
+
+def test_conjectures_integrate_no_switch_level(monkeypatch):
+    """The class totals read cp through its two telescoped chains per slot,
+    so check_conjectures integrates no level that runs from the negative to
+    the positive branch at any d <= 8 in any mode; class_volume, which
+    integrates cp's chambers, integrates some, so the spy sees them."""
+    seen = []
+    true_level = volume._integrate_level
+
+    def spy(den, poly, lo, hi, carry):
+        seen.append((lo, hi))
+        return true_level(den, poly, lo, hi, carry)
+
+    monkeypatch.setattr(volume, "_integrate_level", spy)
+    for mode in N_MODES:
+        for d in range(2, 9):
+            N = volume.n_for_mode(d, mode)
+            if N not in supported_n_values(d):
+                continue
+            # the negative branch is the one end at levels >= 1 with constant -1
+            switches = {
+                (volume._end_fields(lo), volume._end_fields(hi))
+                for ch in chambers(d, N, "cp").chains
+                for lo, hi in ch.bounds[1:]
+                if lo.const == -1
+            }
+            assert switches, (d, N)
+            del seen[:]
+            assert check_conjectures([d], mode).all_match
+            assert seen and not switches.intersection(seen), (d, mode)
+            class_volume(d, N, "cp")
+            assert switches.intersection(seen), (d, mode)
 
 
 # the check_conjectures calls of one perfbench exact-cold round
@@ -248,8 +308,8 @@ _EXACT_COLD_QUERIES = (
 def test_exact_cold_queries_integrate_each_level_stack_once(monkeypatch):
     """The 18 check_conjectures calls of one perfbench exact-cold round
     integrate 1,049 levels chain by chain, 694 with the inner levels shared
-    within each (d, N), and 522 with the chains of a class that share their
-    outer levels summed before those levels."""
+    within each (d, N), and 467 with cp's total integrated as two
+    telescoped chains per slot instead of its chambers."""
     unshared = 0
     for d, mode in _EXACT_COLD_QUERIES:
         N = volume.n_for_mode(d, mode)
@@ -259,11 +319,11 @@ def test_exact_cold_queries_integrate_each_level_stack_once(monkeypatch):
     calls = _count_level_integrations(monkeypatch)
     for d, mode in _EXACT_COLD_QUERIES:
         assert check_conjectures([d], mode).all_match
-    assert len(calls) == 522
+    assert len(calls) == 467
 
 
 def test_exact_cold_levels_split_by_integrand_degree(monkeypatch):
-    """One exact-cold round's 522 level integrations split 294 / 108 / 120
+    """One exact-cold round's 467 level integrations split 281 / 96 / 90
     across the three level methods: the closed form for degree <= 1 (the
     182 constant levels among them), the one for degree 2, and Horner's
     rule for degree 3 and up. So neither closed form can silently stop
@@ -275,7 +335,7 @@ def test_exact_cold_levels_split_by_integrand_degree(monkeypatch):
         assert check_conjectures([d], mode).all_match
         if mode == "3":
             assert len(calls["_horner_level"]) == horner_before
-    assert [len(calls[m]) for m in methods] == [294, 108, 120]
+    assert [len(calls[m]) for m in methods] == [281, 96, 90]
 
 
 def _supported_regions(classes=("p", "cp", "g", "eb")):
@@ -286,9 +346,9 @@ def _supported_regions(classes=("p", "cp", "g", "eb")):
 
 
 def test_integrate_chains_is_the_sum_of_its_chains():
-    """Summing the chains that share their outer levels before those levels
-    moves no total: for every supported (d, N, class) with d <= 12 the
-    merged integral is the sum of the chain volumes."""
+    """Sharing inner levels through one table moves no total: for every
+    supported (d, N, class) with d <= 12 the integral of the chain set is
+    the sum of the chain volumes, each taken over a fresh table."""
     for d, N, regions in _supported_regions():
         for cls, region in regions.items():
             chains = region.chains
@@ -296,12 +356,10 @@ def test_integrate_chains_is_the_sum_of_its_chains():
 
 
 def test_chain_order_does_not_change_the_total_or_the_level_count(monkeypatch):
-    """A summed state is named by its members in a canonical order, so the
-    order of a class's chains moves neither its total nor the number of
-    levels it integrates: three seeded shuffles of every supported
-    (d, N, class) with d <= 8 match the built order. Named in arrival
-    order, a shuffle of the cp chains at (4, 3) or (8, 3) integrates 27
-    levels instead of 26."""
+    """A table state stands for one stack of inner levels, whichever chain
+    reached it first, so the order of a class's chains moves neither its
+    total nor the number of levels it integrates: three seeded shuffles of
+    every supported (d, N, class) with d <= 8 match the built order."""
     calls = _count_level_integrations(monkeypatch)
     rng = random.Random(32)
 
@@ -322,9 +380,9 @@ def test_chain_order_does_not_change_the_total_or_the_level_count(monkeypatch):
 
 def test_one_table_for_several_calls_gives_fresh_table_totals():
     """cp, g and eb through one table give the totals of fresh tables at
-    every supported (d, N) with d <= 12, so no two summed states of one
-    table share a node. Two calls that sum different states over equal
-    outer levels must not pick up each other's sums either."""
+    every supported (d, N) with d <= 12, so no two states of one table
+    share a node. Two calls whose chains differ only in an inner level, over
+    equal outer levels, must not pick up each other's states either."""
     for d, N, regions in _supported_regions(("cp", "g", "eb")):
         table = {}
         for cls, region in regions.items():
@@ -338,7 +396,7 @@ def test_one_table_for_several_calls_gives_fresh_table_totals():
 
 def test_chains_with_different_running_sums_are_not_summed():
     """Two chains with equal stored ends but different weights u read
-    different running sums S_k, so their states are not added: each keeps
+    different running sums S_k, so they share no table state: each keeps
     its own volume."""
     chain = chambers(8, 9, "cp").chains[0]
     doubled = _chain(chain.bounds, u=tuple(2 * w for w in chain.u))
@@ -347,8 +405,8 @@ def test_chains_with_different_running_sums_are_not_summed():
 
 
 def test_chains_of_different_lengths_sum_exactly():
-    """Chains of 1 to 6 levels, and summed states over rational ends of
-    several denominators, give the sum of the chains' volumes."""
+    """Chains of 1 to 6 levels, and chains over rational ends of several
+    denominators, give the sum of the chains' volumes."""
     chains = [_chain([(_const(0), _const(1, q))] * n) for n in range(1, 7) for q in (1, 2, 3)]
     chains += [_chain([(_const(0), _const(1))] * 3 + [(_const(-1, q), _const(1))]) for q in (2, 3)]
     assert integrate_chains(chains) == sum(map(integrate_chain, chains))

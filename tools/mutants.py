@@ -124,7 +124,7 @@ MUTANTS = (
            "2 * v_ss * cy * cs", "v_ss * cy * cs"),
     Mutant("table-keyed-without-node", _VOLUME,
            "key = (node, lo, hi, carry)", "key = (0, lo, hi, carry)"),
-    Mutant("carry-sum-one-level-late", _VOLUME, "cs = int(k >= 3)", "cs = int(k >= 4)"),
+    Mutant("carry-sum-one-level-late", _VOLUME, "int(k >= 3))", "int(k >= 4))"),
     Mutant("horner-fold-adds-into-a-shared-bucket", _VOLUME,
            "at_hi = _mul_add(at_hi, hi_q, dict(h_b))", "at_hi = _mul_add(at_hi, hi_q, h_b)"),
     Mutant("level-scale-extra-q", _VOLUME,
@@ -133,23 +133,20 @@ MUTANTS = (
            "v = by_a[a] * (ladder // a) * q0_pow", "v = by_a[a] * (ladder // a)"),
     Mutant("outer-integral-drops-1-over-a", _VOLUME,
            "v = by_a[a] * (ladder // a) * q0_pow", "v = by_a[a] * ladder * q0_pow"),
-    # the merge of chains that share u and their outer levels
-    Mutant("merge-key-without-u", _VOLUME,
-           "prefix = [ids.setdefault(chain.u, len(ids))]",
-           "prefix = [ids.setdefault((), len(ids))]"),
-    Mutant("merged-node-ids-restart-per-call", _VOLUME,
-           "else _summed(g) for g in by_stack.values()]",
-           "else (*_summed(g)[:3], -1 - i, *_summed(g)[4:])"
-           " for i, g in enumerate(by_stack.values())]"),
-    Mutant("summed-states-not-rescaled", _VOLUME, "get(e, 0) + v * scale", "get(e, 0) + v"),
-    Mutant("merged-node-named-as-first-member", _VOLUME,
-           "tuple(sorted([m[3] for m in members], key=repr))", "members[0][3]"),
-    Mutant("merged-node-in-arrival-order", _VOLUME,
-           "tuple(sorted([m[3] for m in members], key=repr))", "tuple([m[3] for m in members])"),
+    # the sum of a chain set's x0 integrals
     Mutant("outer-sum-not-rescaled", _VOLUME,
            "num * bottom + top * den_all", "num + top * den_all"),
     Mutant("outer-sum-over-the-last-denominator", _VOLUME,
            "den_all * bottom\n", "bottom\n"),
+    # cp's class total as two telescoped chains per slot
+    Mutant("cp-total-subtracted-chains-added", _VOLUME,
+           "table) - integrate_chains(subtracted", "table) + integrate_chains(subtracted"),
+    Mutant("cp-total-x0-on-the-g-floor", _REGIONS,
+           "added.append(BoundChain(high,",
+           "added.append(BoundChain(((LevelBound(0), high[0][1]), *high[1:]),"),
+    Mutant("cp-total-xn-innermost-pair-at-the-switch", _REGIONS,
+           "subtracted.append(BoundChain(low,",
+           "subtracted.append(BoundChain((*low[:-1], switch[-1]),"),
     Mutant("symmetry-factor-off-by-one", _VOLUME,
            "* chambers.symmetry_factor\n", "* (chambers.symmetry_factor + 1)\n"),
     Mutant("eb-sufficiency-always-exact", _VOLUME,
@@ -166,10 +163,15 @@ MUTANTS = (
     Mutant("left-out-weight-on-wrong-slot", _REGIONS,
            "w_out if j == slot else 1", "w_out if j == slot + 1 else 1"),
     Mutant("level-bound-not-reduced", _REGIONS, "if g != 1:", "if g < 0:"),
+    Mutant("level-bound-t-set-from-last", _REGIONS, "_set_t(self, t)", "_set_t(self, last)"),
     Mutant("level-bound-takes-q-zero", _REGIONS, "if q <= 0:", "if q < 0:"),
     Mutant("chain-keeps-given-lists", _REGIONS,
            "levels = tuple(map(tuple, bounds))", "levels = tuple(bounds)"),
     Mutant("one-weight-rule-at-n-plus-one", _GEOMETRY, "    m = min(N, d)\n", "    m = N\n"),
+    Mutant("prefactor-drops-the-weights", _GEOMETRY,
+           "(d - 1) ** n * prod(w)", "(d - 1) ** n"),
+    Mutant("prefactor-d-power-off-by-one", _GEOMETRY,
+           "d ** (2 * n)", "d ** (2 * n - 1)"),
     Mutant("metric-drops-d-minus-1", _GEOMETRY,
            "Fraction((d - 1) * w, d * d)", "Fraction(d * w, d * d)"),
     # the region dump
