@@ -20,9 +20,10 @@ come in two flavors:
   splits eigenvalue space into congruent copies of the wedge, so the raw
   chain volumes are multiplied by a symmetry factor.
 
-:func:`cp_total_chains` gives cp's total alone, as two chains per slot
-whose difference is the sum of the slot's chambers. Both it and
-:func:`chambers` assemble their chains from the same per-slot level pairs.
+:func:`cp_total_chains` gives cp's total alone: per slot, the sum of the
+chambers is the all-positive chain less the all-negative one, a simplex,
+so it returns the first chains and the summed volume of the simplices.
+Both it and :func:`chambers` read the same per-slot level pairs.
 
 The chambers work with weighted coordinates. A channel using N bases has
 n = N+1 eigenvalue coordinates (n = d+1 when N = d+1, where the left-out
@@ -51,7 +52,7 @@ Construction is pure and everything here is exact and immutable.
 
 from __future__ import annotations
 
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from typing import NamedTuple, Sequence
 
 from .geometry import Frozen, is_int, weights
@@ -170,7 +171,8 @@ def p_box(d: int, N: int) -> ChamberSet:
 
 def _slot_pairs(d: int, N: int, class_tag: str) -> tuple[int, list[tuple]]:
     """The symmetry factor, and per slot of the left-out eigenvalue
-    (slot, label suffix, u, low, switch, high): the chain weights u and, per
+    (slot, label suffix, u, dens, low, switch, high): the chain weights u,
+    the product dens of the remaining weights den_i over the levels and, per
     level i, the pairs below, at and above the cp switch, (below, neg),
     (neg, upper) and (below, upper), with the ends :func:`chambers`
     describes. g and eb build no negative branch, so their low and switch
@@ -190,6 +192,7 @@ def _slot_pairs(d: int, N: int, class_tag: str) -> tuple[int, list[tuple]]:
     for slot in (None,) if w_out == 1 else range(n):
         w = [w_out if j == slot else 1 for j in range(n)]
         sides = []
+        dens = 1
         den = d + 1  # the weight that remains at level i, sum_{j>=i} w_j
         for i in range(n):
             # the budget's numerators: -sum_{j<i} w_j x_j as x0, t and last
@@ -208,9 +211,10 @@ def _slot_pairs(d: int, N: int, class_tag: str) -> tuple[int, list[tuple]]:
                     neg = LevelBound(-1, c * x0, c * t, c * last, c * den)
                 made[key] = ((below[i], neg), (neg, upper), (below[i], upper))
             sides.append(made[key])
+            dens *= den
             den -= w[i]
         at = "" if slot is None else f":slot={slot_names[slot]}"
-        slots.append((slot, at, w[1 : n - 2], *zip(*sides)))
+        slots.append((slot, at, w[1 : n - 2], dens, *zip(*sides)))
     return factorial(n if w_out == 1 else N), slots
 
 
@@ -257,7 +261,7 @@ def chambers(d: int, N: int, class_tag: str) -> ChamberSet:
         cp_levels = [(m, f"cp-n{N}:sys{k}") for k, m in enumerate((1, *range(n, 1, -1)), 1)]
         single_label = f"{class_tag}-n{N}"
     chains: list[BoundChain] = []
-    for slot, at, u, low, switch, high in slots:
+    for slot, at, u, _, low, switch, high in slots:
         if class_tag == "cp":
             for m, label in cp_levels:
                 levels = (*low[: m - 1], switch[m - 1], *high[m:])
@@ -267,10 +271,10 @@ def chambers(d: int, N: int, class_tag: str) -> ChamberSet:
     return ChamberSet(tuple(chains), factor, class_tag, d, N)
 
 
-def cp_total_chains(d: int, N: int) -> tuple[ChamberSet, tuple[BoundChain, ...]]:
-    """cp's total as two chains per slot: the volume of cp is that of the
-    first, added, chains less that of the second, subtracted, ones, times
-    the first's symmetry factor.
+def cp_total_chains(d: int, N: int) -> tuple[ChamberSet, tuple[int, int]]:
+    """cp's total as one chain per slot less a closed form: the volume of
+    cp is the chains' summed volume less a number, returned as an integer
+    numerator and denominator, times the chains' symmetry factor.
 
     Per slot, let X_j run on the negative branch, (below, neg), at levels
     0..j-1 and on the positive one, (below, upper), from level j on. The
@@ -282,12 +286,32 @@ def cp_total_chains(d: int, N: int) -> tuple[ChamberSet, tuple[BoundChain, ...]]
     integrals. Summed over M = 1..n this telescopes to X_0 - X_n: all
     positive branch on cp's floor, less all negative branch. It is a set
     identity too, since the all-negative region lies inside the
-    all-positive one. X_0 has the levels 1..n-1 of the g chain, so over
-    one table g integrates no level of its own.
+    all-positive one. The chains are the X_0: the g chains with cp's floor
+    at level 0, built from g's pairs, so no negative branch is built, and
+    over one table g integrates no level of its own.
+
+    X_n is a simplex, and the number is the sum of the slots' volumes.
+    Level i of X_n bounds x_i below by x_{i-1} (x_0 by -1/(d-1)) and above
+    by -(1/(d-1) + sum_{j<i} w_j x_j) / den_i, with den_i = sum_{j>=i} w_j.
+    The innermost bound reads sum_j w_j x_j <= -1/(d-1), and on sorted x,
+    den_i x_i <= sum_{j>=i} w_j x_j, so every outer bound follows from it:
+    X_n is {x sorted, x_0 >= -1/(d-1), sum_j w_j x_j <= -1/(d-1)}. No level
+    is empty, since den_{i-1} = w_{i-1} + den_i puts x_{i-1} below level
+    i's upper end whenever it lies below its own, so the signed integral is
+    the volume. Shift by y = x + 1/(d-1): as the weights total d+1,
+    y_0 >= 0 and sum_j w_j y_j <= c = d/(d-1). The increments z_0 = y_0,
+    z_i = y_i - y_{i-1} are a map of determinant 1, with
+    y_j = z_0 + ... + z_j, so sum_j w_j y_j = sum_i den_i z_i and X_n maps
+    onto {z >= 0, sum_i den_i z_i <= c}, of volume c^n / (n! prod_i den_i).
     """
-    factor, slots = _slot_pairs(d, N, "cp")
-    added, subtracted = [], []
-    for slot, at, u, low, switch, high in slots:
-        added.append(BoundChain(high, u, f"cp:X0{at}", slot))
-        subtracted.append(BoundChain(low, u, f"cp:X{len(low)}{at}", slot))
-    return ChamberSet(tuple(added), factor, "cp", d, N), tuple(subtracted)
+    factor, slots = _slot_pairs(d, N, "g")
+    n = len(slots[0][-1])
+    added = tuple(
+        BoundChain(((LevelBound(-1, q=d - 1), high[0][1]), *high[1:]), u, f"cp:X0{at}", slot)
+        for slot, at, u, *_, high in slots
+    )
+    # the slots' c^n / (n! dens), over one common denominator
+    dens = [entry[3] for entry in slots]
+    common = lcm(*dens)
+    simplices = d**n * sum(common // p for p in dens), (d - 1) ** n * factorial(n) * common
+    return ChamberSet(added, factor, "cp", d, N), simplices

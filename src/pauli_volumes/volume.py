@@ -28,15 +28,17 @@ stack of inner levels is integrated once per (d, N), across the classes
 where a call computes several (the g chain has the levels of cp:sys3, and
 each cp chain the inner levels of those with a smaller switch level). The
 ratios and the closed-form checks need class totals only, and take cp's
-as two chains per slot, the all-positive one less the all-negative one
-(:func:`..regions.cp_total_chains`), where the slot's chambers telescope;
-the all-positive chain has the g chain's inner levels, so g then
-integrates none. :func:`class_volume` reports each chamber's volume, so it
-integrates the chambers one by one. The table is dropped when the call
-returns. The measure is Lebesgue in eigenvalue coordinates times the
-constant metric prefactor from :func:`..geometry.volume_prefactor`, which
-turns eigenvalue-space volumes into channel-manifold volumes; a call
-computes it at most once per (d, N).
+as the all-positive chain of each slot less the all-negative one
+(:func:`..regions.cp_total_chains`), where the slot's chambers telescope.
+The all-negative chain is a simplex, so its volume is read off a closed
+form; the all-positive one is integrated, and has the g chain's inner
+levels, so g then integrates none. :func:`class_volume` reports each
+chamber's volume, so it integrates the chambers one by one. The table is
+dropped when the call returns. The measure is Lebesgue in eigenvalue
+coordinates times the constant metric prefactor from
+:func:`..geometry.volume_prefactor`, which turns eigenvalue-space volumes
+into channel-manifold volumes; a call computes it at most once per
+(d, N).
 
 The Monte Carlo route samples the necessary-positivity box uniformly and
 counts membership in cp, g or eb with float predicates; every draw lies in
@@ -85,10 +87,10 @@ _MC_MAX_SAMPLES = 10**8
 # Largest dimension the exact engine attempts. Cost model, from
 # tools/exact_timing.py's comparison mode (median of 31 calls, each
 # building and integrating from scratch) on a 2-core host:
-# check_conjectures([d]) in the "max" or "d" mode takes about 0.0025 s at
-# d = 8, and each step in d costs about 1.6x (0.0040 s at d = 9, 0.0068 s
-# at d = 10, 0.010 s at d = 11, 0.015 s at d = 12); the "3" mode, whose
-# levels all take the closed forms, takes about 0.0007-0.0008 s at any d.
+# check_conjectures([d]) in the "max" or "d" mode takes about 0.0019 s at
+# d = 8, and each step in d costs about 1.6x (0.0030 s at d = 9, 0.0049 s
+# at d = 10, 0.0075 s at d = 11, 0.011 s at d = 12); the "3" mode, whose
+# levels all take the closed forms, takes about 0.0006-0.0008 s at any d.
 _MAX_D = 12
 
 
@@ -488,13 +490,16 @@ def _lambda_volumes(d: int, N: int) -> dict[str, Fraction]:
     """The eigenvalue-space volumes of the four classes at one (d, N), all
     over one table, so a stack of inner levels common to two chains of any
     of them is integrated once. cp is :func:`..regions.cp_total_chains`'
-    two chains per slot, the added less the subtracted ones; p validates
-    (d, N) first, through :func:`region_for`."""
+    chains less its closed-form volume of the all-negative chains; p
+    validates (d, N) first, through :func:`region_for`."""
     table: _Table = {}
     vols = {}
     for tag in CLASS_TAGS:
-        chambers, subtracted = cp_total_chains(d, N) if tag == "cp" else (region_for(d, N, tag), ())
-        total = integrate_chains(chambers.chains, table) - integrate_chains(subtracted, table)
+        if tag == "cp":
+            chambers, (num, den) = cp_total_chains(d, N)
+        else:
+            chambers, num, den = region_for(d, N, tag), 0, 1
+        total = integrate_chains(chambers.chains, table) - Fraction(num, den)
         vols[tag] = total * chambers.symmetry_factor
     return vols
 

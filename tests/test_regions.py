@@ -22,8 +22,15 @@ from pauli_volumes.channel import (
     is_eb_necessary,
     is_generator_achievable,
 )
-from pauli_volumes.geometry import Frozen, SurdValue
-from pauli_volumes.regions import BoundChain, LevelBound, chambers, cp_total_chains, p_box
+from pauli_volumes.geometry import Frozen, SurdValue, weights
+from pauli_volumes.regions import (
+    BoundChain,
+    LevelBound,
+    _slot_pairs,
+    chambers,
+    cp_total_chains,
+    p_box,
+)
 from pauli_volumes.volume import (
     _class_mask,
     check_conjectures,
@@ -297,32 +304,63 @@ def test_three_basis_chamber_inventory():
         chambers(4, 3, "p")
 
 
-@pytest.mark.parametrize("d", range(2, 10))
+@pytest.mark.parametrize("d", range(2, 13))
 def test_cp_total_chains_are_the_all_positive_and_all_negative_chambers(d):
     """Per slot, cp's added chain X_0 has the g chain's levels 1..n-1 over
-    cp's floor at level 0, and the subtracted chain X_n has the levels of
-    the chamber that switches at level n-1 (sys1), except that its last
-    level runs from below to the negative branch. Both take the slot and
-    the symmetry factor of the chambers."""
+    cp's floor at level 0, with the slot and the symmetry factor of the
+    chambers. The subtracted number is the summed volume of the X_n, each
+    the chamber that switches at level n-1 (sys1) with its last level
+    running from below to the negative branch, integrated here. At every
+    3 <= N <= d+1 with d <= 12, so at every set of test_volume's
+    _cp_chamber_sets."""
     for N in range(3, d + 2):
-        added, subtracted = cp_total_chains(d, N)
+        added, simplices = cp_total_chains(d, N)
         cp, g = chambers(d, N, "cp"), chambers(d, N, "g")
         n = len(g.chains[0].bounds)
         assert (added.class_tag, added.d, added.N) == ("cp", d, N)
         assert added.symmetry_factor == cp.symmetry_factor
-        assert len(added.chains) == len(subtracted) == len(g.chains)
+        assert len(added.chains) == len(g.chains)
         # the chamber that switches at level n-1 runs level n-2 up to the negative branch
         sys1 = [ch for ch in cp.chains if ch.bounds[n - 2][1].const == -1]
         assert len(sys1) == len(g.chains)
-        for plus, minus, g_chain, last_switch in zip(added.chains, subtracted, g.chains, sys1):
-            assert plus.u == minus.u == g_chain.u
-            assert plus.nplus1_slot == minus.nplus1_slot == g_chain.nplus1_slot
+        all_negative = []
+        for plus, g_chain, last_switch in zip(added.chains, g.chains, sys1):
+            assert plus.u == g_chain.u
+            assert plus.nplus1_slot == g_chain.nplus1_slot
             assert plus.bounds[0] == (LevelBound(-1, q=d - 1), LevelBound(1))
             assert plus.bounds[1:] == g_chain.bounds[1:]
-            assert minus.bounds[:-1] == last_switch.bounds[:-1]
             neg = last_switch.bounds[-1][0]
             assert neg.const == -1
-            assert minus.bounds[-1] == (LevelBound(0, last=1), neg)
+            levels = (*last_switch.bounds[:-1], (LevelBound(0, last=1), neg))
+            all_negative.append(BoundChain(levels, last_switch.u, "cp:Xn"))
+        assert all(type(v) is int and v > 0 for v in simplices)
+        assert Fraction(*simplices) == sum(map(integrate_chain, all_negative)), (d, N)
+
+
+def test_all_negative_chain_volume_is_its_simplex_formula():
+    """Each slot's all-negative chain X_n, the low pairs of _slot_pairs,
+    integrates to c^n / (n! prod_i den_i), c = d/(d-1) and den_i the weight
+    from coordinate i on, with the slot's weights read off weights(d, N)
+    here; their sum is the number cp_total_chains subtracts. At every
+    3 <= N <= d+1 with d <= 12."""
+    chains = 0
+    for d in range(2, 13):
+        for N in range(3, d + 2):
+            coord_weights = weights(d, N)
+            n, w_out = len(coord_weights), coord_weights[-1]
+            _, slots = _slot_pairs(d, N, "cp")
+            total = Fraction(0)
+            for slot, _, u, _, low, _, _ in slots:
+                w = [w_out if j == slot else 1 for j in range(n)]
+                dens = 1
+                for i in range(n):
+                    dens *= sum(w[i:])
+                volume = integrate_chain(BoundChain(low, u, "cp:Xn", slot))
+                assert volume == Fraction(d, d - 1) ** n / (factorial(n) * dens), (d, N, slot)
+                total += volume
+                chains += 1
+            assert Fraction(*cp_total_chains(d, N)[1]) == total, (d, N)
+    assert chains == 321
 
 
 def test_qubit_outer_bounds():

@@ -223,17 +223,19 @@ def test_chains_of_one_table_share_their_inner_levels():
 def test_sharing_stays_inside_one_call(monkeypatch):
     """check_conjectures shares one table across the classes of a (d, N)
     and class_volume one within its class; neither keeps it, so a second
-    call integrates as many levels as the first. check_conjectures
-    integrates cp's total as two telescoped chains per slot, so all four
-    classes at d = 8 take fewer levels (32) than class_volume takes for cp
-    alone (44), chamber by chamber."""
+    call integrates as many levels as the first. check_conjectures takes
+    cp's total as its all-positive chain less the closed-form volume of the
+    all-negative one, so at d = 8 all four classes take 24 levels, 8 inner
+    levels each for the box, cp's all-positive chain and eb, and none for g,
+    whose inner levels are those of cp's chain: fewer than class_volume
+    takes for cp alone (44), chamber by chamber."""
     calls = _count_level_integrations(monkeypatch)
     counts = []
     for call in (lambda: check_conjectures([8]), lambda: class_volume(8, 9, "cp")) * 2:
         before = len(calls)
         call()
         counts.append(len(calls) - before)
-    assert counts[:2] == counts[2:] == [32, 44]
+    assert counts[:2] == counts[2:] == [24, 44]
     assert counts[1] < sum(len(ch.bounds) - 1 for ch in chambers(8, 9, "cp").chains)
 
 
@@ -247,16 +249,17 @@ def _cp_chamber_sets():
 
 def test_cp_total_is_the_telescoped_sum_of_its_chambers():
     """cp's chambers M = 1..n of a slot sum to X_0 - X_n, the all-positive
-    chain on cp's floor less the all-negative one: the two chains per slot
-    give the summed chamber volumes at every set of _cp_chamber_sets, and
-    so does the volume that ratio_table and check_conjectures read."""
+    chain on cp's floor less the all-negative one: the X_0 chains, one per
+    slot, less the closed-form volume of the X_n give the summed chamber
+    volumes at every set of _cp_chamber_sets, and so does the volume that
+    ratio_table and check_conjectures read."""
     for d, N in _cp_chamber_sets():
-        added, subtracted = cp_total_chains(d, N)
+        added, simplices = cp_total_chains(d, N)
         region = chambers(d, N, "cp")
         slots = len(region.chains) // len(region.chains[0].bounds)
-        assert len(added.chains) == len(subtracted) == slots, (d, N)
+        assert len(added.chains) == slots, (d, N)
         assert added.symmetry_factor == region.symmetry_factor
-        total = integrate_chains(added.chains) - integrate_chains(subtracted)
+        total = integrate_chains(added.chains) - Fraction(*simplices)
         if N in supported_n_values(d):
             assert total == sum(class_volume(d, N, "cp").chain_volumes), (d, N)
             assert volume._lambda_volumes(d, N)["cp"] == total * added.symmetry_factor
@@ -265,10 +268,12 @@ def test_cp_total_is_the_telescoped_sum_of_its_chambers():
 
 
 def test_conjectures_integrate_no_switch_level(monkeypatch):
-    """The class totals read cp through its two telescoped chains per slot,
-    so check_conjectures integrates no level that runs from the negative to
-    the positive branch at any d <= 8 in any mode; class_volume, which
-    integrates cp's chambers, integrates some, so the spy sees them."""
+    """The class totals read cp through its all-positive chain per slot less
+    the simplex volume of the all-negative one, so check_conjectures
+    integrates no level that reaches the negative branch, neither from it
+    to the positive branch nor from below up to it, at any d <= 8 in any
+    mode; class_volume, which integrates cp's chambers, integrates both
+    kinds, so the spy sees them."""
     seen = []
     true_level = volume._integrate_level
 
@@ -283,18 +288,19 @@ def test_conjectures_integrate_no_switch_level(monkeypatch):
             if N not in supported_n_values(d):
                 continue
             # the negative branch is the one end at levels >= 1 with constant -1
-            switches = {
+            pairs = {
                 (volume._end_fields(lo), volume._end_fields(hi))
                 for ch in chambers(d, N, "cp").chains
                 for lo, hi in ch.bounds[1:]
-                if lo.const == -1
             }
-            assert switches, (d, N)
+            switches = {(lo, hi) for lo, hi in pairs if lo[0] == -1}
+            up_to_neg = {(lo, hi) for lo, hi in pairs if hi[0] == -1}
+            assert switches and up_to_neg, (d, N)
             del seen[:]
             assert check_conjectures([d], mode).all_match
-            assert seen and not switches.intersection(seen), (d, mode)
+            assert seen and not (switches | up_to_neg).intersection(seen), (d, mode)
             class_volume(d, N, "cp")
-            assert switches.intersection(seen), (d, mode)
+            assert switches.intersection(seen) and up_to_neg.intersection(seen), (d, mode)
 
 
 # the check_conjectures calls of one perfbench exact-cold round
@@ -308,8 +314,10 @@ _EXACT_COLD_QUERIES = (
 def test_exact_cold_queries_integrate_each_level_stack_once(monkeypatch):
     """The 18 check_conjectures calls of one perfbench exact-cold round
     integrate 1,049 levels chain by chain, 694 with the inner levels shared
-    within each (d, N), and 467 with cp's total integrated as two
-    telescoped chains per slot instead of its chambers."""
+    within each (d, N), 467 with cp's total integrated as two telescoped
+    chains per slot instead of its chambers, and 339 with the all-negative
+    chain of each slot taken from its simplex volume: 467 less the 128 inner
+    levels of those chains, which share none with another chain."""
     unshared = 0
     for d, mode in _EXACT_COLD_QUERIES:
         N = volume.n_for_mode(d, mode)
@@ -319,15 +327,19 @@ def test_exact_cold_queries_integrate_each_level_stack_once(monkeypatch):
     calls = _count_level_integrations(monkeypatch)
     for d, mode in _EXACT_COLD_QUERIES:
         assert check_conjectures([d], mode).all_match
-    assert len(calls) == 467
+    assert len(calls) == 339
 
 
 def test_exact_cold_levels_split_by_integrand_degree(monkeypatch):
-    """One exact-cold round's 467 level integrations split 281 / 96 / 90
+    """One exact-cold round's 339 level integrations split 215 / 64 / 60
     across the three level methods: the closed form for degree <= 1 (the
-    182 constant levels among them), the one for degree 2, and Horner's
+    149 constant levels among them), the one for degree 2, and Horner's
     rule for degree 3 and up. So neither closed form can silently stop
-    firing. The N = 3 queries reach no Horner level."""
+    firing. The N = 3 queries reach no Horner level. The split is
+    281 / 96 / 90 less the 66 / 32 / 30 levels of the 33 all-negative
+    chains that cp's total no longer integrates; the innermost level of
+    each of those chains is constant, so 182 - 33 constant levels are
+    left."""
     methods = ("_affine_level", "_quadratic_level", "_horner_level")
     calls = {m: _count_level_integrations(monkeypatch, m) for m in methods}
     for d, mode in _EXACT_COLD_QUERIES:
@@ -335,7 +347,7 @@ def test_exact_cold_levels_split_by_integrand_degree(monkeypatch):
         assert check_conjectures([d], mode).all_match
         if mode == "3":
             assert len(calls["_horner_level"]) == horner_before
-    assert [len(calls[m]) for m in methods] == [281, 96, 90]
+    assert [len(calls[m]) for m in methods] == [215, 64, 60]
 
 
 def _supported_regions(classes=("p", "cp", "g", "eb")):
@@ -580,6 +592,28 @@ def test_dimension_cap_is_fixed():
     with pytest.raises(ValueError, match="d=13 exceeds the exact-volume cap 12"):
         class_volume(13, 14, "cp")
     assert class_volume(12, 13, "eb").lambda_volume > 0
+
+
+@pytest.mark.parametrize("d, N", [(1, 3), (13, 14), (5, 4), (6, 4)])
+def test_class_totals_validate_before_they_divide(d, N):
+    """ratio_table refuses an unsupported (d, N) with class_volume's message,
+    since p is validated before cp's closed form divides by d-1, and never
+    with a ZeroDivisionError; so does check_conjectures in every mode that
+    picks that N (none picks N = 4 at d = 5 or 6)."""
+    with pytest.raises(ValueError) as refused:
+        class_volume(d, N, "cp")
+    message = str(refused.value)
+    calls = [lambda: ratio_table(d, N)]
+    calls += [
+        lambda mode=mode: check_conjectures([d], mode)
+        for mode in N_MODES
+        if volume.n_for_mode(d, mode) == N
+    ]
+    assert len(calls) == (1 if (d, N) in ((5, 4), (6, 4)) else 2)
+    for call in calls:
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == message, (d, N)
 
 
 def test_volume_ratio_cross_route():

@@ -138,15 +138,20 @@ MUTANTS = (
            "num * bottom + top * den_all", "num + top * den_all"),
     Mutant("outer-sum-over-the-last-denominator", _VOLUME,
            "den_all * bottom\n", "bottom\n"),
-    # cp's class total as two telescoped chains per slot
-    Mutant("cp-total-subtracted-chains-added", _VOLUME,
-           "table) - integrate_chains(subtracted", "table) + integrate_chains(subtracted"),
+    # cp's class total as one chain per slot less the simplex volume of the other
+    Mutant("cp-total-simplices-added", _VOLUME,
+           "table) - Fraction(num, den)", "table) + Fraction(num, den)"),
     Mutant("cp-total-x0-on-the-g-floor", _REGIONS,
-           "added.append(BoundChain(high,",
-           "added.append(BoundChain(((LevelBound(0), high[0][1]), *high[1:]),"),
-    Mutant("cp-total-xn-innermost-pair-at-the-switch", _REGIONS,
-           "subtracted.append(BoundChain(low,",
-           "subtracted.append(BoundChain((*low[:-1], switch[-1]),"),
+           "BoundChain(((LevelBound(-1, q=d - 1), high[0][1]), *high[1:]),",
+           "BoundChain(high,"),
+    Mutant("xn-simplex-c-to-the-n-minus-1", _REGIONS,
+           "d**n * sum(common // p for p in dens), (d - 1) ** n *",
+           "d ** (n - 1) * sum(common // p for p in dens), (d - 1) ** (n - 1) *"),
+    Mutant("xn-simplex-n-minus-1-factorial", _REGIONS,
+           "factorial(n) * common", "factorial(n - 1) * common"),
+    Mutant("xn-simplex-den0-is-d", _REGIONS, "dens *= den\n", "dens *= den - (not i)\n"),
+    Mutant("xn-simplex-slot-weight-on-the-next-coordinate", _REGIONS,
+           "dens *= den\n", "dens *= den + (i - 1 == slot) * (w_out - 1)\n"),
     Mutant("symmetry-factor-off-by-one", _VOLUME,
            "* chambers.symmetry_factor\n", "* (chambers.symmetry_factor + 1)\n"),
     Mutant("eb-sufficiency-always-exact", _VOLUME,
