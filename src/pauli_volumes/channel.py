@@ -91,6 +91,12 @@ class ChannelSpec(Frozen):
         vals = list(values)
         if N == d + 1 and len(vals) == N:
             vals.append(Fraction(0))
+        elif N == d + 1 and len(vals) != N + 1:
+            check_dims(d, N)  # a bad (d, N) is reported before the count
+            raise ValueError(
+                f"need N+1={N + 1} eigenvalues, or N={N} with the trailing 0 left out "
+                f"(got {len(vals)})"
+            )
         return cls(d, N, tuple(vals))
 
     @property

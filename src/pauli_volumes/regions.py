@@ -20,10 +20,13 @@ come in two flavors:
   splits eigenvalue space into congruent copies of the wedge, so the raw
   chain volumes are multiplied by a symmetry factor.
 
-:func:`cp_total_chains` gives cp's total alone: per slot, the sum of the
-chambers is the all-positive chain less the all-negative one, a simplex,
-so it returns the first chains and the summed volume of the simplices.
-Both it and :func:`chambers` read the same per-slot level pairs.
+:func:`cp_total_chains` gives what the class totals of cp, g and eb read,
+from one build of g's per-slot level pairs. Per slot, the sum of cp's
+chambers is the all-positive chain less the all-negative one, and eb's
+chamber and that all-negative chain are weighted simplices, one a scaled
+copy of the other. So it returns the all-positive chains, g's chambers
+and the summed volume of eb's simplices. It and :func:`chambers` read the
+same per-slot level pairs.
 
 The chambers work with weighted coordinates. A channel using N bases has
 n = N+1 eigenvalue coordinates (n = d+1 when N = d+1, where the left-out
@@ -250,31 +253,39 @@ def chambers(d: int, N: int, class_tag: str) -> ChamberSet:
     if class_tag not in ("cp", "g", "eb"):
         raise ValueError(f"no chambers for class {class_tag!r}")
     factor, slots = _slot_pairs(d, N, class_tag)
+    if class_tag != "cp":
+        return ChamberSet(_one_per_slot(N, class_tag, slots), factor, class_tag, d, N)
     n = len(slots[0][-1])  # levels per chain
     # (branch-switch level M, label) per cp chain, in output order
     if slots[0][0] is None:  # one slot, None: the left-out weight is 1
         cp_levels = [(n, "cp:sys1")]
         cp_levels += [(m, f"cp:sys2:M={m}") for m in range(2, n)]
         cp_levels.append((1, "cp:sys3"))
-        single_label = class_tag
     else:
         cp_levels = [(m, f"cp-n{N}:sys{k}") for k, m in enumerate((1, *range(n, 1, -1)), 1)]
-        single_label = f"{class_tag}-n{N}"
-    chains: list[BoundChain] = []
-    for slot, at, u, _, low, switch, high in slots:
-        if class_tag == "cp":
-            for m, label in cp_levels:
-                levels = (*low[: m - 1], switch[m - 1], *high[m:])
-                chains.append(BoundChain(levels, u, label + at, slot))
-        else:
-            chains.append(BoundChain(high, u, single_label + at, slot))
+    chains = [
+        BoundChain((*low[: m - 1], switch[m - 1], *high[m:]), u, label + at, slot)
+        for slot, at, u, _, low, switch, high in slots
+        for m, label in cp_levels
+    ]
     return ChamberSet(tuple(chains), factor, class_tag, d, N)
 
 
-def cp_total_chains(d: int, N: int) -> tuple[ChamberSet, tuple[int, int]]:
-    """cp's total as one chain per slot less a closed form: the volume of
-    cp is the chains' summed volume less a number, returned as an integer
-    numerator and denominator, times the chains' symmetry factor.
+def _one_per_slot(N: int, class_tag: str, slots: list[tuple]) -> tuple[BoundChain, ...]:
+    """g's or eb's chains: per slot, its (below, upper) pairs at every level."""
+    name = class_tag if slots[0][0] is None else f"{class_tag}-n{N}"
+    return tuple(BoundChain(high, u, name + at, slot) for slot, at, u, *_, high in slots)
+
+
+def cp_total_chains(d: int, N: int) -> tuple[ChamberSet, ChamberSet, tuple[int, int]]:
+    """The chains and the closed form behind the class totals of cp, g and
+    eb, from one build of g's level pairs: cp's all-positive chains, g's
+    chambers, and the summed volume of the slots' weighted simplices
+    {x sorted, x_0 >= 0, sum_j w_j x_j <= 1}, as an integer numerator and
+    denominator. That number is eb's summed chamber volume, and c^n times
+    it, c = d/(d-1), is the volume cp's total subtracts from the summed
+    volume of its chains; each total is then taken times the symmetry
+    factor of the chambers, which both chain sets carry.
 
     Per slot, let X_j run on the negative branch, (below, neg), at levels
     0..j-1 and on the positive one, (below, upper), from level j on. The
@@ -286,23 +297,27 @@ def cp_total_chains(d: int, N: int) -> tuple[ChamberSet, tuple[int, int]]:
     integrals. Summed over M = 1..n this telescopes to X_0 - X_n: all
     positive branch on cp's floor, less all negative branch. It is a set
     identity too, since the all-negative region lies inside the
-    all-positive one. The chains are the X_0: the g chains with cp's floor
-    at level 0, built from g's pairs, so no negative branch is built, and
-    over one table g integrates no level of its own.
+    all-positive one. The first chains are the X_0: the g chains with cp's
+    floor at level 0, so no negative branch is built, and over one table g
+    integrates no level of its own.
 
-    X_n is a simplex, and the number is the sum of the slots' volumes.
-    Level i of X_n bounds x_i below by x_{i-1} (x_0 by -1/(d-1)) and above
-    by -(1/(d-1) + sum_{j<i} w_j x_j) / den_i, with den_i = sum_{j>=i} w_j.
-    The innermost bound reads sum_j w_j x_j <= -1/(d-1), and on sorted x,
+    X_n and eb's chamber are both weighted simplices. Level i of a chain
+    with floor a and budget b bounds x_i below by x_{i-1} (x_0 by a) and
+    above by (b - sum_{j<i} w_j x_j) / den_i, with den_i = sum_{j>=i} w_j:
+    X_n has a = b = -1/(d-1), and eb's chamber a = 0, b = 1. The innermost
+    bound reads sum_j w_j x_j <= b, and on sorted x,
     den_i x_i <= sum_{j>=i} w_j x_j, so every outer bound follows from it:
-    X_n is {x sorted, x_0 >= -1/(d-1), sum_j w_j x_j <= -1/(d-1)}. No level
-    is empty, since den_{i-1} = w_{i-1} + den_i puts x_{i-1} below level
-    i's upper end whenever it lies below its own, so the signed integral is
-    the volume. Shift by y = x + 1/(d-1): as the weights total d+1,
-    y_0 >= 0 and sum_j w_j y_j <= c = d/(d-1). The increments z_0 = y_0,
+    the chain is {x sorted, x_0 >= a, sum_j w_j x_j <= b}. No level is
+    empty, since den_{i-1} = w_{i-1} + den_i puts x_{i-1} below level i's
+    upper end whenever it lies below its own, so the signed integral is the
+    volume. Shift by y = x - a: as the weights total d+1, y_0 >= 0 and
+    sum_j w_j y_j <= r = b - (d+1) a, which is 1 for eb and
+    -1/(d-1) + (d+1)/(d-1) = c for X_n. The increments z_0 = y_0,
     z_i = y_i - y_{i-1} are a map of determinant 1, with
-    y_j = z_0 + ... + z_j, so sum_j w_j y_j = sum_i den_i z_i and X_n maps
-    onto {z >= 0, sum_i den_i z_i <= c}, of volume c^n / (n! prod_i den_i).
+    y_j = z_0 + ... + z_j, so sum_j w_j y_j = sum_i den_i z_i and the chain
+    maps onto {z >= 0, sum_i den_i z_i <= r}, of volume
+    r^n / (n! prod_i den_i): 1 / (n! prod_i den_i) for eb, c^n times that
+    for X_n.
     """
     factor, slots = _slot_pairs(d, N, "g")
     n = len(slots[0][-1])
@@ -310,8 +325,11 @@ def cp_total_chains(d: int, N: int) -> tuple[ChamberSet, tuple[int, int]]:
         BoundChain(((LevelBound(-1, q=d - 1), high[0][1]), *high[1:]), u, f"cp:X0{at}", slot)
         for slot, at, u, *_, high in slots
     )
-    # the slots' c^n / (n! dens), over one common denominator
+    g = _one_per_slot(N, "g", slots)
+    # the slots' 1 / (n! dens), over one common denominator
     dens = [entry[3] for entry in slots]
     common = lcm(*dens)
-    simplices = d**n * sum(common // p for p in dens), (d - 1) ** n * factorial(n) * common
-    return ChamberSet(added, factor, "cp", d, N), simplices
+    simplices = sum(common // p for p in dens), factorial(n) * common
+    return (
+        ChamberSet(added, factor, "cp", d, N), ChamberSet(g, factor, "g", d, N), simplices
+    )

@@ -30,15 +30,18 @@ each cp chain the inner levels of those with a smaller switch level). The
 ratios and the closed-form checks need class totals only, and take cp's
 as the all-positive chain of each slot less the all-negative one
 (:func:`..regions.cp_total_chains`), where the slot's chambers telescope.
-The all-negative chain is a simplex, so its volume is read off a closed
-form; the all-positive one is integrated, and has the g chain's inner
-levels, so g then integrates none. :func:`class_volume` reports each
-chamber's volume, so it integrates the chambers one by one. The table is
-dropped when the call returns. The measure is Lebesgue in eigenvalue
-coordinates times the constant metric prefactor from
-:func:`..geometry.volume_prefactor`, which turns eigenvalue-space volumes
-into channel-manifold volumes; a call computes it at most once per
-(d, N).
+The all-positive one is integrated, and has the g chain's inner levels,
+so g then integrates none. eb's chamber of a slot is a weighted simplex,
+and the all-negative chain is the same simplex shifted and scaled by
+d/(d-1), so the totals read both volumes off one closed form and
+integrate no eb level; g's chains and cp's all-positive ones come from
+one build of g's level pairs. :func:`class_volume` reports each
+chamber's volume, so it integrates the chambers one by one, eb's among
+them. The table is dropped when the call returns. The measure is
+Lebesgue in eigenvalue coordinates times the constant metric prefactor
+from :func:`..geometry.volume_prefactor`, which turns eigenvalue-space
+volumes into channel-manifold volumes; a call computes it at most once
+per (d, N).
 
 The Monte Carlo route samples the necessary-positivity box uniformly and
 counts membership in cp, g or eb with float predicates; every draw lies in
@@ -87,10 +90,10 @@ _MC_MAX_SAMPLES = 10**8
 # Largest dimension the exact engine attempts. Cost model, from
 # tools/exact_timing.py's comparison mode (median of 31 calls, each
 # building and integrating from scratch) on a 2-core host:
-# check_conjectures([d]) in the "max" or "d" mode takes about 0.0019 s at
-# d = 8, and each step in d costs about 1.6x (0.0030 s at d = 9, 0.0049 s
-# at d = 10, 0.0075 s at d = 11, 0.011 s at d = 12); the "3" mode, whose
-# levels all take the closed forms, takes about 0.0006-0.0008 s at any d.
+# check_conjectures([d]) in the "max" or "d" mode takes about 0.0009 s at
+# d = 8, and each step in d costs about 1.55x (0.0014 s at d = 9, 0.0022 s
+# at d = 10, 0.0035 s at d = 11, 0.0053 s at d = 12); the "3" mode, whose
+# levels all take the closed forms, takes about 0.0003-0.0004 s at any d.
 _MAX_D = 12
 
 
@@ -487,21 +490,27 @@ def class_volume(d: int, N: int, class_tag: str) -> VolumeResult:
 
 
 def _lambda_volumes(d: int, N: int) -> dict[str, Fraction]:
-    """The eigenvalue-space volumes of the four classes at one (d, N), all
-    over one table, so a stack of inner levels common to two chains of any
-    of them is integrated once. cp is :func:`..regions.cp_total_chains`'
-    chains less its closed-form volume of the all-negative chains; p
-    validates (d, N) first, through :func:`region_for`."""
+    """The eigenvalue-space volumes of the four classes at one (d, N), the
+    chains over one table, so a stack of inner levels common to two chains
+    of any of them is integrated once. p validates (d, N) first, through
+    :func:`region_for`. :func:`..regions.cp_total_chains` builds g's level
+    pairs once for cp's all-positive chains and for g's chambers, and gives
+    the summed volume of eb's chambers, weighted simplices, in closed form:
+    cp is its chains less c^n times that volume, c = d/(d-1), since its
+    all-negative chains are the same simplices scaled by c, and eb is the
+    volume itself. So no eb level is integrated, and every ratio still
+    reads an integrated chain set: cp/p cp's chains and the box, g/cp g's
+    chains and cp's, eb/g g's."""
+    box = region_for(d, N, "p")
+    added, g, (num, den) = cp_total_chains(d, N)
+    eb = Fraction(num, den)
     table: _Table = {}
-    vols = {}
-    for tag in CLASS_TAGS:
-        if tag == "cp":
-            chambers, (num, den) = cp_total_chains(d, N)
-        else:
-            chambers, num, den = region_for(d, N, tag), 0, 1
-        total = integrate_chains(chambers.chains, table) - Fraction(num, den)
-        vols[tag] = total * chambers.symmetry_factor
-    return vols
+    p = integrate_chains(box.chains, table)
+    cp = integrate_chains(added.chains, table) - Fraction(d, d - 1) ** box.n_vars * eb
+    g_total = integrate_chains(g.chains, table)
+    # the box is one chain over all of eigenvalue space; the rest lie on the wedge
+    factor = g.symmetry_factor
+    return {"p": p, "cp": cp * factor, "g": g_total * factor, "eb": eb * factor}
 
 
 _RATIO_TAGS = {"cp/p": ("cp", "p"), "g/cp": ("g", "cp"), "eb/g": ("eb", "g")}

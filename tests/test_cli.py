@@ -147,6 +147,23 @@ def test_classify_rejects_wrong_length(capsys):
     assert "error" in err
 
 
+def test_classify_names_both_eigenvalue_counts_at_n_equal_d_plus_1(capsys):
+    """At N = d+1 the trailing 0 may be left out, so N and N+1 values are
+    both accepted and a wrong count names both; below it only N+1 is."""
+    for lambdas in ("0,0,0,0", "0,0,0,0,0"):
+        code, out, _ = run_cli(capsys, "classify", "--d", "3", f"--lambdas={lambdas}")
+        assert code == 0 and json.loads(out)["lambdas"] == ["0/1"] * 5
+    for lambdas in ("1,1,1", "1,1,1,1,1,1"):
+        code, out, err = run_cli(capsys, "classify", "--d", "3", f"--lambdas={lambdas}")
+        got = len(lambdas.split(","))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: need N+1=5 eigenvalues, or N=4 with the trailing 0 left out (got {got})\n"
+        )
+    code, out, err = run_cli(capsys, "classify", "--d", "3", "--n-mode", "d", "--lambdas=1,1,1")
+    assert (code, out, err) == (2, "", "error: need N+1=4 eigenvalues (got 3)\n")
+
+
 def test_unsupported_dimension_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "ratios", "--d", "1")
     assert code == 2

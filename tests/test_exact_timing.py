@@ -55,9 +55,9 @@ def test_comparison_fails_when_the_trees_compute_different_numbers(tmp_path):
                     ignore=shutil.ignore_patterns("__pycache__"))
     volume = other / "pauli_volumes" / "volume.py"
     text = volume.read_text()
-    old = "* chambers.symmetry_factor\n"
+    old = "factor = g.symmetry_factor\n"
     assert text.count(old) == 1
-    volume.write_text(text.replace(old, "* chambers.symmetry_factor * 2\n"))
+    volume.write_text(text.replace(old, "factor = g.symmetry_factor * 2\n"))
     code, record = _compare(other)
     assert code == 1
     assert record["same_numbers"] is False and record["all_match"] is False

@@ -8,7 +8,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, prod
 from pathlib import Path
 
 import numpy as np
@@ -308,14 +308,16 @@ def test_three_basis_chamber_inventory():
 def test_cp_total_chains_are_the_all_positive_and_all_negative_chambers(d):
     """Per slot, cp's added chain X_0 has the g chain's levels 1..n-1 over
     cp's floor at level 0, with the slot and the symmetry factor of the
-    chambers. The subtracted number is the summed volume of the X_n, each
-    the chamber that switches at level n-1 (sys1) with its last level
-    running from below to the negative branch, integrated here. At every
-    3 <= N <= d+1 with d <= 12, so at every set of test_volume's
-    _cp_chamber_sets."""
+    chambers, and the second chain set is g's chambers themselves. c^n times
+    the number, c = d/(d-1), is the summed volume of the X_n, each the
+    chamber that switches at level n-1 (sys1) with its last level running
+    from below to the negative branch, and the number itself is the summed
+    volume of eb's chambers, both integrated here. At every 3 <= N <= d+1
+    with d <= 12, so at every set of test_volume's _cp_chamber_sets."""
     for N in range(3, d + 2):
-        added, simplices = cp_total_chains(d, N)
+        added, g_set, simplices = cp_total_chains(d, N)
         cp, g = chambers(d, N, "cp"), chambers(d, N, "g")
+        assert g_set == g
         n = len(g.chains[0].bounds)
         assert (added.class_tag, added.d, added.N) == ("cp", d, N)
         assert added.symmetry_factor == cp.symmetry_factor
@@ -334,32 +336,66 @@ def test_cp_total_chains_are_the_all_positive_and_all_negative_chambers(d):
             levels = (*last_switch.bounds[:-1], (LevelBound(0, last=1), neg))
             all_negative.append(BoundChain(levels, last_switch.u, "cp:Xn"))
         assert all(type(v) is int and v > 0 for v in simplices)
-        assert Fraction(*simplices) == sum(map(integrate_chain, all_negative)), (d, N)
+        eb = Fraction(*simplices)
+        assert eb == sum(map(integrate_chain, chambers(d, N, "eb").chains)), (d, N)
+        c_n = Fraction(d, d - 1) ** n
+        assert c_n * eb == sum(map(integrate_chain, all_negative)), (d, N)
+
+
+def _slot_weights(d, N):
+    """Per slot of _slot_pairs, the sorted coordinates' weights and the
+    product of the weights that remain at each level, read off
+    weights(d, N) here."""
+    coord_weights = weights(d, N)
+    n, w_out = len(coord_weights), coord_weights[-1]
+    for slot in (None,) if w_out == 1 else range(n):
+        w = [w_out if j == slot else 1 for j in range(n)]
+        yield w, prod(sum(w[i:]) for i in range(n))
 
 
 def test_all_negative_chain_volume_is_its_simplex_formula():
     """Each slot's all-negative chain X_n, the low pairs of _slot_pairs,
     integrates to c^n / (n! prod_i den_i), c = d/(d-1) and den_i the weight
     from coordinate i on, with the slot's weights read off weights(d, N)
-    here; their sum is the number cp_total_chains subtracts. At every
-    3 <= N <= d+1 with d <= 12."""
+    here; their sum is c^n times the number cp_total_chains returns. At
+    every 3 <= N <= d+1 with d <= 12."""
     chains = 0
     for d in range(2, 13):
         for N in range(3, d + 2):
-            coord_weights = weights(d, N)
-            n, w_out = len(coord_weights), coord_weights[-1]
             _, slots = _slot_pairs(d, N, "cp")
             total = Fraction(0)
-            for slot, _, u, _, low, _, _ in slots:
-                w = [w_out if j == slot else 1 for j in range(n)]
-                dens = 1
-                for i in range(n):
-                    dens *= sum(w[i:])
+            for (slot, _, u, _, low, _, _), (w, dens) in zip(slots, _slot_weights(d, N)):
+                n = len(w)
                 volume = integrate_chain(BoundChain(low, u, "cp:Xn", slot))
                 assert volume == Fraction(d, d - 1) ** n / (factorial(n) * dens), (d, N, slot)
                 total += volume
                 chains += 1
-            assert Fraction(*cp_total_chains(d, N)[1]) == total, (d, N)
+            c_n = Fraction(d, d - 1) ** len(weights(d, N))
+            assert c_n * Fraction(*cp_total_chains(d, N)[2]) == total, (d, N)
+    assert chains == 321
+
+
+def test_eb_chamber_volume_is_its_simplex_formula():
+    """Each slot's eb chamber, {x sorted, x_0 >= 0, sum_j w_j x_j <= 1},
+    integrates to 1 / (n! prod_i den_i), with den_i the weight from
+    coordinate i on and the slot's weights read off weights(d, N) here;
+    their sum is the number cp_total_chains returns, which the class totals
+    take as eb's. At every 3 <= N <= d+1 with d <= 12: one chain per slot,
+    as many as the all-negative chains."""
+    chains = 0
+    for d in range(2, 13):
+        for N in range(3, d + 2):
+            total = Fraction(0)
+            eb = chambers(d, N, "eb").chains
+            slot_weights = list(_slot_weights(d, N))
+            assert len(eb) == len(slot_weights), (d, N)
+            for chain, (w, dens) in zip(eb, slot_weights):
+                assert chain.u == tuple(w[1 : len(w) - 2])
+                volume = integrate_chain(chain)
+                assert volume == Fraction(1, factorial(len(w)) * dens), (d, N, chain.label)
+                total += volume
+                chains += 1
+            assert Fraction(*cp_total_chains(d, N)[2]) == total, (d, N)
     assert chains == 321
 
 

@@ -225,17 +225,18 @@ def test_sharing_stays_inside_one_call(monkeypatch):
     and class_volume one within its class; neither keeps it, so a second
     call integrates as many levels as the first. check_conjectures takes
     cp's total as its all-positive chain less the closed-form volume of the
-    all-negative one, so at d = 8 all four classes take 24 levels, 8 inner
-    levels each for the box, cp's all-positive chain and eb, and none for g,
-    whose inner levels are those of cp's chain: fewer than class_volume
-    takes for cp alone (44), chamber by chamber."""
+    all-negative one, and eb's as that closed form over c^n, so at d = 8
+    all four classes take 16 levels, 8 inner levels each for the box and
+    cp's all-positive chain, none for g, whose inner levels are those of
+    cp's chain, and none for eb: fewer than class_volume takes for cp alone
+    (44), chamber by chamber."""
     calls = _count_level_integrations(monkeypatch)
     counts = []
     for call in (lambda: check_conjectures([8]), lambda: class_volume(8, 9, "cp")) * 2:
         before = len(calls)
         call()
         counts.append(len(calls) - before)
-    assert counts[:2] == counts[2:] == [24, 44]
+    assert counts[:2] == counts[2:] == [16, 44]
     assert counts[1] < sum(len(ch.bounds) - 1 for ch in chambers(8, 9, "cp").chains)
 
 
@@ -250,16 +251,18 @@ def _cp_chamber_sets():
 def test_cp_total_is_the_telescoped_sum_of_its_chambers():
     """cp's chambers M = 1..n of a slot sum to X_0 - X_n, the all-positive
     chain on cp's floor less the all-negative one: the X_0 chains, one per
-    slot, less the closed-form volume of the X_n give the summed chamber
-    volumes at every set of _cp_chamber_sets, and so does the volume that
-    ratio_table and check_conjectures read."""
+    slot, less the closed-form volume of the X_n, c^n times the number
+    cp_total_chains returns, give the summed chamber volumes at every set of
+    _cp_chamber_sets, and so does the volume that ratio_table and
+    check_conjectures read."""
     for d, N in _cp_chamber_sets():
-        added, simplices = cp_total_chains(d, N)
+        added, _, simplices = cp_total_chains(d, N)
         region = chambers(d, N, "cp")
-        slots = len(region.chains) // len(region.chains[0].bounds)
+        n = len(region.chains[0].bounds)
+        slots = len(region.chains) // n
         assert len(added.chains) == slots, (d, N)
         assert added.symmetry_factor == region.symmetry_factor
-        total = integrate_chains(added.chains) - Fraction(*simplices)
+        total = integrate_chains(added.chains) - Fraction(d, d - 1) ** n * Fraction(*simplices)
         if N in supported_n_values(d):
             assert total == sum(class_volume(d, N, "cp").chain_volumes), (d, N)
             assert volume._lambda_volumes(d, N)["cp"] == total * added.symmetry_factor
@@ -303,6 +306,50 @@ def test_conjectures_integrate_no_switch_level(monkeypatch):
             assert switches.intersection(seen) and up_to_neg.intersection(seen), (d, mode)
 
 
+
+def test_class_totals_are_the_class_volumes():
+    """The totals that ratio_table and check_conjectures read, cp's
+    telescoped and eb's from its simplex volume, are the lambda volumes of
+    class_volume, which integrates every chamber, at every supported
+    (d, N) with d <= 12."""
+    for d in range(2, 13):
+        for N in supported_n_values(d):
+            totals = volume._lambda_volumes(d, N)
+            assert list(totals) == ["p", "cp", "g", "eb"]
+            for cls, total in totals.items():
+                assert total == class_volume(d, N, cls).lambda_volume, (d, N, cls)
+
+
+def test_conjectures_integrate_no_eb_level(monkeypatch):
+    """The class totals read eb off the simplex volume of its chambers, so
+    check_conjectures integrates no level whose upper end is eb's budget at
+    any d <= 8 in any mode; class_volume of eb, which integrates every
+    chamber, does, so the spy sees them."""
+    seen = []
+    true_level = volume._integrate_level
+
+    def spy(den, poly, lo, hi, carry):
+        seen.append(hi)
+        return true_level(den, poly, lo, hi, carry)
+
+    monkeypatch.setattr(volume, "_integrate_level", spy)
+    for mode in N_MODES:
+        for d in range(2, 9):
+            N = volume.n_for_mode(d, mode)
+            if N not in supported_n_values(d):
+                continue
+            budgets = {
+                volume._end_fields(hi)
+                for ch in chambers(d, N, "eb").chains
+                for _, hi in ch.bounds[1:]
+            }
+            del seen[:]
+            assert check_conjectures([d], mode).all_match
+            assert seen and not budgets.intersection(seen), (d, mode)
+            class_volume(d, N, "eb")
+            assert budgets.issubset(seen), (d, mode)
+
+
 # the check_conjectures calls of one perfbench exact-cold round
 _EXACT_COLD_QUERIES = (
     [(d, "max") for d in range(2, 9)]
@@ -315,9 +362,12 @@ def test_exact_cold_queries_integrate_each_level_stack_once(monkeypatch):
     """The 18 check_conjectures calls of one perfbench exact-cold round
     integrate 1,049 levels chain by chain, 694 with the inner levels shared
     within each (d, N), 467 with cp's total integrated as two telescoped
-    chains per slot instead of its chambers, and 339 with the all-negative
+    chains per slot instead of its chambers, 339 with the all-negative
     chain of each slot taken from its simplex volume: 467 less the 128 inner
-    levels of those chains, which share none with another chain."""
+    levels of those chains, which share none with another chain, and 211
+    with eb's total taken from the same simplex volume: 339 less the 128
+    inner levels of eb's chambers, which share none with another chain
+    either (one per slot, 33 in all, of the all-negative chains' depths)."""
     unshared = 0
     for d, mode in _EXACT_COLD_QUERIES:
         N = volume.n_for_mode(d, mode)
@@ -327,27 +377,38 @@ def test_exact_cold_queries_integrate_each_level_stack_once(monkeypatch):
     calls = _count_level_integrations(monkeypatch)
     for d, mode in _EXACT_COLD_QUERIES:
         assert check_conjectures([d], mode).all_match
-    assert len(calls) == 339
+    assert len(calls) == 211
 
 
 def test_exact_cold_levels_split_by_integrand_degree(monkeypatch):
-    """One exact-cold round's 339 level integrations split 215 / 64 / 60
+    """One exact-cold round's 211 level integrations split 149 / 32 / 30
     across the three level methods: the closed form for degree <= 1 (the
-    149 constant levels among them), the one for degree 2, and Horner's
+    116 constant levels among them), the one for degree 2, and Horner's
     rule for degree 3 and up. So neither closed form can silently stop
     firing. The N = 3 queries reach no Horner level. The split is
     281 / 96 / 90 less the 66 / 32 / 30 levels of the 33 all-negative
-    chains that cp's total no longer integrates; the innermost level of
-    each of those chains is constant, so 182 - 33 constant levels are
-    left."""
+    chains that cp's total no longer integrates, and less the same
+    66 / 32 / 30 of the 33 eb chambers, weighted simplices too, that eb's
+    total no longer integrates; the innermost level of each of those
+    chains is constant, so 182 - 33 - 33 = 116 constant levels are left."""
     methods = ("_affine_level", "_quadratic_level", "_horner_level")
     calls = {m: _count_level_integrations(monkeypatch, m) for m in methods}
+    constant = []
+    true_affine = volume._affine_level
+
+    def affine(den, poly, *ends):
+        if list(poly) == [0]:
+            constant.append(None)
+        return true_affine(den, poly, *ends)
+
+    monkeypatch.setattr(volume, "_affine_level", affine)
     for d, mode in _EXACT_COLD_QUERIES:
         horner_before = len(calls["_horner_level"])
         assert check_conjectures([d], mode).all_match
         if mode == "3":
             assert len(calls["_horner_level"]) == horner_before
-    assert [len(calls[m]) for m in methods] == [215, 64, 60]
+    assert [len(calls[m]) for m in methods] == [149, 32, 30]
+    assert len(constant) == 116
 
 
 def _supported_regions(classes=("p", "cp", "g", "eb")):

@@ -138,22 +138,30 @@ MUTANTS = (
            "num * bottom + top * den_all", "num + top * den_all"),
     Mutant("outer-sum-over-the-last-denominator", _VOLUME,
            "den_all * bottom\n", "bottom\n"),
-    # cp's class total as one chain per slot less the simplex volume of the other
+    # cp's class total as one chain per slot less the simplex volume of the
+    # other, eb's as that simplex volume over c^n, g's from the same pairs
     Mutant("cp-total-simplices-added", _VOLUME,
-           "table) - Fraction(num, den)", "table) + Fraction(num, den)"),
+           "table) - Fraction(d, d - 1) ** box.n_vars * eb",
+           "table) + Fraction(d, d - 1) ** box.n_vars * eb"),
     Mutant("cp-total-x0-on-the-g-floor", _REGIONS,
            "BoundChain(((LevelBound(-1, q=d - 1), high[0][1]), *high[1:]),",
            "BoundChain(high,"),
-    Mutant("xn-simplex-c-to-the-n-minus-1", _REGIONS,
-           "d**n * sum(common // p for p in dens), (d - 1) ** n *",
-           "d ** (n - 1) * sum(common // p for p in dens), (d - 1) ** (n - 1) *"),
-    Mutant("xn-simplex-n-minus-1-factorial", _REGIONS,
+    Mutant("xn-simplex-c-to-the-n-minus-1", _VOLUME,
+           "Fraction(d, d - 1) ** box.n_vars * eb", "Fraction(d, d - 1) ** (box.n_vars - 1) * eb"),
+    Mutant("simplex-n-minus-1-factorial", _REGIONS,
            "factorial(n) * common", "factorial(n - 1) * common"),
-    Mutant("xn-simplex-den0-is-d", _REGIONS, "dens *= den\n", "dens *= den - (not i)\n"),
-    Mutant("xn-simplex-slot-weight-on-the-next-coordinate", _REGIONS,
+    Mutant("simplex-den0-is-d", _REGIONS, "dens *= den\n", "dens *= den - (not i)\n"),
+    Mutant("simplex-slot-weight-on-the-next-coordinate", _REGIONS,
            "dens *= den\n", "dens *= den + (i - 1 == slot) * (w_out - 1)\n"),
+    Mutant("eb-total-scaled-by-c-to-the-n", _VOLUME,
+           "eb = Fraction(num, den)", "eb = Fraction(d, d - 1) ** box.n_vars * Fraction(num, den)"),
+    Mutant("eb-total-read-as-cp-subtracted-number", _VOLUME,
+           '"eb": eb * factor}', '"eb": Fraction(d, d - 1) ** box.n_vars * eb * factor}'),
+    Mutant("eb-total-without-symmetry-factor", _VOLUME, '"eb": eb * factor}', '"eb": eb}'),
+    Mutant("g-total-reads-the-all-positive-chains", _REGIONS,
+           'ChamberSet(g, factor, "g", d, N)', 'ChamberSet(added, factor, "g", d, N)'),
     Mutant("symmetry-factor-off-by-one", _VOLUME,
-           "* chambers.symmetry_factor\n", "* (chambers.symmetry_factor + 1)\n"),
+           "factor = g.symmetry_factor\n", "factor = g.symmetry_factor + 1\n"),
     Mutant("eb-sufficiency-always-exact", _VOLUME,
            'if class_tag == "p" or (class_tag == "eb" and not eb_criterion_exact(d, N)):',
            'if class_tag == "p":'),
