@@ -187,9 +187,6 @@ def _slot_pairs(d: int, N: int, class_tag: str) -> tuple[int, list[tuple]]:
     floor = LevelBound(-1, q=d - 1) if class_tag == "cp" else LevelBound(0)
     # the ordering bounds x_{k-1} <= x_k, with x_0 read as x0 at level 1
     below = [floor, LevelBound(0, x0=1)] + [LevelBound(0, last=1)] * (n - 2)
-    # each level's three pairs, by the weights they read: the slots that
-    # agree on those share them
-    made: dict[tuple[int, int, int, int], tuple] = {}
     c = d - 1
     slots = []
     for slot in (None,) if w_out == 1 else range(n):
@@ -202,18 +199,15 @@ def _slot_pairs(d: int, N: int, class_tag: str) -> tuple[int, list[tuple]]:
             x0 = -w[0] if i else 0
             t = -1 if i >= 3 else 0
             last = -w[i - 1] if i >= 2 else 0
-            key = (i, x0, last, den)
-            if key not in made:
-                if class_tag == "eb":
-                    upper = LevelBound(1, x0, t, last, den)
-                else:
-                    upper = LevelBound(1, d + x0, t, last, den) if i else LevelBound(1)
-                neg = None
-                if class_tag == "cp":
-                    # -(1/(d-1) + sum_{j<i} w_j x_j) / den_i, over (d-1) den_i
-                    neg = LevelBound(-1, c * x0, c * t, c * last, c * den)
-                made[key] = ((below[i], neg), (neg, upper), (below[i], upper))
-            sides.append(made[key])
+            if class_tag == "eb":
+                upper = LevelBound(1, x0, t, last, den)
+            else:
+                upper = LevelBound(1, d + x0, t, last, den) if i else LevelBound(1)
+            neg = None
+            if class_tag == "cp":
+                # -(1/(d-1) + sum_{j<i} w_j x_j) / den_i, over (d-1) den_i
+                neg = LevelBound(-1, c * x0, c * t, c * last, c * den)
+            sides.append(((below[i], neg), (neg, upper), (below[i], upper)))
             dens *= den
             den -= w[i]
         at = "" if slot is None else f":slot={slot_names[slot]}"
@@ -239,8 +233,7 @@ def chambers(d: int, N: int, class_tag: str) -> ChamberSet:
     branch (-1, -w_0 (d-1), -(d-1), -w_{i-1} (d-1)) / ((d-1) den_i) and the
     positive branch (1, d-w_0, -1, -w_{i-1}) / den_i, less the terms a level
     cannot hold. A class builds only the ends it reads: cp the two branches,
-    g the positive one and eb the budget, and each level's ends and pairs
-    once for the slots whose w_0, w_{i-1} and den_i agree.
+    g the positive one and eb the budget.
 
     The cp chamber of switch level M runs on the negative branch at levels
     0..M-2, from the negative to the positive branch at level M-1, and on
@@ -301,23 +294,40 @@ def cp_total_chains(d: int, N: int) -> tuple[ChamberSet, ChamberSet, tuple[int, 
     floor at level 0, so no negative branch is built, and over one table g
     integrates no level of its own.
 
-    X_n and eb's chamber are both weighted simplices. Level i of a chain
-    with floor a and budget b bounds x_i below by x_{i-1} (x_0 by a) and
-    above by (b - sum_{j<i} w_j x_j) / den_i, with den_i = sum_{j>=i} w_j:
-    X_n has a = b = -1/(d-1), and eb's chamber a = 0, b = 1. The innermost
-    bound reads sum_j w_j x_j <= b, and on sorted x,
+    The simplex lemma. Take a slot's chain with floor a and budget
+    b + beta x_0, beta in {0, d}: level 0 runs from a to b / (d+1-beta), and
+    level i >= 1 bounds x_i below by x_{i-1} and above by
+    (b + beta x_0 - sum_{j<i} w_j x_j) / den_i, with den_i = sum_{j>=i} w_j,
+    so den_0 = d+1. g's chamber has a = 0, b = 1, beta = d, and X_0 the same
+    with a = -1/(d-1): both run the positive branch. eb's chamber has a = 0,
+    b = 1, beta = 0, and X_n a = b = -1/(d-1), beta = 0. The innermost bound
+    reads sum_j w_j x_j <= b + beta x_0, and on sorted x,
     den_i x_i <= sum_{j>=i} w_j x_j, so every outer bound follows from it:
-    the chain is {x sorted, x_0 >= a, sum_j w_j x_j <= b}. No level is
-    empty, since den_{i-1} = w_{i-1} + den_i puts x_{i-1} below level i's
-    upper end whenever it lies below its own, so the signed integral is the
-    volume. Shift by y = x - a: as the weights total d+1, y_0 >= 0 and
-    sum_j w_j y_j <= r = b - (d+1) a, which is 1 for eb and
-    -1/(d-1) + (d+1)/(d-1) = c for X_n. The increments z_0 = y_0,
-    z_i = y_i - y_{i-1} are a map of determinant 1, with
-    y_j = z_0 + ... + z_j, so sum_j w_j y_j = sum_i den_i z_i and the chain
-    maps onto {z >= 0, sum_i den_i z_i <= r}, of volume
-    r^n / (n! prod_i den_i): 1 / (n! prod_i den_i) for eb, c^n times that
-    for X_n.
+    the chain is {x sorted, x_0 >= a, sum_j w_j x_j <= b + beta x_0}. No
+    level is empty, since den_{i-1} = w_{i-1} + den_i puts x_{i-1} below
+    level i's upper end whenever it lies below its own, so the signed
+    integral is the volume. The increments z_0 = x_0 - a,
+    z_i = x_i - x_{i-1} are a map of determinant 1, with
+    x_j = a + z_0 + ... + z_j; as the weights total d+1,
+    sum_j w_j x_j = (d+1) a + sum_i den_i z_i, so the chain maps onto
+
+        {z >= 0, (d+1-beta) z_0 + sum_{i>=1} den_i z_i <= r},
+        r = b - (d+1-beta) a,
+
+    of volume r^n / (n! (d+1-beta) prod_{i>=1} den_i). With
+    E = 1 / (n! prod_{i>=0} den_i) and c = d/(d-1), that is E for eb's
+    chamber (r = 1), c^n E for X_n (r = c), (d+1) E for g's chamber (r = 1)
+    and (d+1) c^n E for X_0 (r = c). So per slot cp is X_0 - X_n = d c^n E,
+    and g/cp = (d+1) / (d c^n) and eb/g = 1/(d+1) hold slot by slot, at
+    every (d, N). Summed over the slots and times the symmetry factor F, cp
+    is d c^n F sum_slots E, and the box p is c^n. Over the orderings sigma
+    of n positive weights, sum_sigma prod_i 1 / (w_sigma(i) + ... +
+    w_sigma(n)) = 1 / prod_j w_j: split the integral of e^(-w.z) over
+    z >= 0 into the cones of each ordering. The N unit weights are
+    exchangeable, so the orderings group into the slots, F of them to a
+    slot, and F n! sum_slots E = 1/W for W the product of the weights. So
+    cp/p = d / (n! W): every closed form of
+    :func:`..volume.closed_form_ratios` holds at every (d, N).
     """
     factor, slots = _slot_pairs(d, N, "g")
     n = len(slots[0][-1])

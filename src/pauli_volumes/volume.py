@@ -5,23 +5,24 @@ variable first, with integer numerators over one denominator per level.
 Each chain stores the bound on x_k as affine in x0, x_{k-1} and one running
 sum S_k = sum_{1<=j<=k-2} u_j x_j, with u fixed for the chain (see
 :mod:`.regions`), so the integrand is a polynomial in three variables
-throughout. Each level picks its method from its integrand's total
-degree. Up to degree 2, as at every level of the box and of the N = 3
+throughout. Each level picks one of two methods from its integrand's
+total degree. Up to degree 2, as at every level of the box and of the N = 3
 chambers, the level is integrated in closed form: with P_j the coefficient
 of x_k^j and l, h its two ends, it is (h - l) times a polynomial in the P_j,
-h + l and h - l. From degree 3 on, a level sorts its integrand's terms by
-their powers of x_k and of the running sum in one pass, and substitutes
-its bounds into the antiderivative by Horner's rule, first over the powers
-of the running sum and then over those of x_k; each fold starts from its
-top coefficient. Either way every product is of a nonempty polynomial by
-an affine one of at most four terms, and monomials are keyed by one
-packed int, so multiplying two of them is one integer addition. Both
-methods divide the new state by its gcd, so they give the same state.
-Each end is stored as integer numerators over one positive denominator,
-in lowest terms, and the level kernel reads the stored ends,
-putting a level's two over one denominator itself; the last integral,
-over x0, is evaluated by Horner's rule on integer numerators too. The
-partial integral after the inner levels n-1..k depends on those levels
+h + l and h - l, and a constant integrand, the innermost level of every
+chain, is read off the two ends with no product. From degree 3 on, a level
+sorts its integrand's terms by their powers of x_k and of the running sum
+in one pass, and substitutes its bounds into the antiderivative by
+Horner's rule, first over the powers of the running sum and then over
+those of x_k; each fold starts from its top coefficient. Either way every
+product is of a polynomial by an affine one of at most four terms, and
+monomials are keyed by one packed int, so multiplying two of them is one
+integer addition. Both methods divide the new state by its gcd, so they
+give the same state. Each end is stored as integer numerators over one
+positive denominator, in lowest terms, and the level kernel reads the
+stored ends, putting a level's two over one denominator itself; the last
+integral, over x0, is evaluated by Horner's rule on integer numerators too.
+The partial integral after the inner levels n-1..k depends on those levels
 alone, so the chains of one call share a table of them, keyed on the
 stored ends, which are equal exactly when the ends are: each distinct
 stack of inner levels is integrated once per (d, N), across the classes
@@ -93,7 +94,7 @@ _MC_MAX_SAMPLES = 10**8
 # check_conjectures([d]) in the "max" or "d" mode takes about 0.0009 s at
 # d = 8, and each step in d costs about 1.55x (0.0014 s at d = 9, 0.0022 s
 # at d = 10, 0.0035 s at d = 11, 0.0053 s at d = 12); the "3" mode, whose
-# levels all take the closed forms, takes about 0.0003-0.0004 s at any d.
+# levels all take the closed form, takes about 0.0003-0.0004 s at any d.
 _MAX_D = 12
 
 
@@ -116,8 +117,7 @@ _End = tuple[int, int, int, int, int]
 # the packed keys of an end's const, x0, t and last numerators: 1, x0, S_k
 # and x_{k-1}
 _END_KEYS = (0, _X0, _S, _Y)
-# the keys of an integrand of total degree <= 1, and of total degree <= 2
-_AFFINE_KEYS = frozenset(_END_KEYS)
+# the keys of an integrand of total degree <= 2
 _QUADRATIC_KEYS = frozenset(a + b for a in _END_KEYS for b in _END_KEYS)
 _end_fields = attrgetter("const", "x0", "t", "last", "q")
 # {(node, lo, hi, carry): (id, den, poly)}: the partial integral after one
@@ -148,24 +148,22 @@ def _integrate_level(
     its own q, and carry the (y, s) numerators of
     S_{k+1} = S_k + u_{k-1} x_{k-1}. poly, a polynomial in (x0, x_k,
     S_{k+1}), becomes one in (x0, x_{k-1}, S_k), by substituting the
-    bounds and the carry. The method is picked from poly's total degree,
-    read off its packed keys:
+    bounds and the carry. One of two methods is picked from poly's total
+    degree, read off its packed keys:
 
-    * degree <= 1 and degree 2 are integrated in closed form by
-      :func:`_affine_level` and :func:`_quadratic_level`;
+    * degree <= 2 is integrated in closed form by :func:`_closed_level`,
+      which reads a constant poly straight off the two ends;
     * degree 3 and up by Horner's rule in :func:`_horner_level`.
 
-    Each divides its numerators and denominator by their gcd, so all three
+    Each divides its numerators and denominator by their gcd, so both
     return the same canonical state for the same integral; an empty poly
     is returned as it is. poly is only read, so a state kept in a table
     stays valid.
     """
     if not poly:
         return den, poly
-    if _AFFINE_KEYS.issuperset(poly):
-        return _affine_level(den, poly, lo, hi, carry)
     if _QUADRATIC_KEYS.issuperset(poly):
-        return _quadratic_level(den, poly, lo, hi, carry)
+        return _closed_level(den, poly, lo, hi, carry)
     return _horner_level(den, poly, lo, hi, carry)
 
 
@@ -175,11 +173,29 @@ def _reduced(den: int, out: _Poly) -> tuple[int, _Poly]:
     return den // g, {e: v // g for e, v in out.items() if v}
 
 
-def _ends_over_q(lo: _End, hi: _End) -> tuple[int, list[tuple[int, int]], list[tuple[int, int]]]:
-    """q, the lcm of the ends' denominators, and the (packed key, numerator)
-    pairs of h - l and h + l, for l and h the ends' numerators over q."""
+def _closed_level(
+    den: int, poly: _Poly, lo: _End, hi: _End, carry: tuple[int, int]
+) -> tuple[int, _Poly]:
+    """Integrate x_k out of a poly of total degree <= 2, in closed form.
+
+    With P_j the coefficient of x_k^j, the carry substituted into P0 and
+    P1, the integral of P0 + P1 x_k + P2 x_k^2 between l/q and h/q is
+    (h - l) [6 q^2 P0 + 3q P1 (h + l) + 2 P2 (h^2 + hl + l^2)] / (6 q^3).
+    With T = h + l and D = h - l, 4 (h^2 + hl + l^2) = 3 T^2 + D^2, so it
+    is D [c0 P0 + T (c1 P1 + 3 P2 T) + P2 D^2] over 2 q^2 c1 den, with
+    c1 = 6q and c0 = 2q c1: three products by the affine T, D and D.
+    Where P2 is 0 its terms drop out and any c1 gives the integral, so
+    c1 = 1 keeps the numbers small. Each state is divided by its gcd, so
+    the choice changes no state. At a constant level, P0 = v, the integral
+    v D over q den is read off the two ends with no carry, sum or product.
+    """
     q = lcm(lo[4], hi[4])
     s_lo, s_hi = q // lo[4], q // hi[4]
+    if len(poly) == 1 and 0 in poly:
+        v = poly[0]
+        out = {e: v * (h * s_hi - l * s_lo) for e, l, h in zip(_END_KEYS, lo, hi)}
+        return _reduced(den * q, out)
+    # the (packed key, numerator) pairs of D and T, over q
     diff, total = [], []
     for e, l, h in zip(_END_KEYS, lo, hi):
         if l or h:
@@ -188,87 +204,36 @@ def _ends_over_q(lo: _End, hi: _End) -> tuple[int, list[tuple[int, int]], list[t
             if h != l:
                 diff.append((e, h - l))
             total.append((e, h + l))
-    return q, diff, total
-
-
-def _affine_level(
-    den: int, poly: _Poly, lo: _End, hi: _End, carry: tuple[int, int]
-) -> tuple[int, _Poly]:
-    """Integrate x_k out of a poly of total degree <= 1, in closed form.
-
-    With P_j the coefficient of x_k^j, the carry substituted into P0, the
-    integral of P0 + P1 x_k between l/q and h/q is
-    (h - l) [2q P0 + P1 (h + l)] / (2 q^2): an affine polynomial times one
-    of at most four terms, over 2 q^2 den. Where P1 is 0 it is (h - l) P0
-    over q den, and at a constant level, P0 = v, that is read off the two
-    ends with no carry, sum or product.
-    """
-    if len(poly) == 1 and 0 in poly:
-        q = lcm(lo[4], hi[4])
-        s_lo, s_hi, v = q // lo[4], q // hi[4], poly[0]
-        out = {e: v * (h * s_hi - l * s_lo) for e, l, h in zip(_END_KEYS, lo, hi)}
-        return _reduced(den * q, out)
-    q, diff, total = _ends_over_q(lo, hi)
     get = poly.get
-    v_s, p1 = get(_S, 0), get(_Y)
-    # 2q P0, or P0 where P1 is 0, with S_{k+1} = cy x_{k-1} + cs S_k substituted
-    c = 2 * q if p1 else 1
-    inner = {
-        0: c * get(0, 0), _X0: c * get(_X0, 0), _Y: c * v_s * carry[0], _S: c * v_s * carry[1]
-    }
-    if p1:
-        den *= c * q
-        for e, v in total:
-            inner[e] += p1 * v
-    else:
-        den *= q
-    out: _Poly = {}
-    put = out.get
-    for e1, v1 in inner.items():
-        if v1:
-            for e2, v2 in diff:
-                e = e1 + e2
-                out[e] = put(e, 0) + v1 * v2
-    return _reduced(den, out)
-
-
-def _quadratic_level(
-    den: int, poly: _Poly, lo: _End, hi: _End, carry: tuple[int, int]
-) -> tuple[int, _Poly]:
-    """Integrate x_k out of a poly of total degree 2, in closed form.
-
-    With P_j the coefficient of x_k^j, the carry substituted into P0 and
-    P1, the integral of P0 + P1 x_k + P2 x_k^2 between l/q and h/q is
-    (h - l) [6 q^2 P0 + 3q P1 (h + l) + 2 P2 (h^2 + hl + l^2)] / (6 q^3).
-    With T = h + l and D = h - l, 4 (h^2 + hl + l^2) = 3 T^2 + D^2, so it
-    is D [12 q^2 P0 + T (6q P1 + 3 P2 T) + P2 D^2] over 12 q^3 den:
-    three products by the affine T, D and D.
-    """
-    q, diff, total = _ends_over_q(lo, hi)
-    get = poly.get
-    # 12 q^2 P0 and 6 q P1, with S_{k+1} = cy x_{k-1} + cs S_k substituted
-    c0, c1 = 12 * q * q, 6 * q
-    p0 = {e: c0 * v for e in (0, _X0, 2 * _X0) if (v := get(e))}
-    p1 = {e: c1 * v for e in (0, _X0) if (v := get(e + _Y))}
+    p2 = get(2 * _Y)
+    # the scale that keeps P2's terms whole, or 1 where there are none
+    c1 = 6 * q if p2 else 1
+    c0 = 2 * q * c1
+    # c0 P0 and c1 P1, with S_{k+1} = cy x_{k-1} + cs S_k substituted
+    p0, p1 = {}, {}
+    for e in (0, _X0, 2 * _X0):
+        if v := get(e):
+            p0[e] = c0 * v
+    for e in (0, _X0):
+        if v := get(e + _Y):
+            p1[e] = c1 * v
     cy, cs = carry
     if cy or cs:
-        v_s, v_xs, v_ss, v_ys = get(_S, 0), get(_X0 + _S, 0), get(2 * _S, 0), get(_Y + _S, 0)
-        for e, v in (
-            (_Y, v_s * cy), (_S, v_s * cs), (_X0 + _Y, v_xs * cy), (_X0 + _S, v_xs * cs),
-            (2 * _Y, v_ss * cy * cy), (_Y + _S, 2 * v_ss * cy * cs), (2 * _S, v_ss * cs * cs),
-        ):
-            if v:
-                p0[e] = c0 * v
-        if v_ys:
-            p1[_Y], p1[_S] = c1 * v_ys * cy, c1 * v_ys * cs
-    p2 = get(2 * _Y)
+        for e in (0, _X0):
+            if v := get(e + _S):
+                p0[e + _Y], p0[e + _S] = c0 * v * cy, c0 * v * cs
+        if v := get(2 * _S):
+            v *= c0
+            p0[2 * _Y], p0[_Y + _S], p0[2 * _S] = v * cy * cy, 2 * v * cy * cs, v * cs * cs
+        if v := get(_Y + _S):
+            p1[_Y], p1[_S] = c1 * v * cy, c1 * v * cs
     if p2:
-        # 3 P2 T joins 6q P1, and P2 D^2 joins 12 q^2 P0
+        # 3 P2 T joins c1 P1, and P2 D^2 joins c0 P0
         for e, v in total:
             p1[e] = p1.get(e, 0) + 3 * p2 * v
         _mul_add({e: p2 * v for e, v in diff}, diff, p0)
     inner = _mul_add(p1, total, p0)
-    return _reduced(12 * q**3 * den, _mul_add(inner, diff, {}))
+    return _reduced(2 * q * q * c1 * den, _mul_add(inner, diff, {}))
 
 
 def _horner_level(
@@ -559,12 +524,14 @@ class ConjectureReport(NamedTuple):
 
 
 # dimensions whose nested-class ratios have been confirmed independently
-# of this package; beyond them the closed forms are conjectural
+# of this package; entries beyond them are flagged extrapolated, though the
+# simplex lemma of regions.cp_total_chains proves the closed forms at every
+# (d, N)
 _CONFIRMED_FULL_D = frozenset({2, 3, 4, 5})
 
 
 def closed_form_ratios(d: int, N: int) -> dict[str, SurdValue]:
-    """Conjectured closed forms for the nested-class ratios.
+    """Closed forms for the nested-class ratios.
 
     Eigenvalue space has n coordinates (N+1, or d+1 when N = d+1), each of
     weight 1 except the left-out one of weight d+1-N; W is the product of
@@ -578,7 +545,8 @@ def closed_form_ratios(d: int, N: int) -> dict[str, SurdValue]:
     g/cp = (d^2-1)/d^2 * ((d-1)/d)^d; for N = 3 it reads
     cp/p = d/(24(d-2)) and g/cp = (d^2-1)(d-1)^3/d^5. n and W are worked out
     here from (d, N), apart from the chamber code, so the comparison stays
-    a genuine check.
+    a genuine check. :func:`..regions.cp_total_chains` proves them slot by
+    slot at every (d, N).
     """
     n, W = (d + 1, 1) if N == d + 1 else (N + 1, d + 1 - N)
     forms = {

@@ -94,26 +94,33 @@ def _random_levels(rng: random.Random, n: int, u: tuple) -> list:
 
 def test_random_chains_match_the_oracle(monkeypatch):
     """400 random chains of 1-7 levels, each integrated alone. They reach
-    each of the kernel's three level methods: the closed forms for
-    integrands of degree <= 1 and of degree 2, and Horner's rule for
-    degree 3 and up."""
-    methods = ("_affine_level", "_quadratic_level", "_horner_level")
-    calls = dict.fromkeys(methods, 0)
-    for name in methods:
-        method = getattr(volume, name)
+    each path of the kernel's two level methods: the closed form for
+    integrands of degree <= 2, at a constant integrand, with an x_k^2 term
+    (P2 != 0) and without one (P2 = 0), and Horner's rule for degree 3
+    and up."""
+    paths = dict.fromkeys(("constant", "P2 = 0", "P2 != 0", "horner"), 0)
+    closed, horner = volume._closed_level, volume._horner_level
 
-        def counted(*args, _name=name, _method=method):
-            calls[_name] += 1
-            return _method(*args)
+    def counted_closed(den, poly, *ends):
+        if list(poly) == [0]:
+            paths["constant"] += 1
+        else:
+            paths["P2 != 0" if 2 * volume._Y in poly else "P2 = 0"] += 1
+        return closed(den, poly, *ends)
 
-        monkeypatch.setattr(volume, name, counted)
+    def counted_horner(*args):
+        paths["horner"] += 1
+        return horner(*args)
+
+    monkeypatch.setattr(volume, "_closed_level", counted_closed)
+    monkeypatch.setattr(volume, "_horner_level", counted_horner)
     rng = random.Random(1701)
     for i in range(400):
         n = rng.randint(1, 7)
         u = _random_u(rng, n)
         chain = BoundChain(_random_levels(rng, n, u), u, label=f"random-{i}")
         assert integrate_chain(chain) == oracle_volume(chain), (chain.label, n, u)
-    assert all(calls.values()), calls
+    assert all(paths.values()), paths
 
 
 def _chain_set(rng: random.Random, n: int, u: tuple, base: list, label: str) -> list:

@@ -1,6 +1,7 @@
 """Chamber decompositions: construction, well-formedness, membership."""
 
 import ast
+import itertools
 import json
 import os
 import pickle
@@ -8,7 +9,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 from pathlib import Path
 
 import numpy as np
@@ -397,6 +398,59 @@ def test_eb_chamber_volume_is_its_simplex_formula():
                 chains += 1
             assert Fraction(*cp_total_chains(d, N)[2]) == total, (d, N)
     assert chains == 321
+
+
+def test_g_chamber_and_all_positive_chain_volumes_are_their_simplex_formulas():
+    """The simplex lemma of cp_total_chains on the two chain sets the class
+    totals still integrate: at every slot of every 3 <= N <= d+1 with
+    d = 3..12, g's chamber integrates to (d+1) E and cp's all-positive
+    chain X_0 to (d+1) c^n E, with E = 1 / (n! prod_i den_i) read off
+    weights(d, N) here and c = d/(d-1). The N < d that class_volume refuses
+    are included."""
+    slots = 0
+    for d in range(3, 13):
+        c = Fraction(d, d - 1)
+        for N in range(3, d + 2):
+            added, g, _ = cp_total_chains(d, N)
+            slot_weights = list(_slot_weights(d, N))
+            assert len(added.chains) == len(g.chains) == len(slot_weights), (d, N)
+            table = {}
+            for x0, g_chain, (w, dens) in zip(added.chains, g.chains, slot_weights):
+                n = len(w)
+                e = Fraction(1, factorial(n) * dens)
+                assert integrate_chain(g_chain, table) == (d + 1) * e, (d, N, g_chain.label)
+                assert integrate_chain(x0, table) == (d + 1) * c**n * e, (d, N, x0.label)
+                slots += 1
+    assert slots == 320
+
+
+def test_slots_group_the_orderings_of_the_weights():
+    """The ordering identity behind cp/p = d / (n! W): F n! sum_slots E = 1/W,
+    for F the symmetry factor, E = 1 / (n! prod_i den_i) per slot and W the
+    product of the weights, in exact integers at every (d, N) with
+    d <= 60, the slots and W read off weights(d, N) here. At d <= 6 the sum
+    over the slots is also the sum over all n! orderings of the weights of
+    the products of inverse suffix sums, F orderings to a slot."""
+    cases = 0
+    for d in range(2, 61):
+        for N in range(3, d + 2):
+            coord_weights = weights(d, N)
+            n, w_out = len(coord_weights), coord_weights[-1]
+            factor = factorial(n if w_out == 1 else N)
+            W = prod(coord_weights)
+            dens = [dens for _, dens in _slot_weights(d, N)]
+            common = lcm(*dens)
+            # F n! sum_slots 1 / (n! dens) = 1/W, times W * common
+            assert factor * W * sum(common // p for p in dens) == common, (d, N)
+            if d <= 6:
+                orderings = sum(
+                    Fraction(1, prod(sum(order[i:]) for i in range(n)))
+                    for order in itertools.permutations(coord_weights)
+                )
+                assert orderings == factor * sum(Fraction(1, p) for p in dens), (d, N)
+                assert orderings == Fraction(1, W), (d, N)
+            cases += 1
+    assert cases == sum(range(1, 60))
 
 
 def test_qubit_outer_bounds():

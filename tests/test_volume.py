@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pauli_volumes import volume
+from pauli_volumes import regions, volume
 from pauli_volumes.geometry import SurdValue, vp_volume
 from pauli_volumes.regions import BoundChain, LevelBound, chambers, cp_total_chains
 from pauli_volumes.volume import (
@@ -381,34 +381,35 @@ def test_exact_cold_queries_integrate_each_level_stack_once(monkeypatch):
 
 
 def test_exact_cold_levels_split_by_integrand_degree(monkeypatch):
-    """One exact-cold round's 211 level integrations split 149 / 32 / 30
-    across the three level methods: the closed form for degree <= 1 (the
-    116 constant levels among them), the one for degree 2, and Horner's
-    rule for degree 3 and up. So neither closed form can silently stop
-    firing. The N = 3 queries reach no Horner level. The split is
-    281 / 96 / 90 less the 66 / 32 / 30 levels of the 33 all-negative
+    """One exact-cold round's 211 level integrations split 181 / 30 across
+    the two level methods: the closed form for degree <= 2 and Horner's
+    rule for degree 3 and up. The closed form's 181 are 116 constant
+    levels, read off the two ends, and 65 others: 33 with no x_k^2 term
+    (P2 = 0) and 32 with one. So neither the closed form, nor its constant
+    shortcut, nor either P2 case can silently stop firing. The N = 3
+    queries reach no Horner level. The split is 281 / 96 / 90 by degree
+    <= 1, 2 and 3 up, less the 66 / 32 / 30 levels of the 33 all-negative
     chains that cp's total no longer integrates, and less the same
     66 / 32 / 30 of the 33 eb chambers, weighted simplices too, that eb's
     total no longer integrates; the innermost level of each of those
     chains is constant, so 182 - 33 - 33 = 116 constant levels are left."""
-    methods = ("_affine_level", "_quadratic_level", "_horner_level")
+    methods = ("_closed_level", "_horner_level")
     calls = {m: _count_level_integrations(monkeypatch, m) for m in methods}
-    constant = []
-    true_affine = volume._affine_level
+    shapes = []
+    true_closed = volume._closed_level
 
-    def affine(den, poly, *ends):
-        if list(poly) == [0]:
-            constant.append(None)
-        return true_affine(den, poly, *ends)
+    def closed(den, poly, *ends):
+        shapes.append("constant" if list(poly) == [0] else 2 * volume._Y in poly)
+        return true_closed(den, poly, *ends)
 
-    monkeypatch.setattr(volume, "_affine_level", affine)
+    monkeypatch.setattr(volume, "_closed_level", closed)
     for d, mode in _EXACT_COLD_QUERIES:
         horner_before = len(calls["_horner_level"])
         assert check_conjectures([d], mode).all_match
         if mode == "3":
             assert len(calls["_horner_level"]) == horner_before
-    assert [len(calls[m]) for m in methods] == [149, 32, 30]
-    assert len(constant) == 116
+    assert [len(calls[m]) for m in methods] == [181, 30]
+    assert [shapes.count(s) for s in ("constant", False, True)] == [116, 33, 32]
 
 
 def _supported_regions(classes=("p", "cp", "g", "eb")):
@@ -751,6 +752,69 @@ def test_conjectures_integrate_the_box_once_per_dimension(monkeypatch):
 
 def test_conjectures_all_but_one_mode():
     assert check_conjectures([3, 4, 5], "d").all_match
+
+
+def _perturbed_outer_integral(monkeypatch):
+    """Each chain's x0 integral off by one in its numerator."""
+    true_outer = volume._outer_integral
+
+    def outer(*args):
+        top, bottom = true_outer(*args)
+        return top + 1, bottom
+
+    monkeypatch.setattr(volume, "_outer_integral", outer)
+
+
+def _perturbed_g_budget(monkeypatch):
+    """g's budget constant 1 -> 2 at every level past level 0: the upper
+    ends of g's pairs, which cp's all-positive chains read too."""
+    true_pairs = regions._slot_pairs
+
+    def pairs(d, N, class_tag):
+        factor, slots = true_pairs(d, N, class_tag)
+        if class_tag == "g":
+            slots = [
+                (*entry[:-1], tuple(
+                    (lo, LevelBound(2, hi.x0, hi.t, hi.last, hi.q)) if k else (lo, hi)
+                    for k, (lo, hi) in enumerate(entry[-1])
+                ))
+                for entry in slots
+            ]
+        return factor, slots
+
+    monkeypatch.setattr(regions, "_slot_pairs", pairs)
+
+
+def _perturbed_closed_level(monkeypatch):
+    """Each closed-form level's numerators doubled."""
+    true_closed = volume._closed_level
+
+    def closed(*args):
+        den, poly = true_closed(*args)
+        return den, {e: 2 * v for e, v in poly.items()}
+
+    monkeypatch.setattr(volume, "_closed_level", closed)
+
+
+@pytest.mark.parametrize(
+    "perturb", [_perturbed_outer_integral, _perturbed_g_budget, _perturbed_closed_level]
+)
+def test_every_conjecture_ratio_reads_an_integrated_chain_set(monkeypatch, perturb):
+    """The closed forms are theorems (the simplex lemma of
+    regions.cp_total_chains), so check_conjectures must keep an integrated
+    side or it cannot fail. With the x0 integral, g's budget or the
+    closed-form level perturbed, every ratio of every (d, mode) with
+    d <= 8 misses its closed form: each ratio reads integrated chains."""
+    perturb(monkeypatch)
+    queries = [
+        (d, mode) for mode in N_MODES for d in range(2, 9)
+        if volume.n_for_mode(d, mode) in supported_n_values(d)
+    ]
+    assert len(queries) == 20
+    for d, mode in queries:
+        report = check_conjectures([d], mode)
+        ratios = [e for e in report.entries if e.name in volume.RATIO_NAMES]
+        assert len(ratios) == 3 and not any(e.match for e in ratios), (d, mode)
 
 
 def test_conjectures_bad_mode():

@@ -91,11 +91,11 @@ MUTANTS = (
            equivalent="a product of the two denominators is still a common one, and each "
                       "level's state is divided by its gcd, so every state is the same"),
     # the choice of method by the integrand's total degree
-    Mutant("quadratic-integrand-to-affine-method", _VOLUME,
-           "if _AFFINE_KEYS.issuperset(poly):", "if _QUADRATIC_KEYS.issuperset(poly):"),
+    Mutant("integrand-with-a-constant-to-constant-shortcut", _VOLUME,
+           "if len(poly) == 1 and 0 in poly:", "if 0 in poly:"),
     Mutant("cubic-integrand-to-quadratic-method", _VOLUME,
            "if _QUADRATIC_KEYS.issuperset(poly):", "if True:"),
-    # the closed forms of degree <= 1 and degree 2, from h - l and h + l
+    # the closed form of degree <= 2, from h - l and h + l
     Mutant("closed-form-lo-not-rescaled", _VOLUME, "            l *= s_lo\n", ""),
     Mutant("closed-form-sum-is-difference", _VOLUME,
            "total.append((e, h + l))", "total.append((e, h - l))"),
@@ -103,25 +103,31 @@ MUTANTS = (
            "v * (h * s_hi - l * s_lo)", "v * (h * s_hi - l)"),
     Mutant("constant-level-den-without-q", _VOLUME,
            "return _reduced(den * q, out)", "return _reduced(den, out)"),
-    Mutant("affine-level-drops-p1-term", _VOLUME, "inner[e] += p1 * v", "inner[e] += 0 * v"),
-    Mutant("affine-level-p0-without-2q", _VOLUME,
-           "c = 2 * q if p1 else 1", "c = q if p1 else 1"),
-    Mutant("affine-level-den-without-2", _VOLUME, "den *= c * q\n", "den *= q * q\n"),
-    Mutant("affine-level-without-p1-den-without-q", _VOLUME,
-           "        den *= q\n", "        den *= 1\n"),
-    Mutant("affine-level-carry-swapped", _VOLUME,
-           "_Y: c * v_s * carry[0], _S: c * v_s * carry[1]",
-           "_Y: c * v_s * carry[1], _S: c * v_s * carry[0]"),
-    Mutant("quadratic-level-den-without-2", _VOLUME,
-           "_reduced(12 * q**3 * den,", "_reduced(6 * q**3 * den,"),
-    Mutant("quadratic-level-p1-without-2", _VOLUME,
-           "c0, c1 = 12 * q * q, 6 * q", "c0, c1 = 12 * q * q, 3 * q"),
-    Mutant("quadratic-level-drops-hl", _VOLUME, "3 * p2 * v", "p2 * v"),
-    Mutant("quadratic-level-drops-d-squared", _VOLUME,
+    Mutant("closed-level-den-without-2", _VOLUME,
+           "_reduced(2 * q * q * c1 * den,", "_reduced(q * q * c1 * den,"),
+    Mutant("closed-level-p0-without-2q", _VOLUME, "c0 = 2 * q * c1", "c0 = q * c1"),
+    Mutant("closed-level-drops-p1", _VOLUME, "p1[e] = c1 * v", "p1[e] = 0 * v"),
+    Mutant("closed-level-drops-x0-squared", _VOLUME,
+           "for e in (0, _X0, 2 * _X0):", "for e in (0, _X0):"),
+    Mutant("closed-level-carry-read-only-with-cy", _VOLUME, "if cy or cs:", "if cy:"),
+    Mutant("closed-level-carry-swapped", _VOLUME, "cy, cs = carry", "cs, cy = carry"),
+    Mutant("closed-level-cross-term-without-2", _VOLUME,
+           "2 * v * cy * cs", "v * cy * cs"),
+    # the scale c1 that P2's terms need, and 1 where P2 is 0
+    Mutant("closed-level-scale-ignores-p2", _VOLUME,
+           "c1 = 6 * q if p2 else 1", "c1 = 1"),
+    Mutant("closed-level-p2-scale-without-2", _VOLUME,
+           "c1 = 6 * q if p2 else 1", "c1 = 3 * q if p2 else 1"),
+    Mutant("closed-level-p2-scale-without-q", _VOLUME,
+           "c1 = 6 * q if p2 else 1", "c1 = 6 if p2 else 1"),
+    Mutant("closed-level-p2-free-scale-at-6q", _VOLUME,
+           "c1 = 6 * q if p2 else 1", "c1 = 6 * q",
+           equivalent="where P2 is 0 its terms drop out and any scale gives the same "
+                      "integral, and each state is divided by its gcd, so every state "
+                      "is the same"),
+    Mutant("closed-level-drops-hl", _VOLUME, "3 * p2 * v", "p2 * v"),
+    Mutant("closed-level-drops-d-squared", _VOLUME,
            "_mul_add({e: p2 * v for e, v in diff}, diff, p0)", "_mul_add({}, diff, p0)"),
-    Mutant("quadratic-level-carry-swapped", _VOLUME, "cy, cs = carry", "cs, cy = carry"),
-    Mutant("quadratic-level-cross-term-without-2", _VOLUME,
-           "2 * v_ss * cy * cs", "v_ss * cy * cs"),
     Mutant("table-keyed-without-node", _VOLUME,
            "key = (node, lo, hi, carry)", "key = (0, lo, hi, carry)"),
     Mutant("carry-sum-one-level-late", _VOLUME, "int(k >= 3))", "int(k >= 4))"),
@@ -169,8 +175,6 @@ MUTANTS = (
     Mutant("eb-budget-denominator-off-by-one", _REGIONS,
            "upper = LevelBound(1, x0, t, last, den)",
            "upper = LevelBound(1, x0, t, last, den + 1)"),
-    Mutant("chamber-ends-shared-across-denominators", _REGIONS,
-           "key = (i, x0, last, den)", "key = (i, x0, last)"),
     Mutant("level-0-check-reads-the-lower-end-only", _REGIONS,
            "not k and (lo.x0 or hi.x0)", "not k and lo.x0"),
     Mutant("left-out-weight-on-wrong-slot", _REGIONS,
